@@ -23,7 +23,6 @@ from .insertion import extend_as_much_as_possible, find_collection_of_partners, 
 from .search import _ham_path_raw
 
 _FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
-_THEOREMS = ("thm6", "thm8", "thm9", "thm11", "thm12", "thm16")
 
 
 def _emit(doc: dict) -> None:
@@ -260,35 +259,12 @@ def cmd_find(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scan_kwargs(args) -> dict:
-    return {
-        "sample": args.sample,
-        "seed": args.seed,
-        "model": args.model,
-        "allow_long": args.allow_long,
-    }
-
-
-def cmd_verify(args) -> int:
-    if args.theorem == "thm16":
-        report = verify.check_theorem16_conjecture(args.n, args.min_in, **_scan_kwargs(args))
-    else:
-        driver = {
-            "thm6": verify.check_theorem6,
-            "thm8": verify.check_theorem8,
-            "thm9": verify.check_theorem9,
-            "thm11": verify.check_theorem11,
-            "thm12": verify.check_theorem12,
-        }[args.theorem]
-        report = driver(args.n, **_scan_kwargs(args))
+def cmd_scan(args) -> int:
+    report = verify.run_claim(
+        args.theorem, args.n, args.param, args.sample, args.seed, args.model, args.allow_long
+    )
     _emit(report.to_json_dict())
     return 1 if report.verdict == "counterexample-found" else 0
-
-
-def cmd_explore(args) -> int:
-    report = verify.explore_no_bypass(args.n, args.cond, **_scan_kwargs(args))
-    _emit(report.to_json_dict())
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     find.set_defaults(func=cmd_find)
 
     ver = subs.add_parser("verify", help="scan a theorem statement")
-    ver.add_argument("theorem", choices=_THEOREMS)
+    claims = [name for name, claim in verify.CLAIMS.items() if not claim.report_only]
+    ver.add_argument("theorem", choices=claims)
     _add_scan_flags(ver)
     ver.add_argument(
         "--min-in",
-        dest="min_in",
+        dest="param",
+        metavar="MIN_IN",
         type=int,
-        default=3,
+        default=None,
         help="thm16 minimum in-degree floor (3 = proven statement, 2 = probe)",
     )
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_scan)
 
     exp = subs.add_parser("explore", help="catalog bypass-free survivors of a condition")
-    exp.add_argument("--cond", required=True, help="condition id")
+    exp.add_argument("--cond", dest="param", metavar="COND", required=True, help="condition id")
     _add_scan_flags(exp)
-    exp.set_defaults(func=cmd_explore)
+    exp.set_defaults(func=cmd_scan, theorem="explore")
 
     return parser
 

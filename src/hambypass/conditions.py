@@ -9,12 +9,16 @@ say so in their detail string.
 
 The `_*_violation` functions work on raw (n, rows, cols, dout, din) data so
 the enumeration engine can run them on millions of digraphs without building
-Digraph objects; the public wrappers are thin.
+Digraph objects. Each returns None when the condition holds, else the first
+violation as (vertices, value, bound, detail): `vertices` is the tuple
+(x[, y[, z]]) and `detail` a constant string. `_report` turns that into the
+public ConditionReport.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable
 
 from .digraph import Digraph
@@ -34,24 +38,25 @@ class ConditionReport:
     witness: ConditionWitness | None = None
 
     def to_dict(self) -> dict:
+        doc = asdict(self)
         if self.witness is None:
-            return {"holds": self.holds}
-        w = self.witness
-        return {
-            "holds": self.holds,
-            "witness": {
-                "roles": dict(w.roles),
-                "value": w.value,
-                "bound": w.bound,
-                "detail": w.detail,
-            },
-        }
+            del doc["witness"]
+        return doc
 
 
 def _arrays(g: Digraph) -> tuple[int, tuple, tuple, tuple, tuple]:
     dout = tuple(r.bit_count() for r in g.rows)
     din = tuple(c.bit_count() for c in g.cols)
     return g.n, g.rows, g.cols, dout, din
+
+
+def _report(hit) -> ConditionReport:
+    if hit is None:
+        return ConditionReport(True)
+    vertices, value, bound, detail = hit
+    return ConditionReport(
+        False, ConditionWitness(dict(zip("xyz", vertices)), value, bound, detail)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +86,9 @@ def _a_k_violation(n, rows, cols, dout, din, k, inclusive=False):
                 if z == x or (z == y and not inclusive):
                     continue
                 if not (rx >> z) & 1 and s + dout[x] + din[z] < bound:
-                    return (x, y, z, "out", s + dout[x] + din[z], bound)
+                    return (x, y, z), s + dout[x] + din[z], bound, "missing arc x->z"
                 if not (cx >> z) & 1 and s + din[x] + dout[z] < bound:
-                    return (x, y, z, "in", s + din[x] + dout[z], bound)
+                    return (x, y, z), s + din[x] + dout[z], bound, "missing arc z->x"
     return None
 
 
@@ -95,20 +100,7 @@ def check_a_k(g: Digraph, k: int, *, inclusive: bool = False) -> ConditionReport
     """
     if g.n < 3:
         raise ValueError("triple degree condition needs order >= 3")
-    hit = _a_k_violation(*_arrays(g), k, inclusive)
-    if hit is None:
-        return ConditionReport(True)
-    x, y, z, side, value, bound = hit
-    which = "x->z" if side == "out" else "z->x"
-    return ConditionReport(
-        False,
-        ConditionWitness(
-            {"x": x, "y": y, "z": z},
-            value,
-            bound,
-            f"missing arc {which}",
-        ),
-    )
+    return _report(_a_k_violation(*_arrays(g), k, inclusive))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +108,8 @@ def check_a_k(g: Digraph, k: int, *, inclusive: bool = False) -> ConditionReport
 # ---------------------------------------------------------------------------
 
 
-def _pair_sum_violation(n, rows, cols, dout, din, bound):
+def _pair_sum_violation(n, rows, cols, dout, din, offset):
+    bound = 2 * n + offset
     for x in range(n):
         adj = rows[x] | cols[x]
         dx = dout[x] + din[x]
@@ -125,7 +118,7 @@ def _pair_sum_violation(n, rows, cols, dout, din, bound):
                 continue
             s = dx + dout[y] + din[y]
             if s < bound:
-                return (x, y, s, bound)
+                return (x, y), s, bound, ""
     return None
 
 
@@ -136,11 +129,7 @@ def check_meyniel(g: Digraph) -> ConditionReport:
 
 def check_degree_sum(g: Digraph, offset: int) -> ConditionReport:
     """d(x) + d(y) >= 2n + offset for every non-adjacent pair."""
-    hit = _pair_sum_violation(*_arrays(g), 2 * g.n + offset)
-    if hit is None:
-        return ConditionReport(True)
-    x, y, value, bound = hit
-    return ConditionReport(False, ConditionWitness({"x": x, "y": y}, value, bound))
+    return _report(_pair_sum_violation(*_arrays(g), offset))
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +140,13 @@ def check_degree_sum(g: Digraph, offset: int) -> ConditionReport:
 def _ghouila_violation(n, rows, cols, dout, din):
     for x in range(n):
         if dout[x] + din[x] < n:
-            return (x, dout[x] + din[x], n)
+            return (x,), dout[x] + din[x], n, ""
     return None
 
 
 def check_ghouila_houri(g: Digraph) -> ConditionReport:
     """Total degree at least n at every vertex."""
-    hit = _ghouila_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, value, bound = hit
-    return ConditionReport(False, ConditionWitness({"x": x}, value, bound))
+    return _report(_ghouila_violation(*_arrays(g)))
 
 
 def _woodall_violation(n, rows, cols, dout, din):
@@ -172,41 +157,28 @@ def _woodall_violation(n, rows, cols, dout, din):
                 continue
             s = dout[x] + din[y]
             if s < n:
-                return (x, y, s, n)
+                return (x, y), s, n, "missing arc x->y"
     return None
 
 
 def check_woodall(g: Digraph) -> ConditionReport:
     """d_out(x) + d_in(y) >= n whenever the arc x->y is missing."""
-    hit = _woodall_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, y, value, bound = hit
-    return ConditionReport(
-        False, ConditionWitness({"x": x, "y": y}, value, bound, "missing arc x->y")
-    )
+    return _report(_woodall_violation(*_arrays(g)))
 
 
 def _nash_violation(n, rows, cols, dout, din):
     # Doubled comparison: 2 * semidegree >= n, exact for odd n.
     for x in range(n):
         if 2 * dout[x] < n:
-            return (x, "out", 2 * dout[x], n)
+            return (x,), 2 * dout[x], n, "doubled out-degree vs n"
         if 2 * din[x] < n:
-            return (x, "in", 2 * din[x], n)
+            return (x,), 2 * din[x], n, "doubled in-degree vs n"
     return None
 
 
 def check_nash_williams(g: Digraph) -> ConditionReport:
     """Both semidegrees at least n/2 at every vertex (doubled arithmetic)."""
-    hit = _nash_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, side, value, bound = hit
-    return ConditionReport(
-        False,
-        ConditionWitness({"x": x}, value, bound, f"doubled {side}-degree vs n"),
-    )
+    return _report(_nash_violation(*_arrays(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +197,9 @@ def _thm13_violation(n, rows, cols, dout, din):
             dy = dout[y] + din[y]
             lo = dx if dx < dy else dy
             if lo < n - 1:
-                return (x, y, "min", lo, n - 1)
+                return (x, y), lo, n - 1, "min degree"
             if dx + dy < 2 * n - 1:
-                return (x, y, "sum", dx + dy, 2 * n - 1)
+                return (x, y), dx + dy, 2 * n - 1, "degree sum"
     return None
 
 
@@ -236,12 +208,7 @@ def check_thm13_condition(g: Digraph) -> ConditionReport:
 
     min{d(x), d(y)} >= n-1 and d(x)+d(y) >= 2n-1 for every such pair.
     """
-    hit = _thm13_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, y, which, value, bound = hit
-    detail = "min degree" if which == "min" else "degree sum"
-    return ConditionReport(False, ConditionWitness({"x": x, "y": y}, value, bound, detail))
+    return _report(_thm13_violation(*_arrays(g)))
 
 
 def _common_flank(rows, cols, x, y) -> bool:
@@ -258,18 +225,14 @@ def _thm14_violation(n, rows, cols, dout, din):
             b = din[x] + dout[y]
             lo = a if a < b else b
             if lo < n:
-                return (x, y, lo, n)
+                return (x, y), lo, n, ""
     return None
 
 
 def check_thm14_condition(g: Digraph) -> ConditionReport:
     """min{d_out(x)+d_in(y), d_in(x)+d_out(y)} >= n for non-adjacent pairs
     sharing an out-neighbour or an in-neighbour."""
-    hit = _thm14_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, y, value, bound = hit
-    return ConditionReport(False, ConditionWitness({"x": x, "y": y}, value, bound))
+    return _report(_thm14_violation(*_arrays(g)))
 
 
 def _thm15_violation(n, rows, cols, dout, din):
@@ -281,69 +244,42 @@ def _thm15_violation(n, rows, cols, dout, din):
                 continue
             dy = dout[y] + din[y]
             if dx + dy < 2 * n - 1:
-                return (x, y, "sum", dx + dy, 2 * n - 1)
+                return (x, y), dx + dy, 2 * n - 1, "degree sum"
             a = dout[x] + din[y]
             b = din[x] + dout[y]
             lo = a if a < b else b
             if lo < n - 1:
-                return (x, y, "minsum", lo, n - 1)
+                return (x, y), lo, n - 1, "crossed semidegree sum"
     return None
 
 
 def check_thm15_condition(g: Digraph) -> ConditionReport:
     """Degree sum >= 2n-1 and crossed semidegree sums >= n-1 for non-adjacent
     pairs sharing an out-neighbour or an in-neighbour."""
-    hit = _thm15_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, y, which, value, bound = hit
-    detail = "degree sum" if which == "sum" else "crossed semidegree sum"
-    return ConditionReport(False, ConditionWitness({"x": x, "y": y}, value, bound, detail))
+    return _report(_thm15_violation(*_arrays(g)))
 
 
 def _thm16_violation(n, rows, cols, dout, din, min_in=3):
     if n < 6:
-        return ("order", None, n, 6)
+        return (), n, 6, "order below 6"
     for x in range(n):
         if dout[x] < 2:
-            return ("min_out", x, dout[x], 2)
+            return (x,), dout[x], 2, "minimum out-degree"
     for x in range(n):
         if din[x] < min_in:
-            return ("min_in", x, din[x], min_in)
-    hit = _thm13_violation(n, rows, cols, dout, din)
-    if hit is not None:
-        return ("thm13", hit, None, None)
-    return None
-
-
-def _thm16_report(hit) -> ConditionReport:
-    kind = hit[0]
-    if kind == "order":
-        return ConditionReport(
-            False, ConditionWitness({}, hit[2], hit[3], "order below 6")
-        )
-    if kind in ("min_out", "min_in"):
-        side = "out" if kind == "min_out" else "in"
-        return ConditionReport(
-            False,
-            ConditionWitness({"x": hit[1]}, hit[2], hit[3], f"minimum {side}-degree"),
-        )
-    x, y, which, value, bound = hit[1]
-    detail = "min degree" if which == "min" else "degree sum"
-    return ConditionReport(False, ConditionWitness({"x": x, "y": y}, value, bound, detail))
+            return (x,), din[x], min_in, "minimum in-degree"
+    return _thm13_violation(n, rows, cols, dout, din)
 
 
 def check_thm16_hypothesis(g: Digraph) -> ConditionReport:
     """Order >= 6, min out-degree >= 2, min in-degree >= 3, plus the
     common-in-neighbour pair condition."""
-    hit = _thm16_violation(*_arrays(g))
-    return ConditionReport(True) if hit is None else _thm16_report(hit)
+    return _report(_thm16_violation(*_arrays(g)))
 
 
 def check_thm16_relaxed(g: Digraph) -> ConditionReport:
     """Same hypothesis with the in-degree floor lowered to 2 (probe form)."""
-    hit = _thm16_violation(*_arrays(g), min_in=2)
-    return ConditionReport(True) if hit is None else _thm16_report(hit)
+    return _report(_thm16_violation(*_arrays(g), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +301,7 @@ def _lemma5_violation(n, rows, cols, dout, din):
                 if z == y:
                     continue
                 if 2 * (d[x] + d[z]) < need:
-                    return (x, y, z, 2 * (d[x] + d[z]), need)
+                    return (x, y, z), 2 * (d[x] + d[z]), need, "doubled comparison"
     return None
 
 
@@ -376,14 +312,7 @@ def lemma5_consequence_holds(g: Digraph) -> ConditionReport:
     a = 2n - d(x) - d(y), if a >= 1 then 2(d(x) + d(z)) >= 4n - 4 + a.
     Value and bound in the witness are the doubled quantities.
     """
-    hit = _lemma5_violation(*_arrays(g))
-    if hit is None:
-        return ConditionReport(True)
-    x, y, z, value, bound = hit
-    return ConditionReport(
-        False,
-        ConditionWitness({"x": x, "y": y, "z": z}, value, bound, "doubled comparison"),
-    )
+    return _report(_lemma5_violation(*_arrays(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +330,32 @@ class Condition:
 
 
 def _simple(core, *args) -> RawPredicate:
-    def raw(n, rows, cols, dout, din):
-        return core(n, rows, cols, dout, din, *args) is None
+    # One closure per arity: a star-call would cost about 0.1 us per digraph.
+    if not args:
+        return lambda n, rows, cols, dout, din: core(n, rows, cols, dout, din) is None
+    if len(args) == 1:
+        (a,) = args
+        return lambda n, rows, cols, dout, din: core(n, rows, cols, dout, din, a) is None
+    a, b = args
+    return lambda n, rows, cols, dout, din: core(n, rows, cols, dout, din, a, b) is None
 
-    return raw
+
+# name: (integer parameter or None, public checker, raw core, trailing core args)
+_CONDITIONS = {
+    "a_k": ("k", check_a_k, _a_k_violation, ()),
+    "a_k_inc": ("k", partial(check_a_k, inclusive=True), _a_k_violation, (True,)),
+    "meyniel": (None, check_meyniel, _pair_sum_violation, (-1,)),
+    "degree_sum": ("offset", check_degree_sum, _pair_sum_violation, ()),
+    "ghouila_houri": (None, check_ghouila_houri, _ghouila_violation, ()),
+    "woodall": (None, check_woodall, _woodall_violation, ()),
+    "nash_williams": (None, check_nash_williams, _nash_violation, ()),
+    "thm13": (None, check_thm13_condition, _thm13_violation, ()),
+    "thm14": (None, check_thm14_condition, _thm14_violation, ()),
+    "thm15": (None, check_thm15_condition, _thm15_violation, ()),
+    "thm16": (None, check_thm16_hypothesis, _thm16_violation, ()),
+    "thm16relaxed": (None, check_thm16_relaxed, _thm16_violation, (2,)),
+    "lemma5": (None, lemma5_consequence_holds, _lemma5_violation, ()),
+}
 
 
 def resolve(cond_id: str) -> Condition:
@@ -414,66 +365,22 @@ def resolve(cond_id: str) -> Condition:
     Unknown ids raise ValueError.
     """
     name, _, param = cond_id.partition(":")
-    if name in ("a_k", "a_k_inc"):
+    unit, check, core, extra = _CONDITIONS.get(name, (None, None, None, ()))
+    if unit is not None:
         try:
-            k = int(param)
+            args = (int(param),)
         except ValueError:
-            raise ValueError(f"bad condition id {cond_id!r}: integer k required")
-        inclusive = name == "a_k_inc"
-        return Condition(
-            cond_id,
-            lambda g, k=k: check_a_k(g, k, inclusive=inclusive),
-            lambda n, rows, cols, dout, din, k=k: _a_k_violation(
-                n, rows, cols, dout, din, k, inclusive
-            )
-            is None,
-        )
-    if name == "degree_sum":
-        try:
-            offset = int(param)
-        except ValueError:
-            raise ValueError(f"bad condition id {cond_id!r}: integer offset required")
-        return Condition(
-            cond_id,
-            lambda g: check_degree_sum(g, offset),
-            lambda n, rows, cols, dout, din: _pair_sum_violation(
-                n, rows, cols, dout, din, 2 * n + offset
-            )
-            is None,
-        )
-    if param:
+            raise ValueError(f"bad condition id {cond_id!r}: integer {unit} required")
+    elif param:
         raise ValueError(f"condition {name!r} takes no parameter")
-    table = {
-        "meyniel": (check_meyniel, lambda n, r, c, o, i: _pair_sum_violation(n, r, c, o, i, 2 * n - 1) is None),
-        "ghouila_houri": (check_ghouila_houri, _simple(_ghouila_violation)),
-        "woodall": (check_woodall, _simple(_woodall_violation)),
-        "nash_williams": (check_nash_williams, _simple(_nash_violation)),
-        "thm13": (check_thm13_condition, _simple(_thm13_violation)),
-        "thm14": (check_thm14_condition, _simple(_thm14_violation)),
-        "thm15": (check_thm15_condition, _simple(_thm15_violation)),
-        "thm16": (check_thm16_hypothesis, _simple(_thm16_violation)),
-        "thm16relaxed": (check_thm16_relaxed, lambda n, r, c, o, i: _thm16_violation(n, r, c, o, i, 2) is None),
-        "lemma5": (lemma5_consequence_holds, _simple(_lemma5_violation)),
-    }
-    if name not in table:
+    elif check is None:
         raise ValueError(f"unknown condition id {cond_id!r}")
-    check, raw = table[name]
-    return Condition(cond_id, check, raw)
+    else:
+        args = ()
+    return Condition(cond_id, lambda g: check(g, *args), _simple(core, *args, *extra))
 
 
 def known_condition_ids() -> list[str]:
     return [
-        "a_k:<k>",
-        "a_k_inc:<k>",
-        "meyniel",
-        "degree_sum:<offset>",
-        "ghouila_houri",
-        "woodall",
-        "nash_williams",
-        "thm13",
-        "thm14",
-        "thm15",
-        "thm16",
-        "thm16relaxed",
-        "lemma5",
+        name if unit is None else f"{name}:<{unit}>" for name, (unit, *_) in _CONDITIONS.items()
     ]

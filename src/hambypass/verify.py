@@ -70,8 +70,9 @@ def _tables(n: int):
     """Per-row decode tables.
 
     EXPAND[u][raw] is the n-bit out-row (diagonal bit reinserted as 0);
-    SPREAD[u][raw] packs the same arcs column-wise into 8-bit lanes, so the
-    transpose of a whole mask is one sum of n table entries.
+    SPREAD[u][raw] packs the same arcs column-wise into n-bit lanes (arc
+    u->v is bit n*v + u), so the transpose of a whole mask is one sum of n
+    table entries.
     """
     width = n - 1
     expand = []
@@ -88,7 +89,7 @@ def _tables(n: int):
                 b = r & -r
                 r ^= b
                 v = b.bit_length() - 1
-                packed |= 1 << (8 * v + u)
+                packed |= 1 << (n * v + u)
             s_u.append(packed)
         expand.append(tuple(e_u))
         spread.append(tuple(s_u))
@@ -302,7 +303,8 @@ def _scan_chunk(chunk_index: int):
     evaluator = ctx["evaluator"]
     collect = ctx["collect"]
     vrange = range(n)
-    lane = 0xFF
+    shifts = [n * v for v in vrange]
+    lane = (1 << n) - 1
 
     scanned = 0
     passed = 0
@@ -318,7 +320,7 @@ def _scan_chunk(chunk_index: int):
             rows.append(expand[u][raw])
             packed += spread[u][raw]
         dout = [r.bit_count() for r in rows]
-        cols = [(packed >> (8 * v)) & lane for v in vrange]
+        cols = [(packed >> s) & lane for s in shifts]
         din = [c.bit_count() for c in cols]
         ok = True
         for f in filters:
@@ -470,26 +472,117 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
     return tuple(ExceptionRecord(key, seen[key]) for key in sorted(seen))
 
 
-def _run_theorem(
-    theorem: str,
-    task: EnumerationTask,
-    allowed: Callable[[Digraph], bool] | None,
-    *,
-    report_only: bool = False,
+# ---------------------------------------------------------------------------
+# Claim table
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=8)
+def _theorem8_allowed_keys(n: int) -> frozenset[str]:
+    if n == 3:
+        members = [families.directed_cycle(3)]
+    else:
+        members = [families.d1(n, k) for k in range(1, n - 1)]
+    if n == 5:
+        members.append(families.t5())
+        members += [families.d0(5, inner) for inner in families.iter_inner_specs(2)]
+    elif n >= 7 and n % 2 == 1:
+        empty, complete = families.InnerSpec.empty(), families.InnerSpec.complete()
+        members += [families.d0(n, empty), families.d0(n, complete)]
+    return frozenset(map(_canonical_key, members))
+
+
+def _is_theorem8_family(g: Digraph) -> bool:
+    return _canonical_key(g) in _theorem8_allowed_keys(g.n)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """Every digraph of order n >= min_n that passes `filters` has the
+    structure whose absence `evaluator` flags, apart from the digraphs
+    `allowed` accepts (None: no exception is allowed).
+
+    A "{}" in `label` (default: the table key) or in a filter id stands for
+    the per-call parameter named `param_name`. `params` lists its accepted
+    values (empty: any): the first is the claim as stated and the default,
+    the others are probes whose runs are report-only.
+    """
+
+    min_n: int
+    filters: tuple[str, ...]
+    evaluator: str
+    evaluator_arg: int | None = None
+    allowed: Callable[[Digraph], bool] | None = None
+    report_only: bool = False
+    label: str = ""
+    param_name: str = ""
+    params: tuple = ()
+
+
+CLAIMS = {
+    "thm6": Claim(3, ("a_k:0", "strong"), "no_hc"),
+    "thm8": Claim(3, ("degree_sum:-2", "strong"), "no_bypass", allowed=_is_theorem8_family),
+    "thm9": Claim(4, ("meyniel", "strong"), "no_dnk", 3),
+    "thm11": Claim(4, ("a_k:0", "strong"), "no_prehc", allowed=is_balanced_complete_bipartite),
+    "thm12": Claim(4, ("a_k:0", "strong"), "no_bypass", allowed=is_isomorphic_to_t5),
+    "thm16": Claim(
+        6,
+        ("min_out:2", "min_in:{}", "thm13", "strong"),
+        "no_bypass",
+        param_name="min_in_degree",
+        params=(3, 2),
+    ),
+    "explore": Claim(
+        1, ("{}", "strong"), "no_bypass", report_only=True, label="explore:{}", param_name="cond_id"
+    ),
+}
+
+
+def run_claim(
+    name: str,
+    n: int,
+    param=None,
+    sample: int | None = None,
+    seed: int | None = None,
+    model: str = "uniform",
+    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
+    """Scan the claim CLAIMS[name] at order n, over every labeled digraph or
+    over `sample` seeded draws, and judge the deduplicated exceptions.
+    `param` is the claim's per-call parameter."""
+    claim = CLAIMS[name]
+    if n < claim.min_n:
+        raise ValueError(f"{name} needs n >= {claim.min_n}")
+    if param is None and claim.params:
+        param = claim.params[0]
+    if param is not None and not claim.param_name:
+        raise ValueError(f"{name} takes no parameter, got {param!r}")
+    if claim.params and param not in claim.params:
+        accepted = " or ".join(map(str, sorted(claim.params)))
+        raise ValueError(f"{claim.param_name} must be {accepted}")
+    if sample is None:
+        scan = dict(mode="exhaustive", allow_long=allow_long)
+    else:
+        scan = dict(mode="sample", sample_count=sample, seed=seed, model=model)
+    filters = tuple(fid.format(param) for fid in claim.filters)
+    task = EnumerationTask(
+        n, filters=filters, evaluator=claim.evaluator, evaluator_arg=claim.evaluator_arg, **scan
+    )
+
     t0 = time.monotonic()
     result = enumerate_digraphs(task, workers=workers)
-    exceptions = _dedupe(task.n, result.flagged)
-    if report_only:
+    exceptions = _dedupe(n, result.flagged)
+    allowed = claim.allowed
+    if claim.report_only or param in claim.params[1:]:
         verdict = "report-only"
     elif all(allowed is not None and allowed(rec.witness) for rec in exceptions):
         verdict = "confirmed"
     else:
         verdict = "counterexample-found"
     return TheoremReport(
-        theorem=theorem,
-        n=task.n,
+        theorem=(claim.label or name).format(param),
+        n=n,
         mode=task.mode_label,
         seed=task.seed,
         scanned=result.scanned,
@@ -500,35 +593,9 @@ def _run_theorem(
     )
 
 
-def _make_task(n, filters, evaluator, evaluator_arg, sample, seed, model, allow_long):
-    if sample is None:
-        return EnumerationTask(
-            n=n,
-            mode="exhaustive",
-            filters=tuple(filters),
-            evaluator=evaluator,
-            evaluator_arg=evaluator_arg,
-            allow_long=allow_long,
-        )
-    return EnumerationTask(
-        n=n,
-        mode="sample",
-        filters=tuple(filters),
-        sample_count=sample,
-        seed=seed,
-        model=model,
-        evaluator=evaluator,
-        evaluator_arg=evaluator_arg,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Theorem drivers
 # ---------------------------------------------------------------------------
-
-
-def _nothing_allowed(g: Digraph) -> bool:
-    return False
 
 
 def check_theorem6(
@@ -541,10 +608,7 @@ def check_theorem6(
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus a_k:0 forces a Hamiltonian cycle; no exception allowed."""
-    if n < 3:
-        raise ValueError("thm6 needs n >= 3")
-    task = _make_task(n, ("a_k:0", "strong"), "no_hc", None, sample, seed, model, allow_long)
-    return _run_theorem("thm6", task, _nothing_allowed, workers=workers)
+    return run_claim("thm6", n, None, sample, seed, model, allow_long, workers)
 
 
 def check_theorem11(
@@ -558,10 +622,7 @@ def check_theorem11(
 ) -> TheoremReport:
     """Strong plus a_k:0 forces an (n-1)-cycle except balanced complete
     bipartite digraphs."""
-    if n < 4:
-        raise ValueError("thm11 needs n >= 4")
-    task = _make_task(n, ("a_k:0", "strong"), "no_prehc", None, sample, seed, model, allow_long)
-    return _run_theorem("thm11", task, is_balanced_complete_bipartite, workers=workers)
+    return run_claim("thm11", n, None, sample, seed, model, allow_long, workers)
 
 
 def check_theorem12(
@@ -575,31 +636,7 @@ def check_theorem12(
 ) -> TheoremReport:
     """Strong plus a_k:0 forces a Hamiltonian bypass except the one
     5-vertex tournament."""
-    if n < 4:
-        raise ValueError("thm12 needs n >= 4")
-    task = _make_task(n, ("a_k:0", "strong"), "no_bypass", None, sample, seed, model, allow_long)
-    return _run_theorem("thm12", task, is_isomorphic_to_t5, workers=workers)
-
-
-@lru_cache(maxsize=8)
-def _theorem8_allowed_keys(n: int) -> frozenset[str]:
-    keys = set()
-    if n == 3:
-        keys.add(_canonical_key(families.directed_cycle(3)))
-    if n >= 4:
-        for k in range(1, n - 1):
-            keys.add(_canonical_key(families.d1(n, k)))
-    if n == 5:
-        keys.add(_canonical_key(families.t5()))
-    if n >= 5 and n % 2 == 1:
-        b = n - (n + 1) // 2
-        if n == 5:
-            for inner in families.iter_inner_specs(b):
-                keys.add(_canonical_key(families.d0(n, inner)))
-        else:
-            for inner in (families.InnerSpec.empty(), families.InnerSpec.complete()):
-                keys.add(_canonical_key(families.d0(n, inner)))
-    return frozenset(keys)
+    return run_claim("thm12", n, None, sample, seed, model, allow_long, workers)
 
 
 def check_theorem8(
@@ -613,17 +650,7 @@ def check_theorem8(
 ) -> TheoremReport:
     """Strong plus degree_sum:-2 forces a bypass outside a short list of
     extremal families."""
-    if n < 3:
-        raise ValueError("thm8 needs n >= 3")
-    task = _make_task(
-        n, ("degree_sum:-2", "strong"), "no_bypass", None, sample, seed, model, allow_long
-    )
-    allowed_keys = _theorem8_allowed_keys(n)
-
-    def allowed(g: Digraph) -> bool:
-        return _canonical_key(g) in allowed_keys
-
-    return _run_theorem("thm8", task, allowed, workers=workers)
+    return run_claim("thm8", n, None, sample, seed, model, allow_long, workers)
 
 
 def check_theorem9(
@@ -636,10 +663,7 @@ def check_theorem9(
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus meyniel forces a spanning reversed-tail pattern with k=3."""
-    if n < 4:
-        raise ValueError("thm9 needs n >= 4")
-    task = _make_task(n, ("meyniel", "strong"), "no_dnk", 3, sample, seed, model, allow_long)
-    return _run_theorem("thm9", task, _nothing_allowed, workers=workers)
+    return run_claim("thm9", n, None, sample, seed, model, allow_long, workers)
 
 
 def check_theorem16_conjecture(
@@ -657,19 +681,7 @@ def check_theorem16_conjecture(
     min_in_degree=3 is the proven statement (confirmed expected); 2 probes
     the open strengthening, so its report carries no asserted outcome.
     """
-    if n < 6:
-        raise ValueError("thm16 needs n >= 6")
-    if min_in_degree not in (2, 3):
-        raise ValueError("min_in_degree must be 2 or 3")
-    filters = ("min_out:2", f"min_in:{min_in_degree}", "thm13", "strong")
-    task = _make_task(n, filters, "no_bypass", None, sample, seed, model, allow_long)
-    return _run_theorem(
-        "thm16",
-        task,
-        _nothing_allowed,
-        report_only=(min_in_degree == 2),
-        workers=workers,
-    )
+    return run_claim("thm16", n, min_in_degree, sample, seed, model, allow_long, workers)
 
 
 def explore_no_bypass(
@@ -687,7 +699,4 @@ def explore_no_bypass(
     Open-ended by design: the report lists the deduplicated survivors and
     asserts nothing about them.
     """
-    if n < 1:
-        raise ValueError("order must be positive")
-    task = _make_task(n, (cond_id, "strong"), "no_bypass", None, sample, seed, model, allow_long)
-    return _run_theorem(f"explore:{cond_id}", task, None, report_only=True, workers=workers)
+    return run_claim("explore", n, cond_id, sample, seed, model, allow_long, workers)

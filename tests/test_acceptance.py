@@ -186,7 +186,7 @@ def test_criterion_04(scans):
 
 
 # --------------------------------------------------------------------------
-# criterion 5: pre-Hamiltonian-cycle scan clean at n=4 and n=5
+# criterion 5: spanning dnk:3 pattern scan clean at n=4 and n=5
 # --------------------------------------------------------------------------
 
 def test_criterion_05(scans):
@@ -201,7 +201,7 @@ def test_criterion_05(scans):
         and rep5.passed_filters == 134964
     )
     detail = (
-        f"no pre-Hamiltonian-cycle failure among {rep4.passed_filters} (n=4) "
+        f"no spanning dnk:3 pattern failure among {rep4.passed_filters} (n=4) "
         f"and {rep5.passed_filters} (n=5) survivors"
     )
     record_criterion(5, ok, detail)
@@ -237,9 +237,9 @@ def test_criterion_06(scans):
     detail = "; ".join(parts)
     if not per_n[3] and observed[3] - allowed[3] == {"04e"}:
         detail += (
-            " — the extra n=3 class is the two-way star K*_1,2, admitted "
-            "alongside the directed triangle by the degenerate-triple "
-            "reading of the degree condition"
+            " — the extra n=3 class is the two-way star K*_1,2; it is strong, "
+            "meets degree_sum:-2 and has no bypass, but families.d1 starts at "
+            "n=4, so the allowed set at n=3 holds only the directed triangle"
         )
     record_criterion(6, ok, detail)
     assert ok, detail

@@ -12,6 +12,7 @@ import pytest
 
 from hambypass import iso
 from hambypass.cli import main
+from hambypass.verify import CLAIMS
 from hambypass.digraph import format_digraph, parse_digraph
 from hambypass import families as fam
 
@@ -296,6 +297,12 @@ def test_explore_meyniel_n3_exact():
         (["explore", "--cond", "bogus", "--n", "3"], "", 2),
         (["frobnicate"], "", 2),
         ([], "", 2),
+        (["verify", "thm12", "--n", "4", "--min-in", "2"], "", 2),
+    ]
+    + [
+        (["verify", name, "--n", str(claim.min_n - 1)], "", 2)
+        for name, claim in CLAIMS.items()
+        if not claim.report_only
     ],
 )
 def test_exit_codes(argv, stdin_text, expected):

@@ -1,0 +1,141 @@
+"""Frozen outputs of the claim scans and of every registered condition.
+
+The files under golden/ are written by this module, run as a script with
+src/ on the path:
+
+    PYTHONPATH=src python tests/test_goldens.py
+
+Claim reports are stored whole (elapsed time left out) and compared with key
+order. Condition reports are too many to store (every n=3 and n=4 digraph and
+a seeded n=5..7 sample, for each id), so each (id, group) keeps the number of
+digraphs the condition holds on and the SHA-256 of the reports' JSON lines;
+`--dump ID GROUP` prints those lines, so two checkouts can be diffed.
+Rewrite the files only for an intended output change, and record why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from hambypass import conditions, verify
+from hambypass.verify import digraph_from_mask, mask_bits
+
+GOLDEN = Path(__file__).parent / "golden"
+CLAIMS_FILE = GOLDEN / "claims.json"
+CONDITIONS_FILE = GOLDEN / "conditions.json"
+
+CLAIM_CASES = {
+    "thm6_n3": lambda: verify.check_theorem6(3, workers=1),
+    "thm6_n4": lambda: verify.check_theorem6(4, workers=1),
+    "thm8_n3": lambda: verify.check_theorem8(3, workers=1),
+    "thm8_n4": lambda: verify.check_theorem8(4, workers=1),
+    "thm9_n4": lambda: verify.check_theorem9(4, workers=1),
+    "thm11_n4": lambda: verify.check_theorem11(4, workers=1),
+    "thm12_n5_sample500_seed3": lambda: verify.check_theorem12(
+        5, sample=500, seed=3, workers=1
+    ),
+    "thm16_n6_min_in3_dense2000_seed5": lambda: verify.check_theorem16_conjecture(
+        6, 3, sample=2000, seed=5, model="dense", workers=1
+    ),
+    "thm16_n6_min_in2_dense2000_seed5": lambda: verify.check_theorem16_conjecture(
+        6, 2, sample=2000, seed=5, model="dense", workers=1
+    ),
+    "explore_thm14_n4": lambda: verify.explore_no_bypass(4, "thm14", workers=1),
+}
+
+CONDITION_IDS = (
+    "a_k:0",
+    "a_k:-1",
+    "a_k_inc:0",
+    "meyniel",
+    "degree_sum:-2",
+    "ghouila_houri",
+    "woodall",
+    "nash_williams",
+    "thm13",
+    "thm14",
+    "thm15",
+    "thm16",
+    "thm16relaxed",
+    "lemma5",
+)
+
+
+def condition_groups() -> dict[str, list[tuple[int, int]]]:
+    """(n, mask) lists: all of n=3, all of n=4, and 100 uniform plus 100
+    dense seeded draws at each of n=5, 6, 7."""
+    rng = random.Random(7)
+    sample = []
+    for n in (5, 6, 7):
+        bits = mask_bits(n)
+        sample += [(n, rng.getrandbits(bits)) for _ in range(100)]
+        sample += [(n, rng.getrandbits(bits) | rng.getrandbits(bits)) for _ in range(100)]
+    return {
+        "n3": [(3, m) for m in range(1 << mask_bits(3))],
+        "n4": [(4, m) for m in range(1 << mask_bits(4))],
+        "sample_n5_n7": sample,
+    }
+
+
+def condition_lines(cond_id: str, graphs) -> list[str]:
+    check = conditions.resolve(cond_id).check
+    return [json.dumps(check(digraph_from_mask(n, m)).to_dict()) for n, m in graphs]
+
+
+def condition_summary(cond_id: str, graphs) -> dict:
+    lines = condition_lines(cond_id, graphs)
+    return {
+        "holds": sum(line == '{"holds": true}' for line in lines),
+        "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+    }
+
+
+def claim_doc(name: str) -> dict:
+    return CLAIM_CASES[name]().to_json_dict(include_elapsed=False)
+
+
+def _load(path: Path):
+    return json.loads(path.read_text(), object_pairs_hook=list)
+
+
+def _pairs(doc):
+    """Nested key/value pair lists, so comparisons also check key order."""
+    return json.loads(json.dumps(doc), object_pairs_hook=list)
+
+
+@pytest.mark.parametrize("name", list(CLAIM_CASES))
+def test_claim_report_matches_golden(name):
+    want = dict(_load(CLAIMS_FILE))[name]
+    assert _pairs(claim_doc(name)) == want
+
+
+@pytest.mark.parametrize("cond_id", CONDITION_IDS)
+def test_condition_reports_match_golden(cond_id):
+    want = json.loads(CONDITIONS_FILE.read_text())[cond_id]
+    groups = condition_groups()
+    assert {group: condition_summary(cond_id, groups[group]) for group in groups} == want
+
+
+def write_goldens() -> None:
+    claims = {name: claim_doc(name) for name in CLAIM_CASES}
+    CLAIMS_FILE.write_text(json.dumps(claims, indent=2) + "\n")
+    groups = condition_groups()
+    conds = {
+        cid: {group: condition_summary(cid, graphs) for group, graphs in groups.items()}
+        for cid in CONDITION_IDS
+    }
+    CONDITIONS_FILE.write_text(json.dumps(conds, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dump"]:
+        cid, group = sys.argv[2], sys.argv[3]
+        print("\n".join(condition_lines(cid, condition_groups()[group])))
+    else:
+        write_goldens()

@@ -109,6 +109,44 @@ def test_enumerate_min_degree_filters():
     )
 
 
+def _sampled_masks(n, filters=(), seed=11, count=512):
+    seen = []
+    task = EnumerationTask(n=n, mode="sample", filters=filters, sample_count=count, seed=seed)
+    res = enumerate_digraphs(task, visitor=seen.append, workers=1)
+    return res, seen
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_min_in_filter_matches_object_api_at_every_sampled_order(n):
+    _, draws = _sampled_masks(n)
+    for t in sorted({1, n // 3, n // 2}):
+        res, survivors = _sampled_masks(n, (f"min_in:{t}",))
+        expected = [
+            mask
+            for mask in draws
+            if min(digraph_from_mask(n, mask).in_degree(v) for v in range(n)) >= t
+        ]
+        assert survivors == expected, f"n={n} min_in:{t}"
+        assert res.passed_filters == len(expected)
+
+
+def test_sampled_n10_passed_filters_matches_object_api():
+    filters = ("min_out:3", "min_in:3", "strong")
+    _, draws = _sampled_masks(10, seed=1, count=4096)
+    res, _ = _sampled_masks(10, filters, seed=1, count=4096)
+    expected = 0
+    for mask in draws:
+        g = digraph_from_mask(10, mask)
+        if (
+            min(g.out_degree(v) for v in range(10)) >= 3
+            and min(g.in_degree(v) for v in range(10)) >= 3
+            and naive_is_strong(g)
+        ):
+            expected += 1
+    assert expected > 0
+    assert (res.scanned, res.passed_filters) == (4096, expected)
+
+
 # --------------------------------------------------------------------------
 # task validation
 # --------------------------------------------------------------------------
