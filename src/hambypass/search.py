@@ -5,8 +5,12 @@ order, cycle witnesses start at their smallest vertex, and arc iteration is
 lexicographic. Identical inputs therefore yield identical witnesses across
 runs and worker counts.
 
-The `_raw` helpers operate on (n, rows, cols) bitset tuples so the
-enumeration engine can call them without building Digraph objects.
+The `_raw` helpers work on bitset out-rows, so the enumeration engine can
+call them without building Digraph objects. One cycle kernel,
+`_cycles_raw(rows, smask, m)`, lazily yields the m-cycles inside a vertex
+mask and answers every cycle question: first witness, all witnesses,
+Hamiltonian (m = |smask|) and pre-Hamiltonian cycles. The path, bypass and
+embedding searches take (n, rows, cols, ...).
 """
 
 from __future__ import annotations
@@ -36,70 +40,62 @@ class PatternEmbedding:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_raw(n, rows, m):
-    """First m-cycle as a vertex tuple starting at its smallest vertex."""
-    for s in range(n):
-        # All other cycle vertices exceed s, otherwise an earlier start
-        # would have produced the cycle already.
-        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
+def _cycles_raw(rows, smask, m):
+    """Every m-cycle inside the vertex set smask, each once, as a vertex
+    tuple that starts at its smallest vertex, in ascending DFS order: the
+    first one yielded is the first witness. Iterative, with an explicit
+    stack of untried candidate bitsets."""
+    if m < 2:
+        return
+    last = m - 1
+    rest = smask
+    # A start s needs m - 1 vertices above it: the other vertices of a cycle
+    # all exceed s, otherwise an earlier start has produced the cycle.
+    while rest.bit_count() >= m:
+        sbit = rest & -rest
+        rest ^= sbit
+        s = sbit.bit_length() - 1
         path = [s]
-
-        def rec(v, visited, depth):
-            if depth == m:
-                return (rows[v] >> s) & 1
-            cand = rows[v] & allowed & ~visited
-            while cand:
+        depth = 1
+        free = rest  # vertices above s that are off the path
+        cand = rows[s] & free  # untried candidates for path position depth
+        stack = []  # untried candidates of the shallower positions
+        while True:
+            if depth == last:
+                while cand:
+                    b = cand & -cand
+                    cand ^= b
+                    w = b.bit_length() - 1
+                    if (rows[w] >> s) & 1:
+                        yield (*path, w)
+            if cand:
                 b = cand & -cand
-                cand ^= b
+                stack.append(cand ^ b)
                 w = b.bit_length() - 1
                 path.append(w)
-                if rec(w, visited | b, depth + 1):
-                    return True
-                path.pop()
-            return False
-
-        if rec(s, 1 << s, 1):
-            return tuple(path)
-    return None
-
-
-def _iter_cycles_raw(n, rows, m):
-    """All m-cycles, each once, smallest vertex first, ascending DFS order."""
-    for s in range(n):
-        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
-        path = [s]
-        out = []
-
-        def rec(v, visited, depth):
-            if depth == m:
-                if (rows[v] >> s) & 1:
-                    out.append(tuple(path))
-                return
-            cand = rows[v] & allowed & ~visited
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                w = b.bit_length() - 1
-                path.append(w)
-                rec(w, visited | b, depth + 1)
-                path.pop()
-
-        rec(s, 1 << s, 1)
-        yield from out
+                depth += 1
+                free ^= b
+                cand = rows[w] & free
+            elif stack:
+                cand = stack.pop()
+                free |= 1 << path.pop()
+                depth -= 1
+            else:
+                break
 
 
 def find_cycle_of_length(g: Digraph, m: int) -> Cycle | None:
     """First cycle of exactly m vertices, or None. Needs 2 <= m <= n."""
     if not 2 <= m <= g.n:
         raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    hit = _cycle_raw(g.n, g.rows, m)
+    hit = next(_cycles_raw(g.rows, (1 << g.n) - 1, m), None)
     return None if hit is None else make_cycle(g, hit)
 
 
 def iter_cycles_of_length(g: Digraph, m: int):
     if not 2 <= m <= g.n:
         raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    for verts in _iter_cycles_raw(g.n, g.rows, m):
+    for verts in _cycles_raw(g.rows, (1 << g.n) - 1, m):
         yield make_cycle(g, verts)
 
 
@@ -114,47 +110,6 @@ def find_pre_hamiltonian_cycle(g: Digraph) -> Cycle | None:
     if g.n < 3:
         return None
     return find_cycle_of_length(g, g.n - 1)
-
-
-def _hc_on_subset_raw(n, rows, cols, smask):
-    """Hamiltonian cycle of the induced subdigraph on smask, as a tuple."""
-    size = smask.bit_count()
-    if size < 2:
-        return None
-    # Cheap exclusion: every chosen vertex needs an arc in and out inside.
-    rest = smask
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        v = b.bit_length() - 1
-        if not rows[v] & smask & ~b or not cols[v] & smask & ~b:
-            return None
-    s = (smask & -smask).bit_length() - 1
-    path = [s]
-
-    def rec(v, visited, depth):
-        if depth == size:
-            return (rows[v] >> s) & 1
-        cand = rows[v] & smask & ~visited
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            w = b.bit_length() - 1
-            path.append(w)
-            if rec(w, visited | b, depth + 1):
-                return True
-            path.pop()
-        return False
-
-    return tuple(path) if rec(s, 1 << s, 1) else None
-
-
-def _prehc_exists_raw(n, rows, cols):
-    full = (1 << n) - 1
-    for y in range(n):
-        if _hc_on_subset_raw(n, rows, cols, full & ~(1 << y)) is not None:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +269,14 @@ def find_bypass_pattern(g: Digraph, k: int) -> PatternEmbedding | None:
 # ---------------------------------------------------------------------------
 
 
-def _good_cycle_raw(n, rows, cols):
-    """(cycle tuple, off vertex) for the first (n-1)-cycle whose off-cycle
-    vertex has total degree >= n, scanning off vertices ascending."""
-    if n < 3:
-        return None
+def find_good_cycle(g: Digraph) -> Cycle | None:
+    # The first (n-1)-cycle whose off-cycle vertex has total degree >= n,
+    # off-cycle vertices tried ascending.
+    n, rows, cols = g.n, g.rows, g.cols
     full = (1 << n) - 1
     for y in range(n):
-        if rows[y].bit_count() + cols[y].bit_count() < n:
-            continue
-        hit = _hc_on_subset_raw(n, rows, cols, full & ~(1 << y))
-        if hit is not None:
-            return hit, y
+        if rows[y].bit_count() + cols[y].bit_count() >= n:
+            hit = next(_cycles_raw(rows, full & ~(1 << y), n - 1), None)
+            if hit is not None:
+                return make_cycle(g, hit)
     return None
-
-
-def find_good_cycle(g: Digraph) -> Cycle | None:
-    hit = _good_cycle_raw(g.n, g.rows, g.cols)
-    return None if hit is None else make_cycle(g, hit[0])

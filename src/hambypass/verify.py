@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from random import Random
 from typing import Callable, Iterable
 
@@ -29,13 +30,7 @@ from . import conditions, families
 from .digraph import Digraph, _strong_raw, make_cycle
 from .insertion import lemma7_consequences
 from .iso import CANON_MAX_N, canonical_form, is_balanced_complete_bipartite, is_isomorphic_to_t5
-from .search import (
-    _bypass_raw,
-    _embed_raw,
-    _hc_on_subset_raw,
-    _iter_cycles_raw,
-    _prehc_exists_raw,
-)
+from .search import _bypass_raw, _cycles_raw, _embed_raw
 
 EXHAUSTIVE_MAX_N = 5
 LONG_MAX_N = 6
@@ -188,11 +183,11 @@ def _resolve_filter(fid: str) -> Callable:
 
 
 def _eval_no_hc(n, rows, cols, dout, din) -> bool:
-    return _hc_on_subset_raw(n, rows, cols, (1 << n) - 1) is None
+    return next(_cycles_raw(rows, (1 << n) - 1, n), None) is None
 
 
 def _eval_no_prehc(n, rows, cols, dout, din) -> bool:
-    return not _prehc_exists_raw(n, rows, cols)
+    return next(_cycles_raw(rows, (1 << n) - 1, n - 1), None) is None
 
 
 def _eval_no_bypass(n, rows, cols, dout, din) -> bool:
@@ -219,13 +214,13 @@ def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
     force a bypass)."""
     if n < 4:
         return False
-    if not _prehc_exists_raw(n, rows, cols):
-        return False
-    if _bypass_raw(n, rows, cols) is not None:
+    full = (1 << n) - 1
+    cycles = _cycles_raw(rows, full, n - 1)
+    first = next(cycles, None)
+    if first is None or _bypass_raw(n, rows, cols) is not None:
         return False
     g = Digraph._from_rows(n, rows)
-    full = (1 << n) - 1
-    for cyc in _iter_cycles_raw(n, rows, n - 1):
+    for cyc in chain((first,), cycles):
         used = 0
         for v in cyc:
             used |= 1 << v
@@ -254,23 +249,20 @@ _EVALUATORS = {
 _CTX: dict | None = None
 
 
-def _compile_ctx(task: EnumerationTask, collect_survivors: bool) -> dict:
-    n = task.n
-    expand, spread = _tables(n)
-    return {
+def _init_worker(task: EnumerationTask, collect_survivors: bool):
+    """Set the context _scan_chunk reads. Called in the parent before any
+    fork, so forked workers inherit it and the decode tables."""
+    global _CTX
+    expand, spread = _tables(task.n)
+    _CTX = {
         "task": task,
-        "n": n,
+        "n": task.n,
         "expand": expand,
         "spread": spread,
         "filters": [_resolve_filter(fid) for fid in task.filters],
         "evaluator": None if task.evaluator is None else _EVALUATORS[task.evaluator](task),
         "collect": collect_survivors,
     }
-
-
-def _init_worker(task: EnumerationTask, collect_survivors: bool):
-    global _CTX
-    _CTX = _compile_ctx(task, collect_survivors)
 
 
 def _mix(seed: int, chunk_index: int) -> int:
@@ -394,15 +386,14 @@ def enumerate_digraphs(
         if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
             print(f"scanned {scanned}", file=sys.stderr, flush=True)
 
+    _init_worker(task, collect)
     if nworkers == 1:
-        _init_worker(task, collect)
         for i in range(nchunks):
             absorb(_scan_chunk(i))
     else:
         import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(nworkers, initializer=_init_worker, initargs=(task, collect)) as pool:
+        with multiprocessing.get_context("fork").Pool(nworkers) as pool:
             for part in pool.imap(_scan_chunk, range(nchunks)):
                 absorb(part)
     return ScanResult(scanned, passed, tuple(flagged))

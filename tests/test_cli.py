@@ -349,3 +349,18 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == T5_TEXT
+
+
+def test_module_run_executes_command():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "hambypass.cli", "gen", "t5"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (0, T5_TEXT)

@@ -1,4 +1,5 @@
-"""Frozen outputs of the claim scans and of every registered condition.
+"""Frozen outputs of the claim scans, of every registered condition and of
+the cycle finders.
 
 The files under golden/ are written by this module, run as a script with
 src/ on the path:
@@ -8,8 +9,11 @@ src/ on the path:
 Claim reports are stored whole (elapsed time left out) and compared with key
 order. Condition reports are too many to store (every n=3 and n=4 digraph and
 a seeded n=5..7 sample, for each id), so each (id, group) keeps the number of
-digraphs the condition holds on and the SHA-256 of the reports' JSON lines;
-`--dump ID GROUP` prints those lines, so two checkouts can be diffed.
+digraphs the condition holds on and the SHA-256 of the reports' JSON lines.
+Cycle witnesses are kept the same way: for each (finder, group), over the
+same digraphs plus every n=2 digraph, the number of cycles found and the
+SHA-256 of one JSON line of witnesses per digraph. `--dump ID GROUP` prints
+the lines of a condition id or a finder name, so two checkouts can be diffed.
 Rewrite the files only for an intended output change, and record why.
 """
 
@@ -23,12 +27,13 @@ from pathlib import Path
 
 import pytest
 
-from hambypass import conditions, verify
+from hambypass import conditions, search, verify
 from hambypass.verify import digraph_from_mask, mask_bits
 
 GOLDEN = Path(__file__).parent / "golden"
 CLAIMS_FILE = GOLDEN / "claims.json"
 CONDITIONS_FILE = GOLDEN / "conditions.json"
+SEARCH_FILE = GOLDEN / "search.json"
 
 CLAIM_CASES = {
     "thm6_n3": lambda: verify.check_theorem6(3, workers=1),
@@ -96,6 +101,43 @@ def condition_summary(cond_id: str, graphs) -> dict:
     }
 
 
+def _lengths(g):
+    return range(2, g.n + 1)
+
+
+# Each finder maps a digraph to its list of results, a Cycle or None each.
+SEARCH_CASES = {
+    "find_cycle_of_length": lambda g: [search.find_cycle_of_length(g, m) for m in _lengths(g)],
+    "iter_cycles_of_length": lambda g: [
+        c for m in _lengths(g) for c in search.iter_cycles_of_length(g, m)
+    ],
+    "find_hamiltonian_cycle": lambda g: [search.find_hamiltonian_cycle(g)],
+    "find_pre_hamiltonian_cycle": lambda g: [search.find_pre_hamiltonian_cycle(g)],
+    "find_good_cycle": lambda g: [search.find_good_cycle(g)],
+}
+
+
+def search_groups() -> dict[str, list[tuple[int, int]]]:
+    """The condition groups plus every n=2 digraph."""
+    return {"n2": [(2, m) for m in range(1 << mask_bits(2))], **condition_groups()}
+
+
+def search_results(finder: str, graphs) -> list[list]:
+    case = SEARCH_CASES[finder]
+    return [
+        [None if c is None else list(c.vertices) for c in case(digraph_from_mask(n, m))]
+        for n, m in graphs
+    ]
+
+
+def search_summary(finder: str, graphs) -> dict:
+    results = search_results(finder, graphs)
+    return {
+        "found": sum(c is not None for res in results for c in res),
+        "sha256": hashlib.sha256("\n".join(map(json.dumps, results)).encode()).hexdigest(),
+    }
+
+
 def claim_doc(name: str) -> dict:
     return CLAIM_CASES[name]().to_json_dict(include_elapsed=False)
 
@@ -122,6 +164,13 @@ def test_condition_reports_match_golden(cond_id):
     assert {group: condition_summary(cond_id, groups[group]) for group in groups} == want
 
 
+@pytest.mark.parametrize("finder", list(SEARCH_CASES))
+def test_search_witnesses_match_golden(finder):
+    want = json.loads(SEARCH_FILE.read_text())[finder]
+    groups = search_groups()
+    assert {group: search_summary(finder, groups[group]) for group in groups} == want
+
+
 def write_goldens() -> None:
     claims = {name: claim_doc(name) for name in CLAIM_CASES}
     CLAIMS_FILE.write_text(json.dumps(claims, indent=2) + "\n")
@@ -131,11 +180,20 @@ def write_goldens() -> None:
         for cid in CONDITION_IDS
     }
     CONDITIONS_FILE.write_text(json.dumps(conds, indent=2) + "\n")
+    groups = search_groups()
+    found = {
+        finder: {group: search_summary(finder, graphs) for group, graphs in groups.items()}
+        for finder in SEARCH_CASES
+    }
+    SEARCH_FILE.write_text(json.dumps(found, indent=2) + "\n")
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--dump"]:
         cid, group = sys.argv[2], sys.argv[3]
-        print("\n".join(condition_lines(cid, condition_groups()[group])))
+        if cid in SEARCH_CASES:
+            print("\n".join(map(json.dumps, search_results(cid, search_groups()[group]))))
+        else:
+            print("\n".join(condition_lines(cid, condition_groups()[group])))
     else:
         write_goldens()

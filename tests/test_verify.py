@@ -12,7 +12,11 @@ from hambypass.digraph import new_digraph
 from hambypass import families as fam
 from hambypass import iso
 from hambypass.conditions import check_a_k, resolve
-from hambypass.search import find_hamiltonian_bypass, find_hamiltonian_cycle
+from hambypass.search import (
+    find_hamiltonian_bypass,
+    find_hamiltonian_cycle,
+    find_pre_hamiltonian_cycle,
+)
 from hambypass.verify import (
     EnumerationTask,
     check_theorem6,
@@ -145,6 +149,30 @@ def test_sampled_n10_passed_filters_matches_object_api():
             expected += 1
     assert expected > 0
     assert (res.scanned, res.passed_filters) == (4096, expected)
+
+
+_OBJECT_FINDERS = {
+    "no_hc": find_hamiltonian_cycle,
+    "no_prehc": find_pre_hamiltonian_cycle,
+    "no_bypass": find_hamiltonian_bypass,
+}
+
+
+@pytest.mark.parametrize("evaluator", list(_OBJECT_FINDERS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluator_flags_exactly_where_object_finder_fails(n, evaluator):
+    res = enumerate_digraphs(EnumerationTask(n=n, evaluator=evaluator), workers=1)
+    finder = _OBJECT_FINDERS[evaluator]
+    expected = [
+        mask for mask in range(1 << mask_bits(n)) if finder(digraph_from_mask(n, mask)) is None
+    ]
+    assert list(res.flagged) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lemma7_sweep_flags_nothing_at_small_orders(n):
+    res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
+    assert (res.scanned, res.flagged) == (1 << mask_bits(n), ())
 
 
 # --------------------------------------------------------------------------
