@@ -20,7 +20,6 @@ import sys
 from . import conditions, families, search, verify
 from .digraph import Digraph, Path, format_digraph, make_path, parse_digraph
 from .insertion import extend_as_much_as_possible, find_collection_of_partners, multi_insert
-from .search import _ham_path_raw
 
 _FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
 
@@ -123,24 +122,17 @@ def _try_block_insert(g: Digraph, path: Path, todo: set[int]):
     """One multi-vertex insertion attempt: the leftover vertices are ordered
     into a path (endpoint pairs tried ascending) and spliced through a
     collection of partners. Returns (new path, block order, partners)."""
-    smask = 0
-    for v in todo:
-        smask |= 1 << v
     order = sorted(todo)
     for a in order:
         for b in order:
             if a == b:
                 continue
-            qv = _ham_path_raw(g.n, g.rows, g.cols, a, b, smask)
-            if qv is None:
+            q = search.find_hamiltonian_path_between(g, a, b, todo)
+            if q is None:
                 continue
-            q = make_path(g, qv)
             col = find_collection_of_partners(g, path, q)
-            if col is None:
-                continue
-            newp = multi_insert(g, path, q)
-            if newp is not None:
-                return newp, qv, col.partners
+            if col is not None:
+                return multi_insert(g, path, q), q.vertices, col.partners
     return None
 
 

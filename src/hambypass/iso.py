@@ -166,3 +166,47 @@ def is_balanced_complete_bipartite(g: Digraph) -> bool:
         if g.rows[v] != crossing or g.cols[v] != crossing:
             return False
     return True
+
+
+def is_glued_cliques(g: Digraph) -> bool:
+    """True iff g is two complete digraphs of at least two vertices each that
+    share exactly one vertex: the family d1, up to labels.
+
+    Apart from the shared vertex, adjacent to all, every vertex's closed
+    neighbourhood is its block; no search involved.
+    """
+    full = (1 << g.n) - 1
+    if g.rows != g.cols:
+        return False
+    blocks = {r | (1 << v) for v, r in enumerate(g.rows)} - {full}
+    if len(blocks) != 2:
+        return False
+    one, two = blocks
+    return (one & two).bit_count() == 1 and one | two == full
+
+
+def d0_inner_kind(g: Digraph) -> str | None:
+    """How g fills part B if g is the family d0 up to labels, else None:
+    "empty" or "complete" if B carries no arc or every arc, else "explicit".
+
+    d0 is an independent set A of (n+1)/2 vertices, n odd and at least 5,
+    with both arcs between A and every vertex of B = V - A. Every vertex of
+    A has exactly B as its out- and in-neighbourhood, so it gives A away.
+    """
+    n = g.n
+    if n < 5 or n % 2 == 0:
+        return None
+    rows, cols = g.rows, g.cols
+    full = (1 << n) - 1
+    for v in range(n):
+        b = rows[v]
+        a = full ^ b
+        if a.bit_count() != (n + 1) // 2:
+            continue
+        if all(rows[u] == b == cols[u] for u in range(n) if (a >> u) & 1):
+            size = b.bit_count()
+            arcs = sum((rows[u] & b).bit_count() for u in range(n) if (b >> u) & 1)
+            if arcs == 0:
+                return "empty"
+            return "complete" if arcs == size * (size - 1) else "explicit"
+    return None

@@ -6,11 +6,10 @@ lexicographic. Identical inputs therefore yield identical witnesses across
 runs and worker counts.
 
 The `_raw` helpers work on bitset out-rows, so the enumeration engine can
-call them without building Digraph objects. One cycle kernel,
-`_cycles_raw(rows, smask, m)`, lazily yields the m-cycles inside a vertex
-mask and answers every cycle question: first witness, all witnesses,
-Hamiltonian (m = |smask|) and pre-Hamiltonian cycles. The path, bypass and
-embedding searches take (n, rows, cols, ...).
+call them without building Digraph objects. One lazy path kernel,
+`_paths_raw(rows, start, free, m, ends)`, answers every search: cycles of
+any length, good cycles, Hamiltonian paths between fixed ends, bypasses and
+D(n, k) copies are each a short call into it.
 """
 
 from __future__ import annotations
@@ -36,18 +35,56 @@ class PatternEmbedding:
 
 
 # ---------------------------------------------------------------------------
+# Path kernel
+# ---------------------------------------------------------------------------
+
+
+def _paths_raw(rows, start, free, m, ends):
+    """Every path of m vertices that starts at `start`, takes its other
+    vertices from the mask `free` and ends in the mask `ends`, as a vertex
+    tuple, in ascending DFS order: the first one yielded is the
+    lexicographically least. Iterative, with an explicit stack of untried
+    candidate bitsets."""
+    last = m - 1
+    path = []
+    depth = 0
+    free |= 1 << start
+    cand = 1 << start  # untried candidates for path position depth
+    stack = []  # untried candidates of the shallower positions
+    while True:
+        if depth == last:
+            cand &= ends
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                yield (*path, b.bit_length() - 1)
+        if cand:
+            b = cand & -cand
+            stack.append(cand ^ b)
+            w = b.bit_length() - 1
+            path.append(w)
+            depth += 1
+            free ^= b
+            cand = rows[w] & free
+        elif stack:
+            cand = stack.pop()
+            free |= 1 << path.pop()
+            depth -= 1
+        else:
+            return
+
+
+# ---------------------------------------------------------------------------
 # Cycles
 # ---------------------------------------------------------------------------
 
 
-def _cycles_raw(rows, smask, m):
+def _cycles_raw(rows, cols, smask, m):
     """Every m-cycle inside the vertex set smask, each once, as a vertex
     tuple that starts at its smallest vertex, in ascending DFS order: the
-    first one yielded is the first witness. Iterative, with an explicit
-    stack of untried candidate bitsets."""
+    first one yielded is the first witness."""
     if m < 2:
         return
-    last = m - 1
     rest = smask
     # A start s needs m - 1 vertices above it: the other vertices of a cycle
     # all exceed s, otherwise an earlier start has produced the cycle.
@@ -55,47 +92,21 @@ def _cycles_raw(rows, smask, m):
         sbit = rest & -rest
         rest ^= sbit
         s = sbit.bit_length() - 1
-        path = [s]
-        depth = 1
-        free = rest  # vertices above s that are off the path
-        cand = rows[s] & free  # untried candidates for path position depth
-        stack = []  # untried candidates of the shallower positions
-        while True:
-            if depth == last:
-                while cand:
-                    b = cand & -cand
-                    cand ^= b
-                    w = b.bit_length() - 1
-                    if (rows[w] >> s) & 1:
-                        yield (*path, w)
-            if cand:
-                b = cand & -cand
-                stack.append(cand ^ b)
-                w = b.bit_length() - 1
-                path.append(w)
-                depth += 1
-                free ^= b
-                cand = rows[w] & free
-            elif stack:
-                cand = stack.pop()
-                free |= 1 << path.pop()
-                depth -= 1
-            else:
-                break
+        yield from _paths_raw(rows, s, rest, m, cols[s])
 
 
 def find_cycle_of_length(g: Digraph, m: int) -> Cycle | None:
     """First cycle of exactly m vertices, or None. Needs 2 <= m <= n."""
     if not 2 <= m <= g.n:
         raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    hit = next(_cycles_raw(g.rows, (1 << g.n) - 1, m), None)
+    hit = next(_cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m), None)
     return None if hit is None else make_cycle(g, hit)
 
 
 def iter_cycles_of_length(g: Digraph, m: int):
     if not 2 <= m <= g.n:
         raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    for verts in _cycles_raw(g.rows, (1 << g.n) - 1, m):
+    for verts in _cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m):
         yield make_cycle(g, verts)
 
 
@@ -117,51 +128,12 @@ def find_pre_hamiltonian_cycle(g: Digraph) -> Cycle | None:
 # ---------------------------------------------------------------------------
 
 
-def _ham_path_raw(n, rows, cols, u, v, smask):
-    """Path from u to v covering smask exactly, vertices tried ascending."""
-    size = smask.bit_count()
-    vbit = 1 << v
-    path = [u]
-
-    def feasible(cur, rem):
-        # Every remaining vertex must still be enterable and (except the
-        # final target) leavable inside the remaining region.
-        curbit = 1 << cur
-        r = rem
-        while r:
-            b = r & -r
-            r ^= b
-            w = b.bit_length() - 1
-            others = rem & ~b
-            if not cols[w] & (others | curbit):
-                return False
-            if b != vbit and not rows[w] & others:
-                return False
-        return True
-
-    def rec(cur, visited, depth):
-        if depth == size:
-            return cur == v
-        rem = smask & ~visited
-        if rem == vbit:
-            cand = rows[cur] & vbit
-        else:
-            cand = rows[cur] & rem & ~vbit
-            if not cand or not feasible(cur, rem):
-                return False
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            w = b.bit_length() - 1
-            path.append(w)
-            if rec(w, visited | b, depth + 1):
-                return True
-            path.pop()
-        return False
-
-    if not (smask >> u) & 1 or not (smask >> v) & 1:
-        return None
-    return tuple(path) if rec(u, 1 << u, 1) else None
+def _ham_path_raw(rows, cols, u, v, smask):
+    """First path from u to v covering smask exactly (u != v, both in
+    smask), vertices tried ascending."""
+    free = smask & ~(1 << u) & ~(1 << v)
+    hit = next(_paths_raw(rows, u, free, smask.bit_count() - 1, cols[v]), None)
+    return None if hit is None else (*hit, v)
 
 
 def find_hamiltonian_path_between(g: Digraph, u: int, v: int, s) -> Path | None:
@@ -171,7 +143,7 @@ def find_hamiltonian_path_between(g: Digraph, u: int, v: int, s) -> Path | None:
         raise ValueError("endpoints must differ")
     if not (smask >> u) & 1 or not (smask >> v) & 1:
         raise ValueError("both endpoints must lie in the vertex set")
-    hit = _ham_path_raw(g.n, g.rows, g.cols, u, v, smask)
+    hit = _ham_path_raw(g.rows, g.cols, u, v, smask)
     return None if hit is None else make_path(g, hit)
 
 
@@ -189,8 +161,7 @@ def _bypass_raw(n, rows, cols):
         while r:
             b = r & -r
             r ^= b
-            w = b.bit_length() - 1
-            hit = _ham_path_raw(n, rows, cols, u, w, full)
+            hit = _ham_path_raw(rows, cols, u, b.bit_length() - 1, full)
             if hit is not None:
                 return hit
     return None
@@ -215,43 +186,26 @@ def validate_bypass(g: Digraph, witness: BypassWitness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Spanning pattern embedding
+# Spanning D(n, k) pattern
 # ---------------------------------------------------------------------------
 
 
-def _embed_raw(n, rows, cols, prows, pcols):
-    pdout = [r.bit_count() for r in prows]
-    pdin = [c.bit_count() for c in pcols]
-    gdout = [r.bit_count() for r in rows]
-    gdin = [c.bit_count() for c in cols]
-    mapping = [-1] * n
-
-    def rec(i, used):
-        if i == n:
-            return True
-        pr = prows[i]
-        pc = pcols[i]
-        for v in range(n):
-            bit = 1 << v
-            if used & bit or gdout[v] < pdout[i] or gdin[v] < pdin[i]:
-                continue
-            ok = True
-            for j in range(i):
-                mj = mapping[j]
-                if (pr >> j) & 1 and not (rows[v] >> mj) & 1:
-                    ok = False
-                    break
-                if (pc >> j) & 1 and not (rows[mj] >> v) & 1:
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = v
-                if rec(i + 1, used | bit):
-                    return True
-                mapping[i] = -1
-        return False
-
-    return tuple(mapping) if rec(0, 0) else None
+def _dnk_raw(n, rows, cols, k):
+    """Lexicographically least spanning copy of families.bypass_pattern(n, k)
+    as a mapping pattern vertex -> host vertex. The pattern is the forward
+    path 0 -> 1 -> ... -> n-k+1 plus the path 0 -> n-1 -> ... -> n-k+1, so a
+    copy is a forward path x0 ... y of n-k+2 vertices, then a path of k-1
+    vertices walked back from y over the columns to an out-neighbour of x0."""
+    full = (1 << n) - 1
+    for x0 in range(n):
+        for fwd in _paths_raw(rows, x0, full ^ (1 << x0), n - k + 2, full):
+            rest = full
+            for w in fwd:
+                rest ^= 1 << w
+            back = next(_paths_raw(cols, fwd[-1], rest, k - 1, rows[x0]), None)
+            if back is not None:
+                return fwd + back[1:]
+    return None
 
 
 def find_bypass_pattern(g: Digraph, k: int) -> PatternEmbedding | None:
@@ -259,8 +213,8 @@ def find_bypass_pattern(g: Digraph, k: int) -> PatternEmbedding | None:
 
     k = 2 agrees with find_hamiltonian_bypass on existence.
     """
-    pattern = families.bypass_pattern(g.n, k)
-    hit = _embed_raw(g.n, g.rows, g.cols, pattern.rows, pattern.cols)
+    families.bypass_pattern(g.n, k)  # raises DigraphError on a bad n or k
+    hit = _dnk_raw(g.n, g.rows, g.cols, k)
     return None if hit is None else PatternEmbedding(hit)
 
 
@@ -276,7 +230,7 @@ def find_good_cycle(g: Digraph) -> Cycle | None:
     full = (1 << n) - 1
     for y in range(n):
         if rows[y].bit_count() + cols[y].bit_count() >= n:
-            hit = next(_cycles_raw(rows, full & ~(1 << y), n - 1), None)
+            hit = next(_cycles_raw(rows, cols, full & ~(1 << y), n - 1), None)
             if hit is not None:
                 return make_cycle(g, hit)
     return None

@@ -29,8 +29,16 @@ from typing import Callable, Iterable
 from . import conditions, families
 from .digraph import Digraph, _strong_raw, make_cycle
 from .insertion import lemma7_consequences
-from .iso import CANON_MAX_N, canonical_form, is_balanced_complete_bipartite, is_isomorphic_to_t5
-from .search import _bypass_raw, _cycles_raw, _embed_raw
+from .iso import (
+    CANON_MAX_N,
+    are_isomorphic,
+    canonical_form,
+    d0_inner_kind,
+    is_balanced_complete_bipartite,
+    is_glued_cliques,
+    is_isomorphic_to_t5,
+)
+from .search import _bypass_raw, _cycles_raw, _dnk_raw
 
 EXHAUSTIVE_MAX_N = 5
 LONG_MAX_N = 6
@@ -183,11 +191,11 @@ def _resolve_filter(fid: str) -> Callable:
 
 
 def _eval_no_hc(n, rows, cols, dout, din) -> bool:
-    return next(_cycles_raw(rows, (1 << n) - 1, n), None) is None
+    return next(_cycles_raw(rows, cols, (1 << n) - 1, n), None) is None
 
 
 def _eval_no_prehc(n, rows, cols, dout, din) -> bool:
-    return next(_cycles_raw(rows, (1 << n) - 1, n - 1), None) is None
+    return next(_cycles_raw(rows, cols, (1 << n) - 1, n - 1), None) is None
 
 
 def _eval_no_bypass(n, rows, cols, dout, din) -> bool:
@@ -195,11 +203,10 @@ def _eval_no_bypass(n, rows, cols, dout, din) -> bool:
 
 
 def _make_no_dnk(n: int, k: int):
-    pattern = families.bypass_pattern(n, k)
-    prows, pcols = pattern.rows, pattern.cols
+    families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
 
     def eval_no_dnk(n, rows, cols, dout, din) -> bool:
-        return _embed_raw(n, rows, cols, prows, pcols) is None
+        return _dnk_raw(n, rows, cols, k) is None
 
     return eval_no_dnk
 
@@ -215,7 +222,7 @@ def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
     if n < 4:
         return False
     full = (1 << n) - 1
-    cycles = _cycles_raw(rows, full, n - 1)
+    cycles = _cycles_raw(rows, cols, full, n - 1)
     first = next(cycles, None)
     if first is None or _bypass_raw(n, rows, cols) is not None:
         return False
@@ -446,8 +453,9 @@ class TheoremReport:
 
 
 def _canonical_key(g: Digraph) -> str:
-    # Beyond the exact-canonicalization bound the raw adjacency stands in;
-    # sampled theorem runs are expected to produce no exceptions anyway.
+    # Beyond the exact-canonicalization bound the raw adjacency stands in, so
+    # exceptions there are deduped by labelled digraph only; the claims'
+    # allowed-exception predicates recognize structure, not keys.
     if g.n <= CANON_MAX_N:
         return canonical_form(g).hex
     return "raw:" + format(mask_of(g), "x")
@@ -468,23 +476,17 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _theorem8_allowed_keys(n: int) -> frozenset[str]:
-    if n == 3:
-        members = [families.directed_cycle(3)]
-    else:
-        members = [families.d1(n, k) for k in range(1, n - 1)]
-    if n == 5:
-        members.append(families.t5())
-        members += [families.d0(5, inner) for inner in families.iter_inner_specs(2)]
-    elif n >= 7 and n % 2 == 1:
-        empty, complete = families.InnerSpec.empty(), families.InnerSpec.complete()
-        members += [families.d0(n, empty), families.d0(n, complete)]
-    return frozenset(map(_canonical_key, members))
-
-
 def _is_theorem8_family(g: Digraph) -> bool:
-    return _canonical_key(g) in _theorem8_allowed_keys(g.n)
+    """The extremal digraphs of thm8, recognized up to labels: the directed
+    triangle at n = 3; from n = 4 the glued cliques d1; at n = 5 also T5 and
+    every d0; at odd n >= 7 also d0 with part B empty or complete."""
+    n = g.n
+    if n == 3:
+        return are_isomorphic(g, families.directed_cycle(3))
+    if is_glued_cliques(g) or is_isomorphic_to_t5(g):
+        return True
+    kind = d0_inner_kind(g)
+    return kind is not None and (n == 5 or kind != "explicit")
 
 
 @dataclass(frozen=True)

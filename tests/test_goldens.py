@@ -10,8 +10,9 @@ Claim reports are stored whole (elapsed time left out) and compared with key
 order. Condition reports are too many to store (every n=3 and n=4 digraph and
 a seeded n=5..7 sample, for each id), so each (id, group) keeps the number of
 digraphs the condition holds on and the SHA-256 of the reports' JSON lines.
-Cycle witnesses are kept the same way: for each (finder, group), over the
-same digraphs plus every n=2 digraph, the number of cycles found and the
+Search witnesses (cycles, paths between fixed ends, bypass orders and
+pattern mappings) are kept the same way: for each (finder, group), over the
+same digraphs plus every n=2 digraph, the number of witnesses found and the
 SHA-256 of one JSON line of witnesses per digraph. `--dump ID GROUP` prints
 the lines of a condition id or a finder name, so two checkouts can be diffed.
 Rewrite the files only for an intended output change, and record why.
@@ -105,7 +106,19 @@ def _lengths(g):
     return range(2, g.n + 1)
 
 
-# Each finder maps a digraph to its list of results, a Cycle or None each.
+def _paths_between(g):
+    """Every ordered endpoint pair, over all of V and then over each V - y."""
+    sets = [range(g.n)] + [[v for v in range(g.n) if v != y] for y in range(g.n)]
+    return [
+        search.find_hamiltonian_path_between(g, u, v, s)
+        for s in sets
+        for u in s
+        for v in s
+        if u != v
+    ]
+
+
+# Each finder maps a digraph to its list of results, each a witness or None.
 SEARCH_CASES = {
     "find_cycle_of_length": lambda g: [search.find_cycle_of_length(g, m) for m in _lengths(g)],
     "iter_cycles_of_length": lambda g: [
@@ -114,7 +127,21 @@ SEARCH_CASES = {
     "find_hamiltonian_cycle": lambda g: [search.find_hamiltonian_cycle(g)],
     "find_pre_hamiltonian_cycle": lambda g: [search.find_pre_hamiltonian_cycle(g)],
     "find_good_cycle": lambda g: [search.find_good_cycle(g)],
+    "find_hamiltonian_bypass": lambda g: [search.find_hamiltonian_bypass(g)],
+    "find_hamiltonian_path_between": _paths_between,
+    "find_bypass_pattern": lambda g: [
+        search.find_bypass_pattern(g, k) for k in (_lengths(g) if g.n >= 3 else ())
+    ],
 }
+
+
+def _witness_vertices(w) -> list[int]:
+    """The vertex tuple of a Cycle or Path, a BypassWitness or a
+    PatternEmbedding."""
+    for shape in ("vertices", "order", "mapping"):
+        if hasattr(w, shape):
+            return list(getattr(w, shape))
+    raise TypeError(f"unknown witness shape {w!r}")
 
 
 def search_groups() -> dict[str, list[tuple[int, int]]]:
@@ -125,7 +152,7 @@ def search_groups() -> dict[str, list[tuple[int, int]]]:
 def search_results(finder: str, graphs) -> list[list]:
     case = SEARCH_CASES[finder]
     return [
-        [None if c is None else list(c.vertices) for c in case(digraph_from_mask(n, m))]
+        [None if c is None else _witness_vertices(c) for c in case(digraph_from_mask(n, m))]
         for n, m in graphs
     ]
 

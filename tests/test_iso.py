@@ -130,3 +130,41 @@ def test_balanced_bipartite_matches_generic_iso(kb22, kb33):
         assert iso.are_isomorphic(
             relabeled, fam.complete_bipartite_digraph(base.n // 2, base.n // 2)
         )
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+def test_glued_cliques_recognizer_ignores_labels(kb33, c4, t5):
+    rng = random.Random(13)
+    for n in range(4, 12):
+        for k in range(1, n - 1):
+            g = _shuffled(fam.d1(n, k), rng)
+            assert iso.is_glued_cliques(g)
+            assert not iso.is_glued_cliques(new_digraph(n, g.arcs()[1:]))
+    for g in (kb33, c4, t5, fam.complete_digraph(5), fam.complete_digraph(2)):
+        assert not iso.is_glued_cliques(g)
+    # Two K*_3 that share one vertex, plus a pendant arc pair: three blocks.
+    three = fam.d1(5, 2).arcs() + [(2, 5), (5, 2)]
+    assert not iso.is_glued_cliques(new_digraph(6, three))
+
+
+def test_d0_inner_kind_ignores_labels(kb22):
+    rng = random.Random(17)
+    for n in (5, 7, 9, 11):
+        for kind in ("empty", "complete"):
+            g = fam.d0(n, getattr(fam.InnerSpec, kind)())
+            assert iso.d0_inner_kind(_shuffled(g, rng)) == kind
+        g = fam.d0(n, fam.InnerSpec.explicit([(0, 1)]))
+        assert iso.d0_inner_kind(_shuffled(g, rng)) == "explicit"
+        u, v = 0, (n + 1) // 2  # an A-B pair
+        arcs = [a for a in g.arcs() if a != (u, v)]
+        assert iso.d0_inner_kind(new_digraph(n, arcs)) is None
+    assert iso.d0_inner_kind(fam.complete_bipartite_digraph(2, 3)) == "empty"
+    assert iso.d0_inner_kind(fam.complete_bipartite_digraph(3, 3)) is None  # even order
+    assert iso.d0_inner_kind(fam.complete_bipartite_digraph(1, 4)) is None  # A too small
+    assert iso.d0_inner_kind(fam.complete_digraph(5)) is None
+    assert iso.d0_inner_kind(kb22) is None

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from conftest import digraphs, seeded_corpus
 from naive_oracles import (
+    naive_embeds,
     naive_good_cycle_exists,
     naive_has_bypass,
     naive_has_cycle_of_length,
@@ -13,7 +14,7 @@ from naive_oracles import (
     naive_has_pre_hamiltonian_cycle,
 )
 
-from hambypass.digraph import converse, make_cycle, make_path, new_digraph
+from hambypass.digraph import converse, induced_subdigraph, make_cycle, make_path, new_digraph
 from hambypass import families as fam
 from hambypass import search as srch
 
@@ -162,21 +163,31 @@ def test_oracles_agree_with_naive_enumeration_seeded():
                 naive_has_pre_hamiltonian_cycle(g)
             )
             assert (srch.find_hamiltonian_bypass(g) is not None) == naive_has_bypass(g)
+            for k in range(2, g.n + 1):
+                pattern = fam.bypass_pattern(g.n, k)
+                emb = srch.find_bypass_pattern(g, k)
+                assert (emb is not None) == naive_embeds(g, pattern)
+                if emb is not None:
+                    assert sorted(emb.mapping) == list(range(g.n))
+                    assert all(g.has_arc(emb.mapping[u], emb.mapping[v]) for u, v in pattern.arcs())
         for m in range(2, g.n + 1):
             assert (srch.find_cycle_of_length(g, m) is not None) == naive_has_cycle_of_length(g, m)
 
 
 def test_hamiltonian_path_between_agrees_with_naive_seeded():
     for _, g in seeded_corpus(seed=403, count=80, n_lo=2, n_hi=5):
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v:
-                    continue
-                got = srch.find_hamiltonian_path_between(g, u, v, range(g.n))
-                assert (got is not None) == naive_has_hamiltonian_path(g, u, v)
-                if got is not None:
-                    assert got.vertices[0] == u and got.vertices[-1] == v
-                    assert sorted(got.vertices) == list(range(g.n))
+        for smask in range(1, 1 << g.n):
+            s = [v for v in range(g.n) if (smask >> v) & 1]
+            sub, labels = induced_subdigraph(g, s)
+            for i, u in enumerate(labels):
+                for j, v in enumerate(labels):
+                    if u == v:
+                        continue
+                    got = srch.find_hamiltonian_path_between(g, u, v, s)
+                    assert (got is not None) == naive_has_hamiltonian_path(sub, i, j)
+                    if got is not None:
+                        assert got.vertices[0] == u and got.vertices[-1] == v
+                        assert sorted(got.vertices) == s
 
 
 @given(digraphs(min_n=3, max_n=5))

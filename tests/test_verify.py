@@ -1,6 +1,7 @@
 """Enumeration engine and theorem scans at n <= 4 (n=5 runs live in acceptance)."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from naive_oracles import naive_a_k, naive_has_bypass, naive_is_strong
 
-from hambypass.digraph import new_digraph
+from hambypass.digraph import is_strong, new_digraph
 from hambypass import families as fam
 from hambypass import iso
 from hambypass.conditions import check_a_k, resolve
@@ -18,6 +19,7 @@ from hambypass.search import (
     find_pre_hamiltonian_cycle,
 )
 from hambypass.verify import (
+    CLAIMS,
     EnumerationTask,
     check_theorem6,
     check_theorem8,
@@ -249,6 +251,28 @@ def test_theorem8_small_orders():
     assert [e.canonical_hex for e in rep4.exceptions] == ["135e"]
     assert rep4.verdict == "confirmed"
     assert iso.are_isomorphic(rep4.exceptions[0].witness, fam.d1(4, 1))
+
+
+_THM8_LARGE_MEMBERS = {
+    "d1(9,1)": lambda: fam.d1(9, 1),
+    "d1(9,3)": lambda: fam.d1(9, 3),
+    "d1(10,2)": lambda: fam.d1(10, 2),
+    "d0(9,empty)": lambda: fam.d0(9, fam.InnerSpec.empty()),
+    "d0(9,complete)": lambda: fam.d0(9, fam.InnerSpec.complete()),
+}
+
+
+@pytest.mark.parametrize("member", list(_THM8_LARGE_MEMBERS))
+def test_theorem8_family_membership_ignores_labels_above_canonical_bound(member):
+    g = _THM8_LARGE_MEMBERS[member]()
+    perm = list(range(g.n))
+    random.Random(5).shuffle(perm)
+    h = new_digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+    assert is_strong(h) and resolve("degree_sum:-2").check(h).holds
+    assert find_hamiltonian_bypass(h) is None
+    allowed = CLAIMS["thm8"].allowed
+    assert allowed(g) and allowed(h)
+    assert not allowed(new_digraph(h.n, h.arcs()[1:]))
 
 
 def test_theorem9_n4_confirmed():
