@@ -19,7 +19,7 @@ import sys
 
 from . import conditions, families, search, verify
 from .digraph import Digraph, Path, format_digraph, make_path, parse_digraph
-from .insertion import extend_as_much_as_possible, find_collection_of_partners, multi_insert
+from .insertion import _splice_collection, extend_as_much_as_possible, find_collection_of_partners
 
 _FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
 
@@ -132,7 +132,7 @@ def _try_block_insert(g: Digraph, path: Path, todo: set[int]):
                 continue
             col = find_collection_of_partners(g, path, q)
             if col is not None:
-                return multi_insert(g, path, q), q.vertices, col.partners
+                return _splice_collection(g, path, q, col), q.vertices, col.partners
     return None
 
 

@@ -298,6 +298,13 @@ def _ordered_cover_path(g: Digraph, pv, qset):
     return tuple(out) if rec(pv[0], 1, qmask) else None
 
 
+def _splice_collection(g: Digraph, p: Path, q: Path, coll: PartnerCollection) -> Path:
+    """The path p with q's blocks spliced in at the partner collection coll."""
+    cuts, qv = coll.cuts, q.vertices
+    blocks = [qv[cuts[j] - 1 : cuts[j + 1] - 1] for j in range(len(coll.partners))]
+    return make_path(g, _splice(p.vertices, blocks, coll.partners))
+
+
 def multi_insert(g: Digraph, p: Path, q: Path) -> Path | None:
     """Path from p.first to p.last covering V(p) u V(q), if one exists with
     p's internal order preserved.
@@ -307,12 +314,7 @@ def multi_insert(g: Digraph, p: Path, q: Path) -> Path | None:
     """
     coll = find_collection_of_partners(g, p, q)
     if coll is not None:
-        cuts = coll.cuts
-        qv = q.vertices
-        blocks = [
-            qv[cuts[j] - 1 : cuts[j + 1] - 1] for j in range(len(coll.partners))
-        ]
-        return make_path(g, _splice(p.vertices, blocks, coll.partners))
+        return _splice_collection(g, p, q, coll)
     hit = _ordered_cover_path(g, p.vertices, q.vertices)
     return None if hit is None else make_path(g, hit)
 

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from random import Random
 from typing import Callable, Iterable
 
@@ -461,9 +461,57 @@ def _canonical_key(g: Digraph) -> str:
     return "raw:" + format(mask_of(g), "x")
 
 
-def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
+@lru_cache(maxsize=8)
+def _relabelings(n: int):
+    """Every non-identity relabeling p of n vertices as (order, image):
+    order lists the pairs (w, p^-1(w)) for w = n-1 down to 0, and image maps
+    an n-bit row to its image under p. The relabeled digraph's row w is
+    image[rows[p^-1(w)]]."""
+    out = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        order = tuple((w, perm.index(w)) for w in reversed(range(n)))
+        image = tuple(
+            sum(1 << perm[v] for v in range(n) if (row >> v) & 1) for row in range(1 << n)
+        )
+        out.append((order, image))
+    return tuple(out)
+
+
+def _orbit_least(n: int, mask: int) -> bool:
+    """True iff no relabeling of the digraph gives a smaller arc mask. Masks
+    compare as their rows from n-1 down, each row as an n-bit integer."""
+    expand = _tables(n)[0]
+    width = n - 1
+    field = (1 << width) - 1
+    rows = [expand[u][(mask >> (u * width)) & field] for u in range(n)]
+    for order, image in _relabelings(n):
+        for w, v in order:
+            a = image[rows[v]]
+            b = rows[w]
+            if a != b:
+                if a < b:
+                    return False
+                break
+    return True
+
+
+def _dedupe(task: EnumerationTask, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
+    """One record per isomorphism class of the flagged masks, sorted by key,
+    whose witness is the class's first flagged mask in scan order.
+
+    An exhaustive scan flags every relabeling of a flagged digraph, since
+    filters and evaluators ignore labels, and scans masks in ascending
+    order; so the first flagged mask of a class is the least mask of its
+    orbit, and only those masks are keyed. Sampled scans key every mask.
+    """
+    n = task.n
+    exhaustive = task.mode == "exhaustive"
     seen: dict[str, Digraph] = {}
     for mask in flagged:
+        if exhaustive and not _orbit_least(n, mask):
+            continue
         g = digraph_from_mask(n, mask)
         key = _canonical_key(g)
         if key not in seen:
@@ -565,7 +613,7 @@ def run_claim(
 
     t0 = time.monotonic()
     result = enumerate_digraphs(task, workers=workers)
-    exceptions = _dedupe(n, result.flagged)
+    exceptions = _dedupe(task, result.flagged)
     allowed = claim.allowed
     if claim.report_only or param in claim.params[1:]:
         verdict = "report-only"

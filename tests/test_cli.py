@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hambypass import iso
+from hambypass import cli, insertion, iso
 from hambypass.cli import main
 from hambypass.verify import CLAIMS
 from hambypass.digraph import format_digraph, parse_digraph
@@ -211,6 +211,29 @@ def test_find_explain_bypass_kb22():
         "path": [0, 3, 1, 2],
         "complete": True,
     }
+
+
+@pytest.mark.parametrize("structure", ["hc", "bypass"])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_find_explain_searches_partners_once_per_block_step(monkeypatch, p, structure):
+    """Each (host path, block) pair is searched once: the collection found
+    for a block step is spliced as it is, not searched for again."""
+    searches = []
+    real = insertion.find_collection_of_partners
+
+    def counting(g, path, q, **kwargs):
+        found = real(g, path, q, **kwargs)
+        searches.append((path.vertices, q.vertices, found is not None))
+        return found
+
+    monkeypatch.setattr(insertion, "find_collection_of_partners", counting)
+    monkeypatch.setattr(cli, "find_collection_of_partners", counting)
+    text = run_cli(["gen", "kbipartite", "--p", str(p), "--q", str(p)])[1]
+    doc = json.loads(run_cli(["find", "-", structure, "--explain"], text)[1])
+    block_steps = [s for s in doc["explain"]["steps"] if s["kind"] == "path"]
+    assert block_steps
+    assert len({(path, q) for path, q, _ in searches}) == len(searches)
+    assert sum(found for _, _, found in searches) == len(block_steps)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,162 @@
+"""Exception dedupe: the orbit-least rule of exhaustive scans, and the label
+invariance of every scan filter and evaluator that the rule relies on."""
+
+import random
+from itertools import permutations
+
+import pytest
+
+from hambypass import families as fam
+from hambypass import iso
+from hambypass.conditions import known_condition_ids
+from hambypass.digraph import new_digraph
+from hambypass.verify import (
+    _EVALUATORS,
+    CLAIMS,
+    EnumerationTask,
+    ExceptionRecord,
+    _dedupe,
+    _resolve_filter,
+    digraph_from_mask,
+    enumerate_digraphs,
+    mask_bits,
+    mask_of,
+)
+
+_PARAMS = (-5, -2, -1, 0)
+
+
+def _condition_ids():
+    """Every registered condition id, parameterized ones at each of _PARAMS."""
+    ids = []
+    for cid in known_condition_ids():
+        name, _, unit = cid.partition(":")
+        ids += [f"{name}:{p}" for p in _PARAMS] if unit else [cid]
+    return ids
+
+
+def _first_per_class(n, flagged):
+    """The rule sampled scans use: the first flagged mask of each canonical
+    class, records sorted by key."""
+    seen = {}
+    for mask in flagged:
+        g = digraph_from_mask(n, mask)
+        seen.setdefault(iso.canonical_form(g).hex, g)
+    return tuple(ExceptionRecord(key, seen[key]) for key in sorted(seen))
+
+
+def _assert_parity(task):
+    flagged = enumerate_digraphs(task, workers=1).flagged
+    assert _dedupe(task, flagged) == _first_per_class(task.n, flagged)
+    return flagged
+
+
+def _relabel(g, perm):
+    return new_digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+
+
+# --------------------------------------------------------------------------
+# parity with the first-per-class rule
+# --------------------------------------------------------------------------
+
+_CLAIM_ROWS = [
+    (name, param) for name, claim in CLAIMS.items() if name != "explore"
+    for param in claim.params or (None,)
+]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name,param", _CLAIM_ROWS)
+def test_exhaustive_dedupe_matches_first_per_class_on_claims(name, param, n):
+    claim = CLAIMS[name]
+    filters = tuple(fid.format(param) for fid in claim.filters)
+    task = EnumerationTask(
+        n, filters=filters, evaluator=claim.evaluator, evaluator_arg=claim.evaluator_arg
+    )
+    _assert_parity(task)
+
+
+@pytest.mark.parametrize("cond_id", _condition_ids())
+def test_exhaustive_dedupe_matches_first_per_class_on_explore(cond_id):
+    filters = tuple(fid.format(cond_id) for fid in CLAIMS["explore"].filters)
+    _assert_parity(EnumerationTask(4, filters=filters, evaluator=CLAIMS["explore"].evaluator))
+
+
+def test_exhaustive_dedupe_parity_flags_something():
+    """The parity cases above are not all empty: thm11 at n=4 flags the
+    labelings of K*_{2,2}, explore with lemma5 flags many classes."""
+    thm11 = CLAIMS["thm11"]
+    assert _assert_parity(EnumerationTask(4, filters=thm11.filters, evaluator=thm11.evaluator))
+    explore_lemma5 = EnumerationTask(4, filters=("lemma5", "strong"), evaluator="no_bypass")
+    flagged = _assert_parity(explore_lemma5)
+    assert len(_first_per_class(4, flagged)) > 1
+
+
+def test_exhaustive_dedupe_keeps_least_mask_of_each_class():
+    members = [fam.t5(), fam.d0(5, fam.InnerSpec.empty())]
+    orbits = [{mask_of(_relabel(g, p)) for p in permutations(range(5))} for g in members]
+    assert [len(o) for o in orbits] == [40, 10]  # 5!/|Aut|: |Aut(T5)| = 3, |Aut(d0)| = 12
+    flagged = sorted(orbits[0] | orbits[1])
+    recs = _dedupe(EnumerationTask(5), flagged)
+    assert recs == _first_per_class(5, flagged)
+    assert sorted(mask_of(r.witness) for r in recs) == sorted(min(o) for o in orbits)
+    assert {r.canonical_hex for r in recs} == {iso.canonical_form(g).hex for g in members}
+
+
+def test_sampled_dedupe_keys_every_mask():
+    """Sampled scans see one labeling of a class at most by chance, so every
+    flagged mask is keyed; an orbit-least filter would drop this one."""
+    mask = max(mask_of(_relabel(fam.t5(), p)) for p in permutations(range(5)))
+    task = EnumerationTask(5, mode="sample", sample_count=1, seed=0)
+    assert _dedupe(task, [mask]) == _first_per_class(5, [mask])
+    assert _dedupe(EnumerationTask(5), [mask]) == ()
+
+
+# --------------------------------------------------------------------------
+# label invariance of every filter and evaluator
+# --------------------------------------------------------------------------
+
+
+def _predicates(n):
+    """(name, raw predicate) for every scan filter and evaluator at order n."""
+    preds = [(fid, _resolve_filter(fid)) for fid in ["strong", *_condition_ids()]]
+    for t in range(n + 1):
+        fids = (f"min_out:{t}", f"min_in:{t}")
+        preds += [(fid, _resolve_filter(fid)) for fid in fids]
+    for name, make in _EVALUATORS.items():
+        for arg in range(2, n + 1) if name == "no_dnk" else (None,):
+            task = EnumerationTask(n, evaluator=name, evaluator_arg=arg)
+            preds.append((f"{name}:{arg}", make(task)))
+    return preds
+
+
+def _answers(preds, g):
+    rows, cols = list(g.rows), list(g.cols)
+    args = (g.n, rows, cols, [r.bit_count() for r in rows], [c.bit_count() for c in cols])
+    return {name: bool(f(*args)) for name, f in preds}
+
+
+def test_filters_and_evaluators_ignore_labels():
+    """The orbit-least dedupe drops every flagged mask but the least of its
+    class; that is only sound if no filter or evaluator looks at labels."""
+    preds = _predicates(4)
+    by_class = {}
+    for mask in range(1 << mask_bits(4)):
+        g = digraph_from_mask(4, mask)
+        answers = _answers(preds, g)
+        first = by_class.setdefault(iso.canonical_form(g).hex, answers)
+        differ = [name for name in answers if answers[name] != first[name]]
+        assert not differ, f"n=4 mask {mask:x}: {differ} depend on labels"
+
+    rng = random.Random(17)
+    preds = _predicates(5)
+    for draw in range(1000):
+        mask = rng.getrandbits(20)
+        if draw % 2:
+            mask |= rng.getrandbits(20)
+        g = digraph_from_mask(5, mask)
+        perm = list(range(5))
+        rng.shuffle(perm)
+        answers, relabeled = _answers(preds, g), _answers(preds, _relabel(g, perm))
+        differ = [name for name in answers if answers[name] != relabeled[name]]
+        assert not differ, f"n=5 mask {mask:x} under {perm}: {differ} depend on labels"
