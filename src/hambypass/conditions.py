@@ -327,6 +327,7 @@ class Condition:
     cond_id: str
     check: Callable[[Digraph], ConditionReport]
     raw: RawPredicate = field(repr=False)
+    upward_closed: bool = False
 
 
 def _simple(core, *args) -> RawPredicate:
@@ -340,21 +341,22 @@ def _simple(core, *args) -> RawPredicate:
     return lambda n, rows, cols, dout, din: core(n, rows, cols, dout, din, a, b) is None
 
 
-# name: (integer parameter or None, public checker, raw core, trailing core args)
+# name: (integer parameter or None, public checker, raw core, trailing core
+# args, upward closed: adding an arc never turns a pass into a fail)
 _CONDITIONS = {
-    "a_k": ("k", check_a_k, _a_k_violation, ()),
-    "a_k_inc": ("k", partial(check_a_k, inclusive=True), _a_k_violation, (True,)),
-    "meyniel": (None, check_meyniel, _pair_sum_violation, (-1,)),
-    "degree_sum": ("offset", check_degree_sum, _pair_sum_violation, ()),
-    "ghouila_houri": (None, check_ghouila_houri, _ghouila_violation, ()),
-    "woodall": (None, check_woodall, _woodall_violation, ()),
-    "nash_williams": (None, check_nash_williams, _nash_violation, ()),
-    "thm13": (None, check_thm13_condition, _thm13_violation, ()),
-    "thm14": (None, check_thm14_condition, _thm14_violation, ()),
-    "thm15": (None, check_thm15_condition, _thm15_violation, ()),
-    "thm16": (None, check_thm16_hypothesis, _thm16_violation, ()),
-    "thm16relaxed": (None, check_thm16_relaxed, _thm16_violation, (2,)),
-    "lemma5": (None, lemma5_consequence_holds, _lemma5_violation, ()),
+    "a_k": ("k", check_a_k, _a_k_violation, (), True),
+    "a_k_inc": ("k", partial(check_a_k, inclusive=True), _a_k_violation, (True,), True),
+    "meyniel": (None, check_meyniel, _pair_sum_violation, (-1,), True),
+    "degree_sum": ("offset", check_degree_sum, _pair_sum_violation, (), True),
+    "ghouila_houri": (None, check_ghouila_houri, _ghouila_violation, (), True),
+    "woodall": (None, check_woodall, _woodall_violation, (), True),
+    "nash_williams": (None, check_nash_williams, _nash_violation, (), True),
+    "thm13": (None, check_thm13_condition, _thm13_violation, (), False),
+    "thm14": (None, check_thm14_condition, _thm14_violation, (), False),
+    "thm15": (None, check_thm15_condition, _thm15_violation, (), False),
+    "thm16": (None, check_thm16_hypothesis, _thm16_violation, (), False),
+    "thm16relaxed": (None, check_thm16_relaxed, _thm16_violation, (2,), False),
+    "lemma5": (None, lemma5_consequence_holds, _lemma5_violation, (), True),
 }
 
 
@@ -365,7 +367,7 @@ def resolve(cond_id: str) -> Condition:
     Unknown ids raise ValueError.
     """
     name, _, param = cond_id.partition(":")
-    unit, check, core, extra = _CONDITIONS.get(name, (None, None, None, ()))
+    unit, check, core, extra, upward = _CONDITIONS.get(name, (None, None, None, (), False))
     if unit is not None:
         try:
             args = (int(param),)
@@ -377,7 +379,7 @@ def resolve(cond_id: str) -> Condition:
         raise ValueError(f"unknown condition id {cond_id!r}")
     else:
         args = ()
-    return Condition(cond_id, lambda g: check(g, *args), _simple(core, *args, *extra))
+    return Condition(cond_id, lambda g: check(g, *args), _simple(core, *args, *extra), upward)
 
 
 def known_condition_ids() -> list[str]:

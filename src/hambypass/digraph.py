@@ -47,7 +47,7 @@ class ParseError(ValueError):
     """Malformed digraph text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digraph:
     """Immutable digraph: `rows[u]` has bit v set iff arc u->v exists.
 

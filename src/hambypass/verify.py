@@ -13,6 +13,12 @@ extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
 order given. An optional named evaluator runs on filter survivors and flags
 exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk" (takes k), "lemma5"
 and "lemma7_sweep". Names rather than callables cross the process boundary.
+
+Claims whose filters are all closed upward (adding an arc never makes one
+fail) skip the labeled scan: run_claim generates one orbit-least mask per
+isomorphism class inside the hypothesis, downward from K*_n, runs the
+evaluator once per class and counts each class's n!/|Aut| labelings, on
+one process. Its reports are the labeled engine's, byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations
+from math import factorial
 from random import Random
 from typing import Callable, Iterable
 
@@ -118,10 +125,12 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
 class EnumerationTask:
     """What to scan and how.
 
-    mode "exhaustive" walks all 2^(n(n-1)) arc masks (n <= 5, or 6 with
-    allow_long); mode "sample" draws sample_count seeded masks, uniform or
-    dense (union of two uniform draws). Filters and the evaluator are given
-    by identifier so tasks stay picklable.
+    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 5, or 6 with
+    allow_long): enumerate_digraphs walks every mask, run_claim walks one
+    mask per class when every filter is closed upward; mode "sample" draws
+    sample_count seeded masks, uniform or dense (union of two uniform
+    draws). Filters and the evaluator are given by identifier so tasks stay
+    picklable.
     """
 
     n: int
@@ -183,6 +192,13 @@ def _resolve_filter(fid: str) -> Callable:
             return lambda n, rows, cols, dout, din, t=t: min(dout) >= t
         return lambda n, rows, cols, dout, din, t=t: min(din) >= t
     return conditions.resolve(fid).raw
+
+
+def _upward_closed(fid: str) -> bool:
+    """Whether adding an arc can never make filter `fid` fail."""
+    return fid.partition(":")[0] in ("strong", "min_out", "min_in") or (
+        conditions.resolve(fid).upward_closed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +495,27 @@ def _relabelings(n: int):
     return tuple(out)
 
 
-def _orbit_least(n: int, mask: int) -> bool:
-    """True iff no relabeling of the digraph gives a smaller arc mask. Masks
-    compare as their rows from n-1 down, each row as an n-bit integer."""
+def _orbit_least(n: int, mask: int) -> int:
+    """0 if some relabeling of the digraph gives a smaller arc mask, else the
+    order of its automorphism group: 1 plus the relabelings that fix every
+    row. Masks compare as their rows from n-1 down, each row as an n-bit
+    integer."""
     expand = _tables(n)[0]
     width = n - 1
     field = (1 << width) - 1
     rows = [expand[u][(mask >> (u * width)) & field] for u in range(n)]
+    aut = 1
     for order, image in _relabelings(n):
         for w, v in order:
             a = image[rows[v]]
             b = rows[w]
             if a != b:
                 if a < b:
-                    return False
+                    return 0
                 break
-    return True
+        else:
+            aut += 1
+    return aut
 
 
 def _dedupe(task: EnumerationTask, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
@@ -504,7 +525,8 @@ def _dedupe(task: EnumerationTask, flagged: Iterable[int]) -> tuple[ExceptionRec
     An exhaustive scan flags every relabeling of a flagged digraph, since
     filters and evaluators ignore labels, and scans masks in ascending
     order; so the first flagged mask of a class is the least mask of its
-    orbit, and only those masks are keyed. Sampled scans key every mask.
+    orbit, and only those masks are keyed. Class generation flags exactly
+    those masks. Sampled scans key every mask.
     """
     n = task.n
     exhaustive = task.mode == "exhaustive"
@@ -517,6 +539,74 @@ def _dedupe(task: EnumerationTask, flagged: Iterable[int]) -> tuple[ExceptionRec
         if key not in seen:
             seen[key] = g
     return tuple(ExceptionRecord(key, seen[key]) for key in sorted(seen))
+
+
+# ---------------------------------------------------------------------------
+# Class generation (exhaustive scans of upward-closed filters)
+# ---------------------------------------------------------------------------
+
+
+def _classes(n: int, filters: list[Callable]):
+    """Yield (mask, aut, rows, cols, dout, din) for the orbit-least mask of
+    every isomorphism class that passes `filters`, which must all be closed
+    upward; aut is the order of the class's automorphism group.
+
+    Read's orderly generation, run downward from K*_n: the parent of an
+    orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again
+    orbit-least and, the filters being closed upward, passes them too. So
+    the children of a node p are the masks p ^ b for each bit b below p's
+    lowest zero bit that pass the filters and are orbit-least, every class
+    is reached once, and no seen-set is needed.
+    """
+    expand, spread = _tables(n)
+    width = n - 1
+    field = (1 << width) - 1
+    vrange = range(n)
+    shifts = [n * v for v in vrange]
+    lane = (1 << n) - 1
+    stack = [(1 << mask_bits(n)) - 1]
+    while stack:
+        mask = stack.pop()
+        rows = []
+        packed = 0
+        m = mask
+        for u in vrange:
+            raw = m & field
+            m >>= width
+            rows.append(expand[u][raw])
+            packed += spread[u][raw]
+        dout = [r.bit_count() for r in rows]
+        cols = [(packed >> s) & lane for s in shifts]
+        din = [c.bit_count() for c in cols]
+        if not all(f(n, rows, cols, dout, din) for f in filters):
+            continue
+        aut = _orbit_least(n, mask)
+        if not aut:
+            continue
+        yield mask, aut, rows, cols, dout, din
+        low = ~mask & (mask + 1)
+        b = 1
+        while b < low:
+            stack.append(mask ^ b)
+            b <<= 1
+
+
+def _scan_classes(task: EnumerationTask) -> ScanResult:
+    """The exhaustive scan of a task whose filters are all closed upward,
+    one digraph per class: each class counts n!/|Aut| passed digraphs, the
+    evaluator runs once per class and flags the class's least mask, which
+    is the mask `_dedupe` keeps for it."""
+    n = task.n
+    filters = [_resolve_filter(fid) for fid in task.filters]
+    evaluator = None if task.evaluator is None else _EVALUATORS[task.evaluator](task)
+    labelings = factorial(n)
+    passed = 0
+    flagged = []
+    for mask, aut, rows, cols, dout, din in _classes(n, filters):
+        passed += labelings // aut
+        if evaluator is not None and evaluator(n, rows, cols, dout, din):
+            flagged.append(mask)
+    return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +681,11 @@ def run_claim(
 ) -> TheoremReport:
     """Scan the claim CLAIMS[name] at order n, over every labeled digraph or
     over `sample` seeded draws, and judge the deduplicated exceptions.
-    `param` is the claim's per-call parameter."""
+    `param` is the claim's per-call parameter.
+
+    An exhaustive scan whose filters are all closed upward runs on the
+    class generator: one process whatever `workers` says, and no progress
+    lines. Every other scan runs on enumerate_digraphs."""
     claim = CLAIMS[name]
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")
@@ -611,8 +705,13 @@ def run_claim(
         n, filters=filters, evaluator=claim.evaluator, evaluator_arg=claim.evaluator_arg, **scan
     )
 
+    workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
+
     t0 = time.monotonic()
-    result = enumerate_digraphs(task, workers=workers)
+    if task.mode == "exhaustive" and all(map(_upward_closed, filters)):
+        result = _scan_classes(task)
+    else:
+        result = enumerate_digraphs(task, workers=workers)
     exceptions = _dedupe(task, result.flagged)
     allowed = claim.allowed
     if claim.report_only or param in claim.params[1:]:

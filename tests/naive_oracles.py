@@ -89,6 +89,14 @@ def naive_canonical_bits(g) -> int:
     return best if best is not None else 0
 
 
+def naive_automorphism_count(g) -> int:
+    """Number of vertex permutations that map the arc set onto itself."""
+    arcs = arc_set(g)
+    return sum(
+        all((perm[u], perm[v]) in arcs for u, v in arcs) for perm in permutations(range(g.n))
+    )
+
+
 def naive_embeds(g, pattern) -> bool:
     """Spanning copy of `pattern` inside g by brute force."""
     if g.n != pattern.n:

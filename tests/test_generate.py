@@ -1,0 +1,224 @@
+"""Class generation for upward-closed claims: the closure each declared
+filter promises, parity of generated reports with the labeled engine, and
+self-checks of the generator against known class counts and brute force."""
+
+import json
+import random
+from dataclasses import replace
+from itertools import permutations
+from math import factorial
+
+import pytest
+
+from naive_oracles import naive_automorphism_count
+from test_dedupe import _condition_ids, _relabel
+
+from hambypass import conditions, verify
+from hambypass import families as fam
+from hambypass.digraph import new_digraph
+from hambypass.verify import (
+    CLAIMS,
+    _classes,
+    _orbit_least,
+    _resolve_filter,
+    _upward_closed,
+    digraph_from_mask,
+    mask_bits,
+    mask_of,
+    run_claim,
+)
+
+
+def _args(n, mask):
+    g = digraph_from_mask(n, mask)
+    rows, cols = list(g.rows), list(g.cols)
+    return n, rows, cols, [r.bit_count() for r in rows], [c.bit_count() for c in cols]
+
+
+# --------------------------------------------------------------------------
+# upward closure of the declared filters
+# --------------------------------------------------------------------------
+
+
+def _declared(n):
+    """(id, raw predicate) of every filter declared upward-closed at order n."""
+    fids = ["strong", *(f"{kind}:{t}" for kind in ("min_out", "min_in") for t in range(n + 1))]
+    fids += _condition_ids()
+    return [(fid, _resolve_filter(fid)) for fid in fids if _upward_closed(fid)]
+
+
+def _passing(preds, n, mask):
+    args = _args(n, mask)
+    return {fid for fid, f in preds if f(*args)}
+
+
+def _assert_no_flip(n, mask, passing_of):
+    """No filter that `mask` passes fails once any one missing arc is added;
+    passing_of(mask) is the set of filters a mask passes."""
+    ok = passing_of(mask)
+    missing = ((1 << mask_bits(n)) - 1) & ~mask
+    while missing:
+        b = missing & -missing
+        missing ^= b
+        lost = ok - passing_of(mask | b)
+        assert not lost, f"n={n} mask {mask:x} plus bit {b.bit_length() - 1}: {sorted(lost)} fail"
+
+
+def test_declared_filters_are_upward_closed():
+    """Adding any one arc never turns a pass of a declared filter into a fail:
+    on every digraph of order n <= 4, and on seeded n = 5, 6 draws of three
+    densities."""
+    for n in range(1, 5):
+        preds = _declared(n)
+        passing = [_passing(preds, n, mask) for mask in range(1 << mask_bits(n))]
+        for mask in range(1 << mask_bits(n)):
+            _assert_no_flip(n, mask, passing.__getitem__)
+    rng = random.Random(7)
+    for n in (5, 6):
+        preds = _declared(n)
+        for draw in range(300):
+            mask = 0
+            for _ in range(1 + draw % 3):
+                mask |= rng.getrandbits(mask_bits(n))
+            _assert_no_flip(n, mask, lambda m: _passing(preds, n, m))
+
+
+def test_declared_filters_cover_the_closed_claims():
+    """thm6/8/9/11/12, and explore over a degree sum or lemma5, are
+    generated claims."""
+    for name in ("thm6", "thm8", "thm9", "thm11", "thm12"):
+        assert all(map(_upward_closed, CLAIMS[name].filters)), name
+    assert _upward_closed("degree_sum:-5") and _upward_closed("lemma5")
+
+
+@pytest.mark.parametrize("cond_id", ["thm13", "thm14", "thm15"])
+def test_common_neighbour_conditions_are_not_upward_closed(cond_id):
+    """The single arc 0->1 on four vertices passes; adding 0->2 creates the
+    non-adjacent pair {1, 2} with common in-neighbour 0 and low degrees."""
+    cond = conditions.resolve(cond_id)
+    assert not _upward_closed(cond_id)
+    assert cond.check(new_digraph(4, [(0, 1)])).holds
+    assert not cond.check(new_digraph(4, [(0, 1), (0, 2)])).holds
+
+
+@pytest.mark.parametrize("cond_id", ["thm16", "thm16relaxed"])
+def test_thm16_hypotheses_are_not_upward_closed(cond_id):
+    """thm16's degree floors fail below n = 6, so the n = 4 example does not
+    apply. Two disjoint copies of K*_4 pass: no non-adjacent pair shares a
+    neighbour. The arc 2->1 makes 2 a common in-neighbour of 0 and 1, and
+    the degree 6 of 0 falls short of n - 1 = 7."""
+    cond = conditions.resolve(cond_id)
+    parts = ((0, 2, 3, 4), (1, 5, 6, 7))
+    arcs = [(u, v) for part in parts for u in part for v in part if u != v]
+    assert not _upward_closed(cond_id)
+    assert cond.check(new_digraph(8, arcs)).holds
+    assert not cond.check(new_digraph(8, arcs + [(2, 1)])).holds
+
+
+def test_run_claim_routes_by_declared_closure(monkeypatch):
+    """Closed exhaustive claims never reach the labeled engine; explore with
+    a condition that is not closed, and every sampled scan, do."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrong scan path")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "enumerate_digraphs", refuse)
+        assert run_claim("thm12", 5).passed_filters == 97524
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_scan_classes", refuse)
+        run_claim("explore", 4, "thm13")
+        run_claim("thm12", 5, sample=100, seed=1)
+
+
+def test_generated_claims_still_check_the_worker_count(monkeypatch):
+    """The generator runs on one process, but a malformed HAMBYPASS_THREADS
+    is an error on every claim, as on the labeled engine."""
+    monkeypatch.setenv("HAMBYPASS_THREADS", "four")
+    with pytest.raises(ValueError, match="HAMBYPASS_THREADS"):
+        run_claim("thm12", 4)
+
+
+# --------------------------------------------------------------------------
+# parity of generated reports with the labeled engine
+# --------------------------------------------------------------------------
+
+
+def _report(monkeypatch, name, n, param, labeled):
+    """run_claim's JSON report without elapsed time (or the error it
+    raises) at any order; `labeled` forces the labeled engine."""
+    with monkeypatch.context() as m:
+        m.setitem(CLAIMS, name, replace(CLAIMS[name], min_n=1))
+        if labeled:
+            m.setattr(verify, "_upward_closed", lambda fid: False)
+        try:
+            report = run_claim(name, n, param, workers=2)
+        except ValueError as exc:  # the same error must come out of both paths
+            return repr(exc)
+    return json.dumps(report.to_json_dict(include_elapsed=False))
+
+
+def _assert_parity(monkeypatch, name, n, param=None):
+    generated = _report(monkeypatch, name, n, param, labeled=False)
+    assert generated == _report(monkeypatch, name, n, param, labeled=True)
+    return generated
+
+
+_CLOSED_ROWS = [
+    name for name, claim in CLAIMS.items()
+    if name != "explore" and all(map(_upward_closed, claim.filters))
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", _CLOSED_ROWS)
+def test_generated_claim_matches_labeled_engine(monkeypatch, name, n):
+    _assert_parity(monkeypatch, name, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cond_id", [c for c in _condition_ids() if _upward_closed(c)])
+def test_generated_explore_matches_labeled_engine(monkeypatch, cond_id, n):
+    _assert_parity(monkeypatch, "explore", n, cond_id)
+
+
+@pytest.mark.parametrize("name,param", [("thm12", None), ("explore", "degree_sum:-5")])
+def test_generated_n5_matches_labeled_engine(monkeypatch, name, param):
+    doc = json.loads(_assert_parity(monkeypatch, name, 5, param))
+    assert doc["exceptions"]
+
+
+def test_parity_cases_flag_something(monkeypatch):
+    """The small-order parity cases are not all empty."""
+    assert json.loads(_report(monkeypatch, "thm11", 4, None, False))["exceptions"]
+    assert _report(monkeypatch, "thm9", 2, None, False).startswith("DigraphError")
+
+
+# --------------------------------------------------------------------------
+# self-checks of the generator
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,classes", [(1, 1), (2, 3), (3, 16), (4, 218), (5, 9608)])
+def test_generator_visits_every_class_once(n, classes):
+    """With no filters: the number of digraph classes (OEIS A000273), and
+    the class sizes n!/|Aut| add up to every labeled digraph."""
+    sizes = [factorial(n) // aut for _, aut, *_ in _classes(n, [])]
+    assert len(sizes) == classes
+    assert sum(sizes) == 1 << mask_bits(n)
+
+
+def _least_relabeling(g):
+    return min(mask_of(_relabel(g, perm)) for perm in permutations(range(g.n)))
+
+
+def test_automorphism_count_matches_brute_force():
+    for n in range(1, 5):
+        for mask, aut, *_ in _classes(n, []):
+            assert aut == naive_automorphism_count(digraph_from_mask(n, mask)), (n, mask)
+    rng = random.Random(11)
+    for draw in range(150):
+        g = digraph_from_mask(5, rng.getrandbits(20) | (rng.getrandbits(20) if draw % 2 else 0))
+        assert _orbit_least(5, _least_relabeling(g)) == naive_automorphism_count(g)
+    for g in (fam.t5(), fam.d0(5, fam.InnerSpec.empty()), fam.complete_digraph(5)):
+        assert _orbit_least(5, _least_relabeling(g)) == naive_automorphism_count(g)
