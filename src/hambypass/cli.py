@@ -252,9 +252,7 @@ def cmd_find(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = verify.run_claim(
-        args.theorem, args.n, args.param, args.sample, args.seed, args.model, args.allow_long
-    )
+    report = verify.run_claim(args.theorem, args.n, args.param, args.sample, args.seed, args.model)
     _emit(report.to_json_dict())
     return 1 if report.verdict == "counterexample-found" else 0
 
@@ -270,12 +268,6 @@ def _add_scan_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="sampling seed")
     sub.add_argument(
         "--model", choices=("uniform", "dense"), default="uniform", help="sampling arc model"
-    )
-    sub.add_argument(
-        "--long",
-        dest="allow_long",
-        action="store_true",
-        help="permit the long-running n=6 exhaustive scan",
     )
 
 

@@ -14,11 +14,12 @@ order given. An optional named evaluator runs on filter survivors and flags
 exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk" (takes k), "lemma5"
 and "lemma7_sweep". Names rather than callables cross the process boundary.
 
-Claims whose filters are all closed upward (adding an arc never makes one
-fail) skip the labeled scan: run_claim generates one orbit-least mask per
-isomorphism class inside the hypothesis, downward from K*_n, runs the
-evaluator once per class and counts each class's n!/|Aut| labelings, on
-one process. Its reports are the labeled engine's, byte for byte.
+Exhaustive claims skip the labeled scan: run_claim generates one
+orbit-least mask per isomorphism class, downward from K*_n, pruned by the
+filters that are closed upward (adding an arc never makes one fail). The
+other filters and the evaluator run once per generated class, and each
+class that passes counts its n!/|Aut| labelings, on one process. Its
+reports are the labeled engine's, byte for byte.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ from .iso import (
 )
 from .search import _bypass_raw, _cycles_raw, _dnk_raw
 
-EXHAUSTIVE_MAX_N = 5
-LONG_MAX_N = 6
+EXHAUSTIVE_MAX_N = 6
 SAMPLE_MAX_N = 16
 EXH_CHUNK = 1 << 14
 SAMPLE_CHUNK = 4096
@@ -125,12 +125,11 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
 class EnumerationTask:
     """What to scan and how.
 
-    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 5, or 6 with
-    allow_long): enumerate_digraphs walks every mask, run_claim walks one
-    mask per class when every filter is closed upward; mode "sample" draws
-    sample_count seeded masks, uniform or dense (union of two uniform
-    draws). Filters and the evaluator are given by identifier so tasks stay
-    picklable.
+    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 6):
+    enumerate_digraphs walks every mask, run_claim walks one mask per
+    class; mode "sample" draws sample_count seeded masks, uniform or dense
+    (union of two uniform draws). Filters and the evaluator are given by
+    identifier so tasks stay picklable.
     """
 
     n: int
@@ -141,17 +140,14 @@ class EnumerationTask:
     model: str = "uniform"
     evaluator: str | None = None
     evaluator_arg: int | None = None
-    allow_long: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"order must be a positive integer, got {self.n!r}")
         if self.mode == "exhaustive":
-            limit = LONG_MAX_N if self.allow_long else EXHAUSTIVE_MAX_N
-            if self.n > limit:
+            if self.n > EXHAUSTIVE_MAX_N:
                 raise ValueError(
-                    f"exhaustive scan at n={self.n} refused"
-                    f" (limit {EXHAUSTIVE_MAX_N}, {LONG_MAX_N} with allow_long)"
+                    f"exhaustive scan at n={self.n} refused (limit {EXHAUSTIVE_MAX_N})"
                 )
         elif self.mode == "sample":
             if self.n > SAMPLE_MAX_N:
@@ -518,31 +514,19 @@ def _orbit_least(n: int, mask: int) -> int:
     return aut
 
 
-def _dedupe(task: EnumerationTask, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
+def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
     """One record per isomorphism class of the flagged masks, sorted by key,
-    whose witness is the class's first flagged mask in scan order.
-
-    An exhaustive scan flags every relabeling of a flagged digraph, since
-    filters and evaluators ignore labels, and scans masks in ascending
-    order; so the first flagged mask of a class is the least mask of its
-    orbit, and only those masks are keyed. Class generation flags exactly
-    those masks. Sampled scans key every mask.
-    """
-    n = task.n
-    exhaustive = task.mode == "exhaustive"
+    whose witness is the class's first flagged mask. Class generation flags
+    one mask per class, the least of its orbit."""
     seen: dict[str, Digraph] = {}
     for mask in flagged:
-        if exhaustive and not _orbit_least(n, mask):
-            continue
         g = digraph_from_mask(n, mask)
-        key = _canonical_key(g)
-        if key not in seen:
-            seen[key] = g
+        seen.setdefault(_canonical_key(g), g)
     return tuple(ExceptionRecord(key, seen[key]) for key in sorted(seen))
 
 
 # ---------------------------------------------------------------------------
-# Class generation (exhaustive scans of upward-closed filters)
+# Class generation (exhaustive scans)
 # ---------------------------------------------------------------------------
 
 
@@ -592,17 +576,22 @@ def _classes(n: int, filters: list[Callable]):
 
 
 def _scan_classes(task: EnumerationTask) -> ScanResult:
-    """The exhaustive scan of a task whose filters are all closed upward,
-    one digraph per class: each class counts n!/|Aut| passed digraphs, the
-    evaluator runs once per class and flags the class's least mask, which
-    is the mask `_dedupe` keeps for it."""
+    """The exhaustive scan of a task, one digraph per class. The filters
+    closed upward prune the generator; the others, which ignore labels as
+    every filter does, are checked on each generated class. Each class that
+    passes counts n!/|Aut| passed digraphs, and the evaluator runs once on
+    it and flags the class's least mask."""
     n = task.n
-    filters = [_resolve_filter(fid) for fid in task.filters]
+    pruning, checks = [], []
+    for fid in task.filters:
+        (pruning if _upward_closed(fid) else checks).append(_resolve_filter(fid))
     evaluator = None if task.evaluator is None else _EVALUATORS[task.evaluator](task)
     labelings = factorial(n)
     passed = 0
     flagged = []
-    for mask, aut, rows, cols, dout, din in _classes(n, filters):
+    for mask, aut, rows, cols, dout, din in _classes(n, pruning):
+        if not all(f(n, rows, cols, dout, din) for f in checks):
+            continue
         passed += labelings // aut
         if evaluator is not None and evaluator(n, rows, cols, dout, din):
             flagged.append(mask)
@@ -676,16 +665,15 @@ def run_claim(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Scan the claim CLAIMS[name] at order n, over every labeled digraph or
     over `sample` seeded draws, and judge the deduplicated exceptions.
     `param` is the claim's per-call parameter.
 
-    An exhaustive scan whose filters are all closed upward runs on the
-    class generator: one process whatever `workers` says, and no progress
-    lines. Every other scan runs on enumerate_digraphs."""
+    An exhaustive scan runs on the class generator: one process whatever
+    `workers` says, and no progress lines. A sampled scan runs on
+    enumerate_digraphs."""
     claim = CLAIMS[name]
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")
@@ -697,7 +685,7 @@ def run_claim(
         accepted = " or ".join(map(str, sorted(claim.params)))
         raise ValueError(f"{claim.param_name} must be {accepted}")
     if sample is None:
-        scan = dict(mode="exhaustive", allow_long=allow_long)
+        scan = dict(mode="exhaustive")
     else:
         scan = dict(mode="sample", sample_count=sample, seed=seed, model=model)
     filters = tuple(fid.format(param) for fid in claim.filters)
@@ -708,11 +696,11 @@ def run_claim(
     workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
 
     t0 = time.monotonic()
-    if task.mode == "exhaustive" and all(map(_upward_closed, filters)):
+    if task.mode == "exhaustive":
         result = _scan_classes(task)
     else:
         result = enumerate_digraphs(task, workers=workers)
-    exceptions = _dedupe(task, result.flagged)
+    exceptions = _dedupe(n, result.flagged)
     allowed = claim.allowed
     if claim.report_only or param in claim.params[1:]:
         verdict = "report-only"
@@ -744,11 +732,10 @@ def check_theorem6(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus a_k:0 forces a Hamiltonian cycle; no exception allowed."""
-    return run_claim("thm6", n, None, sample, seed, model, allow_long, workers)
+    return run_claim("thm6", n, None, sample, seed, model, workers)
 
 
 def check_theorem11(
@@ -757,12 +744,11 @@ def check_theorem11(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus a_k:0 forces an (n-1)-cycle except balanced complete
     bipartite digraphs."""
-    return run_claim("thm11", n, None, sample, seed, model, allow_long, workers)
+    return run_claim("thm11", n, None, sample, seed, model, workers)
 
 
 def check_theorem12(
@@ -771,12 +757,11 @@ def check_theorem12(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus a_k:0 forces a Hamiltonian bypass except the one
     5-vertex tournament."""
-    return run_claim("thm12", n, None, sample, seed, model, allow_long, workers)
+    return run_claim("thm12", n, None, sample, seed, model, workers)
 
 
 def check_theorem8(
@@ -785,12 +770,11 @@ def check_theorem8(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus degree_sum:-2 forces a bypass outside a short list of
     extremal families."""
-    return run_claim("thm8", n, None, sample, seed, model, allow_long, workers)
+    return run_claim("thm8", n, None, sample, seed, model, workers)
 
 
 def check_theorem9(
@@ -799,11 +783,10 @@ def check_theorem9(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Strong plus meyniel forces a spanning reversed-tail pattern with k=3."""
-    return run_claim("thm9", n, None, sample, seed, model, allow_long, workers)
+    return run_claim("thm9", n, None, sample, seed, model, workers)
 
 
 def check_theorem16_conjecture(
@@ -813,7 +796,6 @@ def check_theorem16_conjecture(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """thm13 hypothesis with degree floors forces a bypass for n >= 6.
@@ -821,7 +803,7 @@ def check_theorem16_conjecture(
     min_in_degree=3 is the proven statement (confirmed expected); 2 probes
     the open strengthening, so its report carries no asserted outcome.
     """
-    return run_claim("thm16", n, min_in_degree, sample, seed, model, allow_long, workers)
+    return run_claim("thm16", n, min_in_degree, sample, seed, model, workers)
 
 
 def explore_no_bypass(
@@ -831,7 +813,6 @@ def explore_no_bypass(
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
-    allow_long: bool = False,
     workers: int | None = None,
 ) -> TheoremReport:
     """Catalog of strong, condition-satisfying, bypass-free digraphs.
@@ -839,4 +820,4 @@ def explore_no_bypass(
     Open-ended by design: the report lists the deduplicated survivors and
     asserts nothing about them.
     """
-    return run_claim("explore", n, cond_id, sample, seed, model, allow_long, workers)
+    return run_claim("explore", n, cond_id, sample, seed, model, workers)

@@ -265,6 +265,17 @@ def test_verify_thm11_n4_confirmed_with_exception_listed(kb22):
     assert [e["canonical_hex"] for e in doc["exceptions"]] == [iso.canonical_form(kb22).hex]
 
 
+def test_verify_thm16_n6_runs_without_a_flag():
+    """Exhaustive n = 6 needs no flag: the degree floors prune the class
+    generator and thm13 is checked on each class."""
+    code, out, _ = run_cli(["verify", "thm16", "--n", "6"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["mode"], doc["scanned"]) == ("exhaustive", 1 << 30)
+    assert doc["passed_filters"] == 12365746
+    assert (doc["exceptions"], doc["verdict"]) == ([], "confirmed")
+
+
 def test_verify_thread_env_does_not_change_output(monkeypatch):
     outputs = []
     for threads in ("1", "8"):
@@ -326,6 +337,11 @@ def test_explore_meyniel_n3_exact():
         (["verify", name, "--n", str(claim.min_n - 1)], "", 2)
         for name, claim in CLAIMS.items()
         if not claim.report_only
+    ]
+    + [
+        (["verify", "thm16", "--n", "6", "--long"], "", 2),
+        (["verify", "thm12", "--n", "7"], "", 2),
+        (["explore", "--cond", "thm13", "--n", "7"], "", 2),
     ],
 )
 def test_exit_codes(argv, stdin_text, expected):

@@ -1,5 +1,6 @@
-"""Exception dedupe: the orbit-least rule of exhaustive scans, and the label
-invariance of every scan filter and evaluator that the rule relies on."""
+"""Exception dedupe: one record per class, the first flagged mask of each,
+and the label invariance of every scan filter and evaluator that the class
+generator relies on when it checks one labeling per class."""
 
 import random
 from itertools import permutations
@@ -36,8 +37,8 @@ def _condition_ids():
 
 
 def _first_per_class(n, flagged):
-    """The rule sampled scans use: the first flagged mask of each canonical
-    class, records sorted by key."""
+    """The reference rule: the first flagged mask of each canonical class,
+    records sorted by key."""
     seen = {}
     for mask in flagged:
         g = digraph_from_mask(n, mask)
@@ -47,7 +48,7 @@ def _first_per_class(n, flagged):
 
 def _assert_parity(task):
     flagged = enumerate_digraphs(task, workers=1).flagged
-    assert _dedupe(task, flagged) == _first_per_class(task.n, flagged)
+    assert _dedupe(task.n, flagged) == _first_per_class(task.n, flagged)
     return flagged
 
 
@@ -97,19 +98,17 @@ def test_exhaustive_dedupe_keeps_least_mask_of_each_class():
     orbits = [{mask_of(_relabel(g, p)) for p in permutations(range(5))} for g in members]
     assert [len(o) for o in orbits] == [40, 10]  # 5!/|Aut|: |Aut(T5)| = 3, |Aut(d0)| = 12
     flagged = sorted(orbits[0] | orbits[1])
-    recs = _dedupe(EnumerationTask(5), flagged)
+    recs = _dedupe(5, flagged)
     assert recs == _first_per_class(5, flagged)
     assert sorted(mask_of(r.witness) for r in recs) == sorted(min(o) for o in orbits)
     assert {r.canonical_hex for r in recs} == {iso.canonical_form(g).hex for g in members}
 
 
 def test_sampled_dedupe_keys_every_mask():
-    """Sampled scans see one labeling of a class at most by chance, so every
-    flagged mask is keyed; an orbit-least filter would drop this one."""
+    """Every flagged mask is keyed, also one that is not the least of its
+    orbit, as a sampled draw may be."""
     mask = max(mask_of(_relabel(fam.t5(), p)) for p in permutations(range(5)))
-    task = EnumerationTask(5, mode="sample", sample_count=1, seed=0)
-    assert _dedupe(task, [mask]) == _first_per_class(5, [mask])
-    assert _dedupe(EnumerationTask(5), [mask]) == ()
+    assert _dedupe(5, [mask]) == _first_per_class(5, [mask])
 
 
 # --------------------------------------------------------------------------
@@ -137,8 +136,9 @@ def _answers(preds, g):
 
 
 def test_filters_and_evaluators_ignore_labels():
-    """The orbit-least dedupe drops every flagged mask but the least of its
-    class; that is only sound if no filter or evaluator looks at labels."""
+    """The class generator runs the filters and the evaluator on one
+    labeling per class; that is only sound if none of them looks at
+    labels."""
     preds = _predicates(4)
     by_class = {}
     for mask in range(1 << mask_bits(4)):

@@ -1,4 +1,4 @@
-"""Class generation for upward-closed claims: the closure each declared
+"""Class generation for exhaustive claims: the closure each declared
 filter promises, parity of generated reports with the labeled engine, and
 self-checks of the generator against known class counts and brute force."""
 
@@ -18,11 +18,13 @@ from hambypass import families as fam
 from hambypass.digraph import new_digraph
 from hambypass.verify import (
     CLAIMS,
+    EnumerationTask,
     _classes,
     _orbit_least,
     _resolve_filter,
     _upward_closed,
     digraph_from_mask,
+    enumerate_digraphs,
     mask_bits,
     mask_of,
     run_claim,
@@ -84,8 +86,8 @@ def test_declared_filters_are_upward_closed():
 
 
 def test_declared_filters_cover_the_closed_claims():
-    """thm6/8/9/11/12, and explore over a degree sum or lemma5, are
-    generated claims."""
+    """Every filter of thm6/8/9/11/12, a degree sum and lemma5 prune the
+    class generator."""
     for name in ("thm6", "thm8", "thm9", "thm11", "thm12"):
         assert all(map(_upward_closed, CLAIMS[name].filters)), name
     assert _upward_closed("degree_sum:-5") and _upward_closed("lemma5")
@@ -115,9 +117,9 @@ def test_thm16_hypotheses_are_not_upward_closed(cond_id):
     assert not cond.check(new_digraph(8, arcs + [(2, 1)])).holds
 
 
-def test_run_claim_routes_by_declared_closure(monkeypatch):
-    """Closed exhaustive claims never reach the labeled engine; explore with
-    a condition that is not closed, and every sampled scan, do."""
+def test_exhaustive_claims_always_run_on_the_generator(monkeypatch):
+    """No exhaustive claim reaches the labeled engine, closed or not; no
+    sampled scan reaches the generator."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("wrong scan path")
@@ -125,10 +127,24 @@ def test_run_claim_routes_by_declared_closure(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verify, "enumerate_digraphs", refuse)
         assert run_claim("thm12", 5).passed_filters == 97524
+        run_claim("explore", 4, "thm13")
     with monkeypatch.context() as m:
         m.setattr(verify, "_scan_classes", refuse)
-        run_claim("explore", 4, "thm13")
         run_claim("thm12", 5, sample=100, seed=1)
+        run_claim("explore", 4, "thm13", sample=100, seed=1)
+
+
+def test_filters_not_closed_never_prune(monkeypatch):
+    """thm13 rejects the arcs 0->1, 0->2 on four vertices but passes the
+    single arc 0->1, their descendant in the generator's tree (see above).
+    So thm13 is checked per class, and the scan counts what the labeled
+    engine counts, more than a thm13-pruned tree would."""
+    task = EnumerationTask(4, filters=("thm13",))
+    labeled = enumerate_digraphs(task, workers=1).passed_filters
+    assert verify._scan_classes(task).passed_filters == labeled
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_upward_closed", lambda fid: True)
+        assert verify._scan_classes(task).passed_filters < labeled
 
 
 def test_generated_claims_still_check_the_worker_count(monkeypatch):
@@ -146,11 +162,12 @@ def test_generated_claims_still_check_the_worker_count(monkeypatch):
 
 def _report(monkeypatch, name, n, param, labeled):
     """run_claim's JSON report without elapsed time (or the error it
-    raises) at any order; `labeled` forces the labeled engine."""
+    raises) at any order; `labeled` swaps the labeled engine in for the
+    generator."""
     with monkeypatch.context() as m:
         m.setitem(CLAIMS, name, replace(CLAIMS[name], min_n=1))
         if labeled:
-            m.setattr(verify, "_upward_closed", lambda fid: False)
+            m.setattr(verify, "_scan_classes", lambda task: enumerate_digraphs(task, workers=2))
         try:
             report = run_claim(name, n, param, workers=2)
         except ValueError as exc:  # the same error must come out of both paths
@@ -164,25 +181,24 @@ def _assert_parity(monkeypatch, name, n, param=None):
     return generated
 
 
-_CLOSED_ROWS = [
-    name for name, claim in CLAIMS.items()
-    if name != "explore" and all(map(_upward_closed, claim.filters))
-]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("name", _CLOSED_ROWS)
+@pytest.mark.parametrize("name", [name for name in CLAIMS if name != "explore"])
 def test_generated_claim_matches_labeled_engine(monkeypatch, name, n):
-    _assert_parity(monkeypatch, name, n)
+    """Every claim row at each of its parameters: thm16 with min_in_degree
+    3 and 2 mixes pruning filters with per-class thm13 checks."""
+    for param in CLAIMS[name].params or (None,):
+        _assert_parity(monkeypatch, name, n, param)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("cond_id", [c for c in _condition_ids() if _upward_closed(c)])
+@pytest.mark.parametrize("cond_id", _condition_ids())
 def test_generated_explore_matches_labeled_engine(monkeypatch, cond_id, n):
     _assert_parity(monkeypatch, "explore", n, cond_id)
 
 
-@pytest.mark.parametrize("name,param", [("thm12", None), ("explore", "degree_sum:-5")])
+@pytest.mark.parametrize(
+    "name,param", [("thm12", None), ("explore", "degree_sum:-5"), ("explore", "thm13")]
+)
 def test_generated_n5_matches_labeled_engine(monkeypatch, name, param):
     doc = json.loads(_assert_parity(monkeypatch, name, 5, param))
     assert doc["exceptions"]

@@ -185,7 +185,7 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n):
     "kwargs, message",
     [
         (dict(n=7), "exhaustive scan at n=7 refused"),
-        (dict(n=6), "exhaustive scan at n=6 refused"),
+        (dict(n=0), "order must be a positive integer"),
         (dict(n=5, mode="sample"), "sample mode needs sample_count >= 1"),
         (dict(n=5, mode="sample", sample_count=0, seed=1), "sample mode needs sample_count >= 1"),
         (dict(n=5, mode="sample", sample_count=10), "sample mode needs an explicit seed"),
@@ -200,9 +200,8 @@ def test_task_validation(kwargs, message):
         EnumerationTask(**kwargs)
 
 
-def test_task_allow_long_and_sampling_at_n6():
-    long_task = EnumerationTask(n=6, allow_long=True)
-    assert long_task.mode_label == "exhaustive"
+def test_task_exhaustive_and_sampling_at_n6():
+    assert EnumerationTask(n=6).mode_label == "exhaustive"
     sampled = EnumerationTask(n=6, mode="sample", sample_count=5, seed=1)
     assert sampled.mode_label == "sample:uniform:5"
     dense = EnumerationTask(n=6, mode="sample", sample_count=5, seed=1, model="dense")
