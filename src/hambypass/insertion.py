@@ -380,41 +380,44 @@ class Lemma7Report:
         return self.windows_ok and self.degrees_ok and self.reversals_ok
 
 
+def _lemma7_raw(n, rows, cols, cv, y):
+    """(windows_ok, degrees_ok, reversals_ok) of Lemma7Report for the
+    (n-1)-cycle cv, a vertex tuple, and its off vertex y, on bitset rows
+    and columns."""
+    out, inn = rows[y], cols[y]
+    # Heads b of the cycle arcs a -> b with y -> a, with a -> y, and with
+    # the reverse arc b -> a.
+    after_out = after_in = flips = 0
+    a = cv[-1]
+    for b in cv:
+        if (out >> a) & 1:
+            after_out |= 1 << b
+        if (inn >> a) & 1:
+            after_in |= 1 << b
+        if (rows[b] >> a) & 1:
+            flips |= 1 << b
+        a = b
+    windows_ok = not (after_out & out or after_in & inn)
+    do, di = out.bit_count(), inn.bit_count()
+    degrees_ok = 2 * do <= n - 1 and 2 * di <= n - 1 and do + di <= n - 1
+    # Broken iff some splice a -> y -> b and some reversed arc at another
+    # cycle arc: both sets non-empty and not one and the same single arc.
+    splices = after_in & out
+    reversals_ok = not (splices and flips) or (splices == flips and not splices & (splices - 1))
+    return windows_ok, degrees_ok, reversals_ok
+
+
 def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
+    """Evaluate the Lemma7Report clauses for the (n-1)-cycle c of g and its
+    off vertex y. Raises ValueError unless c covers all vertices but one
+    and y is that one."""
     if len(c) != g.n - 1:
         raise ValueError("cycle must cover all vertices but one")
+    if not 0 <= y < g.n:
+        raise ValueError(f"vertex {y} outside range({g.n})")
     if y in c.vertices:
         raise ValueError(f"vertex {y} lies on the cycle")
-    n = g.n
-    cv = c.vertices
-    k = len(cv)
-
-    windows_ok = True
-    for i in range(k):
-        a, b = cv[i], cv[(i + 1) % k]
-        if int(g.has_arc(y, a)) + int(g.has_arc(y, b)) > 1:
-            windows_ok = False
-            break
-        if int(g.has_arc(a, y)) + int(g.has_arc(b, y)) > 1:
-            windows_ok = False
-            break
-
-    do, di = g.out_degree(y), g.in_degree(y)
-    degrees_ok = 2 * do <= n - 1 and 2 * di <= n - 1 and do + di <= n - 1
-
-    reversals_ok = True
-    for i in range(k):
-        if g.has_arc(cv[i], y) and g.has_arc(y, cv[(i + 1) % k]):
-            for j in range(k):
-                if j == i:
-                    continue
-                if g.has_arc(cv[(j + 1) % k], cv[j]):
-                    reversals_ok = False
-                    break
-            if not reversals_ok:
-                break
-
-    return Lemma7Report(windows_ok, degrees_ok, reversals_ok)
+    return Lemma7Report(*_lemma7_raw(g.n, g.rows, g.cols, c.vertices, y))
 
 
 def is_good_cycle(g: Digraph, c: Cycle) -> bool:

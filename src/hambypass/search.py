@@ -9,7 +9,8 @@ The `_raw` helpers work on bitset out-rows, so the enumeration engine can
 call them without building Digraph objects. One lazy path kernel,
 `_paths_raw(rows, start, free, m, ends)`, answers every search: cycles of
 any length, good cycles, Hamiltonian paths between fixed ends, bypasses and
-D(n, k) copies are each a short call into it.
+D(n, k) copies are each a short call into it. `_cycle_bypass_raw` needs no
+search: it reads a bypass off an (n-1)-cycle and the vertex it misses.
 """
 
 from __future__ import annotations
@@ -164,6 +165,37 @@ def _bypass_raw(n, rows, cols):
             hit = _ham_path_raw(rows, cols, u, b.bit_length() - 1, full)
             if hit is not None:
                 return hit
+    return None
+
+
+def _cycle_bypass_raw(rows, cols, cyc, y):
+    """A bypass order read off the (n-1)-cycle cyc and its off vertex y, or
+    None. For a cycle arc a -> b:
+      out-window  y -> a and y -> b give y b ... a, with chord y -> a;
+      in-window   a -> y and b -> y give b ... a y, with chord b -> y;
+      splice      a -> y -> b makes a Hamiltonian cycle, and the reverse
+                  q -> p of any other cycle arc p -> q gives q ... p around
+                  it, with chord q -> p.
+    Non-None exactly when insertion._lemma7_raw finds windows_ok and
+    reversals_ok not both true."""
+    out, inn = rows[y], cols[y]
+    splices, flips = [], []  # indices i of the arcs cyc[i-1] -> cyc[i]
+    for i, b in enumerate(cyc):
+        a = cyc[i - 1]
+        if (out >> a) & (out >> b) & 1:
+            return (y, *cyc[i:], *cyc[:i])
+        if (inn >> a) & (inn >> b) & 1:
+            return (*cyc[i:], *cyc[:i], y)
+        if (inn >> a) & (out >> b) & 1:
+            splices.append(i)
+        if (rows[b] >> a) & 1:
+            flips.append(i)
+    for i in splices:
+        for j in flips:
+            if j != i:
+                ham = (*cyc[:i], y, *cyc[i:])
+                s = j if j < i else j + 1  # where q = cyc[j] sits in ham
+                return ham[s:] + ham[:s]
     return None
 
 

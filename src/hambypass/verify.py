@@ -29,14 +29,14 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial
 from random import Random
 from typing import Callable, Iterable
 
 from . import conditions, families
-from .digraph import Digraph, _strong_raw, make_cycle
-from .insertion import lemma7_consequences
+from .digraph import Digraph, _strong_raw
+from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
     are_isomorphic,
@@ -46,7 +46,7 @@ from .iso import (
     is_glued_cliques,
     is_isomorphic_to_t5,
 )
-from .search import _bypass_raw, _cycles_raw, _dnk_raw
+from .search import _bypass_raw, _cycle_bypass_raw, _cycles_raw, _dnk_raw
 
 EXHAUSTIVE_MAX_N = 6
 SAMPLE_MAX_N = 16
@@ -230,24 +230,24 @@ def _eval_lemma5(n, rows, cols, dout, din) -> bool:
 def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
     """Flag any bypass-free digraph that breaks a bypass-free consequence:
     an (n-1)-cycle failing a lemma7 clause, or a good cycle (which would
-    force a bypass)."""
+    force a bypass).
+
+    Each (n-1)-cycle is settled on its own: a cycle that is not good and
+    passes every clause moves on to the next. For a cycle that fails,
+    search._cycle_bypass_raw reads a bypass off the cycle and its off vertex
+    where it can, which clears the digraph; only if it finds none does the
+    full bypass search decide. So a digraph is cleared by a bypass built
+    from its arcs or by every cycle passing, and Lemma 7 is never assumed."""
     if n < 4:
         return False
-    full = (1 << n) - 1
-    cycles = _cycles_raw(rows, cols, full, n - 1)
-    first = next(cycles, None)
-    if first is None or _bypass_raw(n, rows, cols) is not None:
-        return False
-    g = Digraph._from_rows(n, rows)
-    for cyc in chain((first,), cycles):
-        used = 0
-        for v in cyc:
-            used |= 1 << v
-        off = (full ^ used).bit_length() - 1
-        if dout[off] + din[off] >= n:
-            return True
-        if not lemma7_consequences(g, make_cycle(g, cyc), off).all_ok:
-            return True
+    total = n * (n - 1) // 2
+    for cyc in _cycles_raw(rows, cols, (1 << n) - 1, n - 1):
+        y = total - sum(cyc)  # the one vertex the cycle misses
+        if dout[y] + din[y] < n and all(_lemma7_raw(n, rows, cols, cyc, y)):
+            continue
+        if _cycle_bypass_raw(rows, cols, cyc, y) is not None:
+            return False
+        return _bypass_raw(n, rows, cols) is None
     return False
 
 

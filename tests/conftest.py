@@ -14,6 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from hambypass import families as fam
 from hambypass.digraph import Digraph, new_digraph
+from hambypass.search import iter_cycles_of_length
+from hambypass.verify import digraph_from_mask
 
 settings.register_profile(
     "suite",
@@ -91,6 +93,30 @@ def seeded_corpus(seed: int, count: int, n_lo: int, n_hi: int, p: float = 0.5):
         rng = random.Random((seed << 20) + i)
         n = rng.randint(n_lo, n_hi)
         out.append((rng, rand_digraph(rng, n, p)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def pre_hamiltonian_cycles():
+    """(g, cycle, off vertex) for every (n-1)-cycle of every digraph with
+    n <= 4, and of seeded n = 5, 6, 7 draws, uniform and dense (the union of
+    two uniform draws), as the enumeration engine samples them."""
+    out = []
+
+    def add(g):
+        for c in iter_cycles_of_length(g, g.n - 1):
+            (y,) = set(range(g.n)) - set(c.vertices)
+            out.append((g, c, y))
+
+    for n in (3, 4):
+        for mask in range(1 << (n * (n - 1))):
+            add(digraph_from_mask(n, mask))
+    rng = random.Random(707)
+    for n in (5, 6, 7):
+        bits = n * (n - 1)
+        for _ in range(150):
+            add(digraph_from_mask(n, rng.getrandbits(bits)))
+            add(digraph_from_mask(n, rng.getrandbits(bits) | rng.getrandbits(bits)))
     return out
 
 

@@ -160,3 +160,38 @@ def naive_good_cycle_exists(g) -> bool:
         if g.degree(off) >= n:
             return True
     return False
+
+
+def naive_lemma7_clauses(g, c, y):
+    """(windows_ok, degrees_ok, reversals_ok) of insertion.Lemma7Report for
+    the (n-1)-cycle c and its off vertex y, clause by clause over has_arc."""
+    n = g.n
+    cv = c.vertices
+    k = len(cv)
+
+    windows_ok = True
+    for i in range(k):
+        a, b = cv[i], cv[(i + 1) % k]
+        if int(g.has_arc(y, a)) + int(g.has_arc(y, b)) > 1:
+            windows_ok = False
+            break
+        if int(g.has_arc(a, y)) + int(g.has_arc(b, y)) > 1:
+            windows_ok = False
+            break
+
+    do, di = g.out_degree(y), g.in_degree(y)
+    degrees_ok = 2 * do <= n - 1 and 2 * di <= n - 1 and do + di <= n - 1
+
+    reversals_ok = True
+    for i in range(k):
+        if g.has_arc(cv[i], y) and g.has_arc(y, cv[(i + 1) % k]):
+            for j in range(k):
+                if j == i:
+                    continue
+                if g.has_arc(cv[(j + 1) % k], cv[j]):
+                    reversals_ok = False
+                    break
+            if not reversals_ok:
+                break
+
+    return windows_ok, degrees_ok, reversals_ok

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import digraphs, seeded_corpus
+from naive_oracles import naive_lemma7_clauses
 
 from hambypass.digraph import make_cycle, make_path, new_digraph
 from hambypass import families as fam
@@ -314,6 +315,23 @@ def test_lemma7_requires_pre_hamiltonian_cycle(t5):
     g = fam.complete_digraph(5)
     with pytest.raises(ValueError):
         ins.lemma7_consequences(g, make_cycle(g, (0, 1, 2)), 4)
+
+
+@pytest.mark.parametrize("y", [-1, 5])
+def test_lemma7_rejects_vertex_outside_the_digraph(t5, y):
+    with pytest.raises(ValueError, match="outside range"):
+        ins.lemma7_consequences(t5, make_cycle(t5, (0, 1, 2, 3)), y)
+
+
+def test_lemma7_raw_matches_naive_clauses(pre_hamiltonian_cycles):
+    seen = set()
+    for g, c, y in pre_hamiltonian_cycles:
+        got = ins._lemma7_raw(g.n, g.rows, g.cols, c.vertices, y)
+        assert got == naive_lemma7_clauses(g, c, y), (g.arcs(), c.vertices, y)
+        assert ins.lemma7_consequences(g, c, y) == ins.Lemma7Report(*got)
+        seen.add(got)
+    # every clause can fail alone or together; a reversal can fail alone
+    assert {(True, True, True), (True, True, False), (False, False, False)} <= seen
 
 
 def test_is_good_cycle(t5):

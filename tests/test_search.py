@@ -12,6 +12,7 @@ from naive_oracles import (
     naive_has_hamiltonian_cycle,
     naive_has_hamiltonian_path,
     naive_has_pre_hamiltonian_cycle,
+    naive_lemma7_clauses,
 )
 
 from hambypass.digraph import converse, induced_subdigraph, make_cycle, make_path, new_digraph
@@ -149,6 +150,18 @@ def test_good_cycle_implies_bypass_seeded():
             hits += 1
             assert srch.find_hamiltonian_bypass(g) is not None
     assert hits > 20
+
+
+def test_cycle_bypass_exactly_where_a_lemma7_clause_breaks(pre_hamiltonian_cycles):
+    found = 0
+    for g, c, y in pre_hamiltonian_cycles:
+        windows_ok, _, reversals_ok = naive_lemma7_clauses(g, c, y)
+        order = srch._cycle_bypass_raw(g.rows, g.cols, c.vertices, y)
+        assert (order is None) == (windows_ok and reversals_ok), (g.arcs(), c.vertices, y)
+        if order is not None:
+            found += 1
+            assert srch.validate_bypass(g, srch.BypassWitness(order)), (g.arcs(), order)
+    assert 0 < found < len(pre_hamiltonian_cycles)
 
 
 # --------------------------------------------------------------------------
