@@ -7,6 +7,8 @@ out-row is a contiguous field and exhaustive scans are plain integer ranges.
 Scans are split into fixed-size chunks processed by a worker pool; chunk
 boundaries never depend on the worker count and partial results are merged
 in chunk order, so reports are bit-identical whatever the parallelism.
+Each mask is decoded into rows, columns and degrees by one straight-line
+function generated per order (_decoder), the scan's costliest step.
 
 Filters are condition identifiers (see conditions.resolve) plus the scan
 extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
@@ -106,6 +108,40 @@ def _tables(n: int):
     return tuple(expand), tuple(spread)
 
 
+@lru_cache(maxsize=8)
+def _decoder(n: int) -> Callable[[int], tuple[list[int], list[int], list[int], list[int]]]:
+    """decode(mask) -> (rows, cols, dout, din) for order n, as fresh lists.
+
+    A straight-line function generated from the _tables(n) entries: it
+    reads each row's field once, sums the SPREAD entries into packed
+    columns and splits them into n-bit lanes, with no loop or
+    comprehension frames. The source is built from integers derived from n
+    only.
+    """
+    expand, spread = _tables(n)
+    width = n - 1
+    field = (1 << width) - 1
+    lane = (1 << n) - 1
+    us = range(n)
+    src = "\n    ".join(
+        [
+            "def decode(mask):",
+            *(f"a{u} = (mask >> {u * width}) & {field}" for u in us),
+            "; ".join(f"r{u} = E{u}[a{u}]" for u in us),
+            "p = " + " + ".join(f"S{u}[a{u}]" for u in us),
+            "; ".join(f"c{v} = (p >> {n * v}) & {lane}" for v in us),
+            "return "
+            + ", ".join(
+                "[" + ", ".join(item.format(u) for u in us) + "]"
+                for item in ("r{}", "c{}", "r{}.bit_count()", "c{}.bit_count()")
+            ),
+        ]
+    )
+    namespace = {f"E{u}": expand[u] for u in us} | {f"S{u}": spread[u] for u in us}
+    exec(src, namespace)
+    return namespace["decode"]
+
+
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     width = n - 1
     field = (1 << width) - 1
@@ -164,6 +200,13 @@ class EnumerationTask:
             _resolve_filter(fid)
         if self.evaluator is not None and self.evaluator not in _EVALUATORS:
             raise ValueError(f"unknown evaluator {self.evaluator!r}")
+        k = self.evaluator_arg
+        if self.evaluator == "no_dnk":
+            if not isinstance(k, int):
+                raise ValueError(f"evaluator 'no_dnk' needs an integer k, got {k!r}")
+            families.bypass_pattern(self.n, k)  # raises DigraphError on a bad n or k
+        elif self.evaluator is not None and k is not None:
+            raise ValueError(f"evaluator {self.evaluator!r} takes no argument, got {k!r}")
 
     @property
     def mode_label(self) -> str:
@@ -214,9 +257,7 @@ def _eval_no_bypass(n, rows, cols, dout, din) -> bool:
     return _bypass_raw(n, rows, cols) is None
 
 
-def _make_no_dnk(n: int, k: int):
-    families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
-
+def _make_no_dnk(k: int):
     def eval_no_dnk(n, rows, cols, dout, din) -> bool:
         return _dnk_raw(n, rows, cols, k) is None
 
@@ -255,7 +296,7 @@ _EVALUATORS = {
     "no_hc": lambda task: _eval_no_hc,
     "no_prehc": lambda task: _eval_no_prehc,
     "no_bypass": lambda task: _eval_no_bypass,
-    "no_dnk": lambda task: _make_no_dnk(task.n, task.evaluator_arg),
+    "no_dnk": lambda task: _make_no_dnk(task.evaluator_arg),
     "lemma5": lambda task: _eval_lemma5,
     "lemma7_sweep": lambda task: _eval_lemma7_sweep,
 }
@@ -268,20 +309,23 @@ _EVALUATORS = {
 _CTX: dict | None = None
 
 
-def _init_worker(task: EnumerationTask, collect_survivors: bool):
-    """Set the context _scan_chunk reads. Called in the parent before any
-    fork, so forked workers inherit it and the decode tables."""
+def _init_worker(task: EnumerationTask, collect_survivors: bool) -> dict:
+    """Build the context _scan_chunk reads: the task, its resolved filters
+    and evaluator, and the order's generated decoder (_decoder). Also
+    stores it in _CTX; this runs in the parent before any fork, so pool
+    workers inherit the context, the decoder and its tables. A one-process
+    scan passes the returned context on instead, so a scan started from a
+    visitor cannot swap it under the outer one."""
     global _CTX
-    expand, spread = _tables(task.n)
     _CTX = {
         "task": task,
         "n": task.n,
-        "expand": expand,
-        "spread": spread,
+        "decode": _decoder(task.n),
         "filters": [_resolve_filter(fid) for fid in task.filters],
         "evaluator": None if task.evaluator is None else _EVALUATORS[task.evaluator](task),
         "collect": collect_survivors,
     }
+    return _CTX
 
 
 def _mix(seed: int, chunk_index: int) -> int:
@@ -302,37 +346,20 @@ def _chunk_masks(task: EnumerationTask, chunk_index: int) -> Iterable[int]:
     return [rng.getrandbits(bits) for _ in range(count)]
 
 
-def _scan_chunk(chunk_index: int):
-    ctx = _CTX
+def _scan_chunk(ctx: dict, chunk_index: int):
     task = ctx["task"]
     n = ctx["n"]
-    width = n - 1
-    field = (1 << width) - 1
-    expand = ctx["expand"]
-    spread = ctx["spread"]
+    decode = ctx["decode"]
     filters = ctx["filters"]
     evaluator = ctx["evaluator"]
     collect = ctx["collect"]
-    vrange = range(n)
-    shifts = [n * v for v in vrange]
-    lane = (1 << n) - 1
 
     scanned = 0
     passed = 0
     hits: list[int] = []
     for mask in _chunk_masks(task, chunk_index):
         scanned += 1
-        rows = []
-        packed = 0
-        m = mask
-        for u in vrange:
-            raw = m & field
-            m >>= width
-            rows.append(expand[u][raw])
-            packed += spread[u][raw]
-        dout = [r.bit_count() for r in rows]
-        cols = [(packed >> s) & lane for s in shifts]
-        din = [c.bit_count() for c in cols]
+        rows, cols, dout, din = decode(mask)
         ok = True
         for f in filters:
             if not f(n, rows, cols, dout, din):
@@ -346,6 +373,11 @@ def _scan_chunk(chunk_index: int):
         elif evaluator is not None and evaluator(n, rows, cols, dout, din):
             hits.append(mask)
     return chunk_index, scanned, passed, hits
+
+
+def _pool_chunk(chunk_index: int):
+    """_scan_chunk in a pool worker, on the context it inherited."""
+    return _scan_chunk(_CTX, chunk_index)
 
 
 @dataclass(frozen=True)
@@ -405,15 +437,15 @@ def enumerate_digraphs(
         if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
             print(f"scanned {scanned}", file=sys.stderr, flush=True)
 
-    _init_worker(task, collect)
+    ctx = _init_worker(task, collect)
     if nworkers == 1:
         for i in range(nchunks):
-            absorb(_scan_chunk(i))
+            absorb(_scan_chunk(ctx, i))
     else:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            for part in pool.imap(_scan_chunk, range(nchunks)):
+            for part in pool.imap(_pool_chunk, range(nchunks)):
                 absorb(part)
     return ScanResult(scanned, passed, tuple(flagged))
 
@@ -542,26 +574,11 @@ def _classes(n: int, filters: list[Callable]):
     lowest zero bit that pass the filters and are orbit-least, every class
     is reached once, and no seen-set is needed.
     """
-    expand, spread = _tables(n)
-    width = n - 1
-    field = (1 << width) - 1
-    vrange = range(n)
-    shifts = [n * v for v in vrange]
-    lane = (1 << n) - 1
+    decode = _decoder(n)
     stack = [(1 << mask_bits(n)) - 1]
     while stack:
         mask = stack.pop()
-        rows = []
-        packed = 0
-        m = mask
-        for u in vrange:
-            raw = m & field
-            m >>= width
-            rows.append(expand[u][raw])
-            packed += spread[u][raw]
-        dout = [r.bit_count() for r in rows]
-        cols = [(packed >> s) & lane for s in shifts]
-        din = [c.bit_count() for c in cols]
+        rows, cols, dout, din = decode(mask)
         if not all(f(n, rows, cols, dout, din) for f in filters):
             continue
         aut = _orbit_least(n, mask)

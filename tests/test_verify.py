@@ -59,6 +59,37 @@ def test_mask_of_t5(t5):
     assert digraph_from_mask(5, mask_of(t5)) == t5
 
 
+def _decoder_masks(n):
+    """Every mask up to n = 4; from n = 5 the empty and the complete mask
+    plus 300 seeded uniform and 300 seeded dense draws."""
+    bits = mask_bits(n)
+    if n <= 4:
+        return range(1 << bits)
+    rng = random.Random(n)
+    uniform = [rng.getrandbits(bits) for _ in range(300)]
+    dense = [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(300)]
+    return [0, (1 << bits) - 1, *uniform, *dense]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_decoder_matches_digraph_from_mask(n):
+    decode = verify._decoder(n)
+    for mask in _decoder_masks(n):
+        g = digraph_from_mask(n, mask)
+        rows, cols = list(g.rows), list(g.cols)
+        expected = (rows, cols, [r.bit_count() for r in rows], [c.bit_count() for c in cols])
+        assert decode(mask) == expected, mask
+
+
+def test_decoder_returns_fresh_lists():
+    decode = verify._decoder(4)
+    first, second = decode(0b101), decode(0b101)
+    assert first == second
+    assert all(a is not b for a, b in zip(first, second))
+    first[0][0] = 99
+    assert decode(0b101) == second
+
+
 # --------------------------------------------------------------------------
 # enumeration basics
 # --------------------------------------------------------------------------
@@ -85,6 +116,20 @@ def test_enumerate_golden_survivor_counts():
     assert r4i.passed_filters == 660
     r3i = enumerate_digraphs(EnumerationTask(n=3, filters=("a_k_inc:0", "strong")), workers=2)
     assert r3i.passed_filters == 15
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_started_from_a_visitor_leaves_the_outer_scan_alone(workers):
+    inner = []
+
+    def visit(mask):
+        if not inner:
+            inner.append(enumerate_digraphs(EnumerationTask(3), workers=1))
+
+    task = EnumerationTask(5, filters=("a_k:0", "strong"))
+    r = enumerate_digraphs(task, visitor=visit, workers=workers)
+    assert (r.scanned, r.passed_filters) == (1048576, 97524)
+    assert (inner[0].scanned, inner[0].passed_filters) == (64, 64)
 
 
 def test_enumerate_filters_match_direct_evaluation():
@@ -264,6 +309,11 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
         (dict(n=5, evaluator="not_a_thing"), "unknown evaluator"),
         (dict(n=5, filters=("bogus",)), "unknown condition id"),
         (dict(n=17, mode="sample", sample_count=5, seed=1), "sampling supports n <= 16"),
+        (dict(n=5, evaluator="no_dnk"), "evaluator 'no_dnk' needs an integer k, got None"),
+        (dict(n=5, evaluator="no_dnk", evaluator_arg=99), r"k must lie in \[2, 5\], got 99"),
+        (dict(n=5, evaluator="no_dnk", evaluator_arg=1), r"k must lie in \[2, 5\], got 1"),
+        (dict(n=2, evaluator="no_dnk", evaluator_arg=2), "bypass pattern needs n >= 3"),
+        (dict(n=5, evaluator="no_hc", evaluator_arg=3), "evaluator 'no_hc' takes no argument"),
     ],
 )
 def test_task_validation(kwargs, message):
