@@ -4,9 +4,9 @@ verification drivers built on top of it.
 A labeled digraph on n vertices is encoded as an n(n-1)-bit arc mask: arc
 (u, v) occupies bit u*(n-1) + (v if v < u else v - 1), so each vertex's
 out-row is a contiguous field and exhaustive scans are plain integer ranges.
-Scans are split into fixed-size chunks processed by a worker pool; chunk
-boundaries never depend on the worker count and partial results are merged
-in chunk order, so reports are bit-identical whatever the parallelism.
+Labeled scans are split into fixed-size chunks processed by a worker pool;
+chunk boundaries never depend on the worker count and partial results are
+merged in chunk order, so reports are bit-identical whatever the parallelism.
 Each mask is decoded into rows, columns and degrees by one straight-line
 function generated per order (_decoder), the scan's costliest step.
 
@@ -16,12 +16,16 @@ order given. An optional named evaluator runs on filter survivors and flags
 exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk" (takes k), "lemma5"
 and "lemma7_sweep". Names rather than callables cross the process boundary.
 
-Exhaustive claims skip the labeled scan: run_claim generates one
-orbit-least mask per isomorphism class, downward from K*_n, pruned by the
-filters that are closed upward (adding an arc never makes one fail). The
-other filters and the evaluator run once per generated class, and each
-class that passes counts its n!/|Aut| labelings, on one process. Its
-reports are the labeled engine's, byte for byte.
+Exhaustive scans without a visitor skip the labeled scan: they generate
+one orbit-least mask per isomorphism class, downward from K*_n, pruned by
+the filters that are closed upward (adding an arc never makes one fail).
+The other filters and the evaluator run once per generated class, and each
+class that passes counts its n!/|Aut| labelings. These scans run on one
+process whatever the worker count and print no progress lines. run_claim
+dedupes the flagged class representatives directly, and its reports are the
+labeled engine's, byte for byte; enumerate_digraphs expands each flagged
+class to all of its labelings, so its result is the labeled engine's, mask
+for mask. Visitor scans and sampled scans walk their masks in chunks.
 """
 
 from __future__ import annotations
@@ -161,10 +165,11 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
 class EnumerationTask:
     """What to scan and how.
 
-    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 6):
-    enumerate_digraphs walks every mask, run_claim walks one mask per
-    class; mode "sample" draws sample_count seeded masks, uniform or dense
-    (union of two uniform draws). Filters and the evaluator are given by
+    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 6): a scan
+    with a visitor walks every mask in chunks, any other scan walks one
+    mask per class on one process, ignoring the worker count; mode
+    "sample" draws sample_count seeded masks, uniform or dense (union of
+    two uniform draws), in chunks. Filters and the evaluator are given by
     identifier so tasks stay picklable.
     """
 
@@ -406,11 +411,32 @@ def enumerate_digraphs(
 ) -> ScanResult:
     """Run the scan. With a visitor, every filter survivor's mask is passed
     to it (in scan order) and no evaluator may be set; otherwise survivors
-    feed the task's evaluator and flagged masks come back in the result.
-    Progress lines go to stderr every 2^20 digraphs.
+    feed the task's evaluator and flagged masks come back in the result,
+    in scan order.
+
+    An exhaustive scan without a visitor runs on the class generator
+    (_scan_classes) and expands each flagged class to all of its
+    labelings: one process whatever `workers` says, and no progress lines.
+    Every other scan is _scan_labeled, which prints a progress line to
+    stderr every 2^20 digraphs.
     """
     if visitor is not None and task.evaluator is not None:
         raise ValueError("visitor and evaluator are mutually exclusive")
+    if task.mode != "exhaustive" or visitor is not None:
+        return _scan_labeled(task, visitor, workers)
+    _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
+    res = _scan_classes(task)
+    flagged = sorted(m for rep in res.flagged for m in _labelings(task.n, rep))
+    return ScanResult(res.scanned, res.passed_filters, tuple(flagged))
+
+
+def _scan_labeled(
+    task: EnumerationTask,
+    visitor: Callable[[int], None] | None = None,
+    workers: int | None = None,
+) -> ScanResult:
+    """enumerate_digraphs mask by mask: fixed-size chunks on a fork pool of
+    `workers` processes, merged in chunk order."""
     collect = visitor is not None
     if task.mode == "exhaustive":
         total = 1 << mask_bits(task.n)
@@ -521,6 +547,22 @@ def _relabelings(n: int):
         )
         out.append((order, image))
     return tuple(out)
+
+
+def _labelings(n: int, mask: int) -> set[int]:
+    """The arc masks of every relabeling of the digraph `mask`, itself
+    included: n!/|Aut| masks. The rows are packed inline as mask_of packs
+    them; a helper call per relabeling doubles the cost of the expansion."""
+    rows = _decoder(n)(mask)[0]
+    width = n - 1
+    out = {mask}
+    for order, image in _relabelings(n):
+        m = 0
+        for w, v in order:
+            r = image[rows[v]]
+            m |= (((r >> (w + 1)) << w) | (r & ((1 << w) - 1))) << (w * width)
+        out.add(m)
+    return out
 
 
 def _orbit_least(n: int, mask: int) -> int:
@@ -689,8 +731,9 @@ def run_claim(
     `param` is the claim's per-call parameter.
 
     An exhaustive scan runs on the class generator: one process whatever
-    `workers` says, and no progress lines. A sampled scan runs on
-    enumerate_digraphs."""
+    `workers` says, and no progress lines. It dedupes the flagged class
+    representatives as they are, without enumerate_digraphs' expansion to
+    every labeling. A sampled scan runs on enumerate_digraphs."""
     claim = CLAIMS[name]
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")

@@ -1,6 +1,7 @@
-"""Class generation for exhaustive claims: the closure each declared
-filter promises, parity of generated reports with the labeled engine, and
-self-checks of the generator against known class counts and brute force."""
+"""Class generation for exhaustive claims and scans: the closure each
+declared filter promises, which scans take the generator, parity of
+generated reports and scans with the labeled engine, and self-checks of the
+generator against known class counts and brute force."""
 
 import json
 import random
@@ -22,6 +23,7 @@ from hambypass.verify import (
     _classes,
     _orbit_least,
     _resolve_filter,
+    _scan_labeled,
     _upward_closed,
     digraph_from_mask,
     enumerate_digraphs,
@@ -134,13 +136,41 @@ def test_exhaustive_claims_always_run_on_the_generator(monkeypatch):
         run_claim("explore", 4, "thm13", sample=100, seed=1)
 
 
+def test_exhaustive_scans_without_a_visitor_run_on_the_generator(monkeypatch):
+    """enumerate_digraphs routes on the mode and the visitor alone: an
+    exhaustive scan without a visitor never reaches the chunk scan, whatever
+    the worker count; visitor and sampled scans never reach the generator.
+    The generated path still rejects a malformed HAMBYPASS_THREADS."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrong scan path")
+
+    closed = EnumerationTask(4, filters=("a_k:0", "strong"))
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_scan_chunk", refuse)
+        m.setattr(verify, "_pool_chunk", refuse)
+        assert enumerate_digraphs(closed, workers=2).passed_filters == 660
+        flagged = enumerate_digraphs(EnumerationTask(4, evaluator="no_hc"), workers=1).flagged
+        assert len(flagged) == 2902
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_scan_classes", refuse)
+        seen = []
+        assert enumerate_digraphs(closed, visitor=seen.append, workers=1).passed_filters == 660
+        assert len(seen) == 660
+        sampled = EnumerationTask(4, mode="sample", sample_count=100, seed=1, evaluator="no_bypass")
+        assert enumerate_digraphs(sampled, workers=2).scanned == 100
+    monkeypatch.setenv("HAMBYPASS_THREADS", "four")
+    with pytest.raises(ValueError, match="HAMBYPASS_THREADS"):
+        enumerate_digraphs(closed)
+
+
 def test_filters_not_closed_never_prune(monkeypatch):
     """thm13 rejects the arcs 0->1, 0->2 on four vertices but passes the
     single arc 0->1, their descendant in the generator's tree (see above).
     So thm13 is checked per class, and the scan counts what the labeled
     engine counts, more than a thm13-pruned tree would."""
     task = EnumerationTask(4, filters=("thm13",))
-    labeled = enumerate_digraphs(task, workers=1).passed_filters
+    labeled = _scan_labeled(task, workers=1).passed_filters
     assert verify._scan_classes(task).passed_filters == labeled
     with monkeypatch.context() as m:
         m.setattr(verify, "_upward_closed", lambda fid: True)
@@ -167,7 +197,7 @@ def _report(monkeypatch, name, n, param, labeled):
     with monkeypatch.context() as m:
         m.setitem(CLAIMS, name, replace(CLAIMS[name], min_n=1))
         if labeled:
-            m.setattr(verify, "_scan_classes", lambda task: enumerate_digraphs(task, workers=2))
+            m.setattr(verify, "_scan_classes", lambda task: _scan_labeled(task, workers=2))
         try:
             report = run_claim(name, n, param, workers=2)
         except ValueError as exc:  # the same error must come out of both paths
@@ -208,6 +238,31 @@ def test_parity_cases_flag_something(monkeypatch):
     """The small-order parity cases are not all empty."""
     assert json.loads(_report(monkeypatch, "thm11", 4, None, False))["exceptions"]
     assert _report(monkeypatch, "thm9", 2, None, False).startswith("DigraphError")
+
+
+def _evaluators(n):
+    """(evaluator, argument) of every evaluator valid at order n, and none."""
+    named = [(name, None) for name in verify._EVALUATORS if name != "no_dnk"]
+    return [(None, None), *named, *(("no_dnk", k) for k in range(2, n + 1) if n >= 3)]
+
+
+@pytest.mark.parametrize("filters", [(), ("strong",), ("a_k:0", "strong"), ("thm13",)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_scan_matches_labeled_engine(n, filters):
+    """enumerate_digraphs expands every flagged class to all its labelings,
+    so its whole result, flagged masks in scan order included, is the
+    mask-by-mask scan's."""
+    for evaluator, arg in _evaluators(n):
+        task = EnumerationTask(n, filters=filters, evaluator=evaluator, evaluator_arg=arg)
+        labeled = _scan_labeled(task, workers=1)
+        assert enumerate_digraphs(task, workers=1) == labeled, (evaluator, arg)
+
+
+def test_generated_n5_scan_matches_labeled_engine():
+    task = EnumerationTask(5, filters=("degree_sum:-5", "strong"), evaluator="no_bypass")
+    result = enumerate_digraphs(task, workers=1)
+    assert (len(verify._scan_classes(task).flagged), len(result.flagged)) == (413, 42475)
+    assert result == _scan_labeled(task, workers=2)
 
 
 # --------------------------------------------------------------------------

@@ -120,11 +120,13 @@ def test_enumerate_golden_survivor_counts():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_started_from_a_visitor_leaves_the_outer_scan_alone(workers):
+    """The inner scan has a visitor, so it is a mask-by-mask scan too."""
     inner = []
 
     def visit(mask):
         if not inner:
-            inner.append(enumerate_digraphs(EnumerationTask(3), workers=1))
+            inner_task = EnumerationTask(3)
+            inner.append(enumerate_digraphs(inner_task, visitor=lambda m: None, workers=1))
 
     task = EnumerationTask(5, filters=("a_k:0", "strong"))
     r = enumerate_digraphs(task, visitor=visit, workers=workers)
