@@ -12,9 +12,12 @@ function generated per order (_decoder), the scan's costliest step.
 
 Filters are condition identifiers (see conditions.resolve) plus the scan
 extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
-order given. An optional named evaluator runs on filter survivors and flags
-exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk" (takes k), "lemma5"
-and "lemma7_sweep". Names rather than callables cross the process boundary.
+order given. A chunked scan makes min_out and min_in degree floors of its
+decoder, which drops a mask at the first row or column below one; strong
+adds floors of 1 from n = 2 on and still runs. An optional named evaluator
+runs on filter survivors and flags exceptions: "no_hc", "no_prehc",
+"no_bypass", "no_dnk" (takes k), "lemma5" and "lemma7_sweep". Names rather
+than callables cross the process boundary.
 
 Exhaustive scans without a visitor skip the labeled scan: they generate
 one orbit-least mask per isomorphism class, downward from K*_n, pruned by
@@ -38,7 +41,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import conditions, families
 from .digraph import Digraph, _strong_raw
@@ -112,28 +115,36 @@ def _tables(n: int):
     return tuple(expand), tuple(spread)
 
 
-@lru_cache(maxsize=8)
-def _decoder(n: int) -> Callable[[int], tuple[list[int], list[int], list[int], list[int]]]:
-    """decode(mask) -> (rows, cols, dout, din) for order n, as fresh lists.
+def _decoder(n: int, out_floor: int = 0, in_floor: int = 0):
+    """decode(mask) -> (rows, cols, dout, din) for order n, as fresh lists;
+    None if an out-degree is below out_floor or an in-degree below in_floor.
 
     A straight-line function generated from the _tables(n) entries: it
     reads each row's field once, sums the SPREAD entries into packed
     columns and splits them into n-bit lanes, with no loop or
-    comprehension frames. The source is built from integers derived from n
-    only.
+    comprehension frames. Each floor above 0 is checked as soon as its
+    degrees are known: on the row fields before the SPREAD sum, on the
+    lanes before the rows are expanded. The source is built from integers.
     """
+    return _generate_decoder(n, max(0, out_floor), max(0, in_floor))
+
+
+@lru_cache(maxsize=16)
+def _generate_decoder(n: int, out_floor: int, in_floor: int):
     expand, spread = _tables(n)
     width = n - 1
     field = (1 << width) - 1
     lane = (1 << n) - 1
     us = range(n)
+    def floor(var: str, t: int) -> str:
+        return f"\n    if {var}.bit_count() < {t}: return None" if t else ""
     src = "\n    ".join(
         [
             "def decode(mask):",
-            *(f"a{u} = (mask >> {u * width}) & {field}" for u in us),
-            "; ".join(f"r{u} = E{u}[a{u}]" for u in us),
+            *(f"a{u} = (mask >> {u * width}) & {field}" + floor(f"a{u}", out_floor) for u in us),
             "p = " + " + ".join(f"S{u}[a{u}]" for u in us),
-            "; ".join(f"c{v} = (p >> {n * v}) & {lane}" for v in us),
+            *(f"c{v} = (p >> {n * v}) & {lane}" + floor(f"c{v}", in_floor) for v in us),
+            "; ".join(f"r{u} = E{u}[a{u}]" for u in us),
             "return "
             + ", ".join(
                 "[" + ", ".join(item.format(u) for u in us) + "]"
@@ -314,19 +325,37 @@ _EVALUATORS = {
 _CTX: dict | None = None
 
 
+def _degree_floors(task: EnumerationTask) -> tuple[int, int, list[str]]:
+    """(out_floor, in_floor, the filters still to run) for task's decoder.
+    A min_out:<t> or min_in:<t> filter is exactly a floor (the largest t
+    wins) and leaves the list. A strong digraph of order n >= 2 has every
+    degree at least 1, so strong adds floors of 1 but stays in the list."""
+    one = int("strong" in task.filters and task.n >= 2)
+    floors = {"min_out": one, "min_in": one}
+    rest = []
+    for fid in task.filters:
+        name, _, t = fid.partition(":")
+        if name in floors:
+            floors[name] = max(floors[name], int(t))
+        else:
+            rest.append(fid)
+    return floors["min_out"], floors["min_in"], rest
+
+
 def _init_worker(task: EnumerationTask, collect_survivors: bool) -> dict:
-    """Build the context _scan_chunk reads: the task, its resolved filters
-    and evaluator, and the order's generated decoder (_decoder). Also
-    stores it in _CTX; this runs in the parent before any fork, so pool
-    workers inherit the context, the decoder and its tables. A one-process
-    scan passes the returned context on instead, so a scan started from a
-    visitor cannot swap it under the outer one."""
+    """Build the context _scan_chunk reads: the task, the order's decoder
+    with the task's degree floors (_degree_floors), the other filters and
+    the evaluator. Also stores it in _CTX; this runs in the parent before
+    any fork, so pool workers inherit the context, the decoder and its
+    tables. A one-process scan passes the returned context on instead, so
+    a scan started from a visitor cannot swap it under the outer one."""
     global _CTX
+    out_floor, in_floor, rest = _degree_floors(task)
     _CTX = {
         "task": task,
         "n": task.n,
-        "decode": _decoder(task.n),
-        "filters": [_resolve_filter(fid) for fid in task.filters],
+        "decode": _decoder(task.n, out_floor, in_floor),
+        "filters": [_resolve_filter(fid) for fid in rest],
         "evaluator": None if task.evaluator is None else _EVALUATORS[task.evaluator](task),
         "collect": collect_survivors,
     }
@@ -337,7 +366,7 @@ def _mix(seed: int, chunk_index: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + chunk_index) & ((1 << 64) - 1)
 
 
-def _chunk_masks(task: EnumerationTask, chunk_index: int) -> Iterable[int]:
+def _chunk_masks(task: EnumerationTask, chunk_index: int) -> Sequence[int]:
     bits = mask_bits(task.n)
     if task.mode == "exhaustive":
         start = chunk_index * EXH_CHUNK
@@ -359,25 +388,23 @@ def _scan_chunk(ctx: dict, chunk_index: int):
     evaluator = ctx["evaluator"]
     collect = ctx["collect"]
 
-    scanned = 0
+    masks = _chunk_masks(task, chunk_index)
     passed = 0
     hits: list[int] = []
-    for mask in _chunk_masks(task, chunk_index):
-        scanned += 1
-        rows, cols, dout, din = decode(mask)
-        ok = True
+    for mask in masks:
+        if (decoded := decode(mask)) is None:  # below a degree floor
+            continue
+        rows, cols, dout, din = decoded
         for f in filters:
             if not f(n, rows, cols, dout, din):
-                ok = False
                 break
-        if not ok:
-            continue
-        passed += 1
-        if collect:
-            hits.append(mask)
-        elif evaluator is not None and evaluator(n, rows, cols, dout, din):
-            hits.append(mask)
-    return chunk_index, scanned, passed, hits
+        else:
+            passed += 1
+            if collect:
+                hits.append(mask)
+            elif evaluator is not None and evaluator(n, rows, cols, dout, din):
+                hits.append(mask)
+    return chunk_index, len(masks), passed, hits
 
 
 def _pool_chunk(chunk_index: int):
@@ -733,7 +760,8 @@ def run_claim(
     An exhaustive scan runs on the class generator: one process whatever
     `workers` says, and no progress lines. It dedupes the flagged class
     representatives as they are, without enumerate_digraphs' expansion to
-    every labeling. A sampled scan runs on enumerate_digraphs."""
+    every labeling. A sampled scan runs on enumerate_digraphs; a seed or a
+    model other than the default without `sample` is a ValueError."""
     claim = CLAIMS[name]
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")
@@ -745,6 +773,8 @@ def run_claim(
         accepted = " or ".join(map(str, sorted(claim.params)))
         raise ValueError(f"{claim.param_name} must be {accepted}")
     if sample is None:
+        if seed is not None or model != "uniform":
+            raise ValueError("seed and model apply only to a sampled scan (--sample)")
         scan = dict(mode="exhaustive")
     else:
         scan = dict(mode="sample", sample_count=sample, seed=seed, model=model)

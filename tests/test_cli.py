@@ -276,6 +276,19 @@ def test_verify_thm16_n6_runs_without_a_flag():
     assert (doc["exceptions"], doc["verdict"]) == ([], "confirmed")
 
 
+@pytest.mark.parametrize(
+    "extra", [["--model", "dense", "--seed", "9"], ["--seed", "9"], ["--model", "dense"]]
+)
+def test_verify_refuses_seed_or_model_without_sample(extra):
+    """An exhaustive scan draws nothing, so a seed or a model is an error,
+    not silently dropped; with --sample the same flags run."""
+    code, out, err = run_cli(["verify", "thm12", "--n", "5", *extra])
+    assert (code, out) == (2, "")
+    assert "sampled scan" in err
+    code, out, _ = run_cli(["verify", "thm12", "--n", "5", "--sample", "64", "--seed", "9", *extra])
+    assert code == 0 and json.loads(out)["mode"].startswith("sample:")
+
+
 def test_verify_thread_env_does_not_change_output(monkeypatch):
     outputs = []
     for threads in ("1", "8"):

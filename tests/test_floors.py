@@ -1,0 +1,123 @@
+"""Degree floors in the generated decoder: a floored decoder rejects exactly
+the masks below a floor and otherwise decodes as the floor-free one, and
+scans that turn their min_out/min_in/strong filters into floors keep the
+floor-free scan's counts, survivors and flagged masks."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from test_verify import _decoder_masks
+
+from hambypass import verify
+from hambypass.verify import (
+    SAMPLE_CHUNK,
+    EnumerationTask,
+    _chunk_masks,
+    _degree_floors,
+    _resolve_filter,
+    enumerate_digraphs,
+    mask_bits,
+)
+
+THM16 = ("min_out:2", "min_in:3", "thm13", "strong")
+
+
+def _floor_masks(n):
+    """Every mask up to n = 4; above, the seeded draws of _decoder_masks
+    plus 300 draws of each arc density 1/4 and 3/4, so that every floor
+    pair meets masks on both sides of it."""
+    if n <= 4:
+        return _decoder_masks(n)
+    rng = random.Random(100 + n)
+    bits = mask_bits(n)
+    sparse = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(300)]
+    dense = [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(300)]
+    return [*_decoder_masks(n), *sparse, *dense]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_floored_decoder_matches_the_floor_free_one(n):
+    plain = verify._decoder(n)
+    decoded = [(mask, plain(mask)) for mask in _floor_masks(n)]
+    for a in range(n + 1):
+        for b in range(n + 1):
+            decode = verify._decoder(n, a, b)
+            for mask, full in decoded:
+                below = min(full[2]) < a or min(full[3]) < b
+                assert decode(mask) == (None if below else full), (a, b, mask)
+
+
+def test_zero_and_negative_floors_share_the_floor_free_decoder():
+    assert verify._decoder(5) is verify._decoder(5, 0, 0) is verify._decoder(5, -1, -3)
+    assert verify._decoder(5, 2, 0) is not verify._decoder(5)
+
+
+@pytest.mark.parametrize(
+    "n, filters, expected",
+    [
+        (1, ("strong",), (0, 0, ["strong"])),
+        (2, ("strong",), (1, 1, ["strong"])),
+        (6, THM16, (2, 3, ["thm13", "strong"])),
+        (5, ("min_in:2", "a_k:0", "min_in:3"), (0, 3, ["a_k:0"])),
+        (5, ("min_out:0", "min_in:-1"), (0, 0, [])),
+        (5, ("min_out:-1", "strong"), (1, 1, ["strong"])),
+    ],
+)
+def test_degree_floors_come_from_the_filters(n, filters, expected):
+    assert _degree_floors(EnumerationTask(n, filters=filters)) == expected
+
+
+def _reference(task):
+    """(survivors, flagged) of task's sampled scan, built from the chunk
+    masks, the floor-free decoder and every filter's raw predicate."""
+    decode = verify._decoder(task.n)
+    filters = [_resolve_filter(fid) for fid in task.filters]
+    evaluator = task.evaluator and verify._EVALUATORS[task.evaluator](task)
+    survivors, flagged = [], []
+    for i in range(-(-task.sample_count // SAMPLE_CHUNK)):
+        for mask in _chunk_masks(task, i):
+            args = (task.n, *decode(mask))
+            if all(f(*args) for f in filters):
+                survivors.append(mask)
+                if evaluator and evaluator(*args):
+                    flagged.append(mask)
+    return survivors, flagged
+
+
+@pytest.mark.parametrize(
+    "n, model, filters, evaluator",
+    [
+        (1, "uniform", ("strong",), "no_hc"),
+        (2, "uniform", ("strong",), "no_hc"),
+        (6, "uniform", THM16, "no_bypass"),
+        (8, "dense", THM16, "no_bypass"),
+        (5, "dense", ("min_in:3", "min_in:2"), "no_hc"),
+        (5, "uniform", ("min_out:0", "min_out:-1", "strong"), "no_bypass"),
+        (5, "dense", ("min_in:5",), "no_hc"),
+        (4, "uniform", ("min_out:1", "a_k:0", "min_in:1"), "no_prehc"),
+    ],
+)
+def test_floored_scan_matches_the_floor_free_reference(n, model, filters, evaluator):
+    task = EnumerationTask(
+        n, "sample", filters, sample_count=5000, seed=n, model=model, evaluator=evaluator
+    )
+    survivors, flagged = _reference(task)
+    for workers in (1, 2):
+        res = enumerate_digraphs(task, workers=workers)
+        assert (res.scanned, res.passed_filters) == (5000, len(survivors))
+        assert res.flagged == tuple(flagged)
+        seen = []
+        visited = enumerate_digraphs(replace(task, evaluator=None), seen.append, workers)
+        assert (visited.passed_filters, seen) == (len(survivors), survivors)
+
+
+def test_parity_cases_pass_some_and_reject_some():
+    """The floors of the thm16 cases both reject draws and let some through,
+    and the evaluator flags something in at least one case."""
+    for n, model in ((6, "uniform"), (8, "dense")):
+        task = EnumerationTask(n, "sample", THM16, sample_count=5000, seed=n, model=model)
+        assert 0 < len(_reference(task)[0]) < 5000
+    task = EnumerationTask(5, "sample", ("min_in:3", "min_in:2"), 5000, 5, "dense", "no_hc")
+    assert _reference(task)[1]
