@@ -3,32 +3,31 @@ verification drivers built on top of it.
 
 A labeled digraph on n vertices is encoded as an n(n-1)-bit arc mask: arc
 (u, v) occupies bit u*(n-1) + (v if v < u else v - 1), so each vertex's
-out-row is a contiguous field and exhaustive scans are plain integer ranges.
-Labeled scans are split into fixed-size chunks processed by a worker pool;
-chunk boundaries never depend on the worker count and partial results are
-merged in chunk order, so reports are bit-identical whatever the parallelism.
-Each mask is decoded into rows, columns and degrees by one straight-line
-function generated per order (_decoder), the scan's costliest step.
+out-row is a contiguous field. Each mask is decoded into rows, columns and
+degrees by one straight-line function generated per order (_decoder), the
+scan's costliest step.
 
 Filters are condition identifiers (see conditions.resolve) plus the scan
 extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
-order given. A chunked scan makes min_out and min_in degree floors of its
+order given. Every scan makes min_out and min_in degree floors of its
 decoder, which drops a mask at the first row or column below one; strong
 adds floors of 1 from n = 2 on and still runs. An optional named evaluator
 runs on filter survivors and flags exceptions: "no_hc", "no_prehc",
 "no_bypass", "no_dnk" (takes k), "lemma5" and "lemma7_sweep". Names rather
 than callables cross the process boundary.
 
-Exhaustive scans without a visitor skip the labeled scan: they generate
-one orbit-least mask per isomorphism class, downward from K*_n, pruned by
-the filters that are closed upward (adding an arc never makes one fail).
-The other filters and the evaluator run once per generated class, and each
-class that passes counts its n!/|Aut| labelings. These scans run on one
-process whatever the worker count and print no progress lines. run_claim
-dedupes the flagged class representatives directly, and its reports are the
-labeled engine's, byte for byte; enumerate_digraphs expands each flagged
-class to all of its labelings, so its result is the labeled engine's, mask
-for mask. Visitor scans and sampled scans walk their masks in chunks.
+Exhaustive scans generate one orbit-least mask per isomorphism class,
+downward from K*_n, pruned by the degree floors and the filters that are
+closed upward (adding an arc never makes one fail). The other filters and
+the evaluator run once per generated class, and each class that passes
+counts its n!/|Aut| labelings. These scans run on one process whatever the
+worker count and print no progress lines. run_claim dedupes the flagged
+class representatives directly; enumerate_digraphs expands each flagged
+class, or with a visitor each passing class, to all of its labelings in
+ascending mask order. Sampled scans split their seeded draws into
+fixed-size chunks processed by a worker pool; chunk boundaries never depend
+on the worker count and partial results are merged in chunk order, so
+reports are bit-identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import conditions, families
-from .digraph import Digraph, _strong_raw
+from .digraph import MAX_N, Digraph, OrderError, _strong_raw
 from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
@@ -59,7 +58,6 @@ from .search import _bypass_raw, _cycle_bypass_raw, _cycles_raw, _dnk_raw
 
 EXHAUSTIVE_MAX_N = 6
 SAMPLE_MAX_N = 16
-EXH_CHUNK = 1 << 14
 SAMPLE_CHUNK = 4096
 _PROGRESS_STEP = 1 << 20
 _MODELS = ("uniform", "dense")
@@ -158,6 +156,12 @@ def _generate_decoder(n: int, out_floor: int, in_floor: int):
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
+    """The digraph of arc mask `mask`: OrderError for an order outside
+    [1, MAX_N], ValueError for a mask outside [0, 2^(n(n-1)))."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise OrderError(f"order must be an integer in [1, {MAX_N}], got {n!r}")
+    if not 0 <= mask < 1 << mask_bits(n):
+        raise ValueError(f"mask {mask!r} outside [0, 2^{mask_bits(n)}) at n={n}")
     width = n - 1
     field = (1 << width) - 1
     rows = []
@@ -176,12 +180,12 @@ def digraph_from_mask(n: int, mask: int) -> Digraph:
 class EnumerationTask:
     """What to scan and how.
 
-    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 6): a scan
-    with a visitor walks every mask in chunks, any other scan walks one
-    mask per class on one process, ignoring the worker count; mode
-    "sample" draws sample_count seeded masks, uniform or dense (union of
-    two uniform draws), in chunks. Filters and the evaluator are given by
-    identifier so tasks stay picklable.
+    mode "exhaustive" covers all 2^(n(n-1)) arc masks (n <= 6) by walking
+    one mask per class on one process, ignoring the worker count; it takes
+    no seed, model or sample_count. Mode "sample" draws sample_count seeded
+    masks, uniform or dense (union of two uniform draws), in chunks.
+    Filters and the evaluator are given by identifier so tasks stay
+    picklable.
     """
 
     n: int
@@ -201,6 +205,8 @@ class EnumerationTask:
                 raise ValueError(
                     f"exhaustive scan at n={self.n} refused (limit {EXHAUSTIVE_MAX_N})"
                 )
+            if self.seed is not None or self.model != "uniform" or self.sample_count:
+                raise ValueError("seed, model and sample_count apply only to a sampled scan")
         elif self.mode == "sample":
             if self.n > SAMPLE_MAX_N:
                 raise ValueError(f"sampling supports n <= {SAMPLE_MAX_N}")
@@ -231,8 +237,10 @@ class EnumerationTask:
         return f"sample:{self.model}:{self.sample_count}"
 
 
-def _resolve_filter(fid: str) -> Callable:
-    """Raw predicate for a filter id: f(n, rows, cols, dout, din) -> keep?"""
+def _resolve_filter(fid: str) -> Callable | None:
+    """Raw predicate for a filter id: f(n, rows, cols, dout, din) -> keep?
+    None for min_out:<t> and min_in:<t>, which the decoder checks as
+    degree floors (_degree_floors)."""
     name, _, param = fid.partition(":")
     if name == "strong":
         if param:
@@ -240,20 +248,33 @@ def _resolve_filter(fid: str) -> Callable:
         return lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols)
     if name in ("min_out", "min_in"):
         try:
-            t = int(param)
+            int(param)
         except ValueError:
             raise ValueError(f"bad filter id {fid!r}: integer threshold required")
-        if name == "min_out":
-            return lambda n, rows, cols, dout, din, t=t: min(dout) >= t
-        return lambda n, rows, cols, dout, din, t=t: min(din) >= t
+        return None
     return conditions.resolve(fid).raw
 
 
 def _upward_closed(fid: str) -> bool:
-    """Whether adding an arc can never make filter `fid` fail."""
-    return fid.partition(":")[0] in ("strong", "min_out", "min_in") or (
-        conditions.resolve(fid).upward_closed
-    )
+    """Whether adding an arc can never make filter `fid` (no floor) fail."""
+    return fid == "strong" or conditions.resolve(fid).upward_closed
+
+
+def _degree_floors(task: EnumerationTask) -> tuple[int, int, list[str]]:
+    """(out_floor, in_floor, the filters still to run) for task's decoder.
+    A min_out:<t> or min_in:<t> filter is exactly a floor (the largest t
+    wins) and leaves the list. A strong digraph of order n >= 2 has every
+    degree at least 1, so strong adds floors of 1 but stays in the list."""
+    one = int("strong" in task.filters and task.n >= 2)
+    floors = {"min_out": one, "min_in": one}
+    rest = []
+    for fid in task.filters:
+        name, _, t = fid.partition(":")
+        if name in floors:
+            floors[name] = max(floors[name], int(t))
+        else:
+            rest.append(fid)
+    return floors["min_out"], floors["min_in"], rest
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +340,10 @@ _EVALUATORS = {
 
 
 # ---------------------------------------------------------------------------
-# Chunked scanning
+# Sampled scanning
 # ---------------------------------------------------------------------------
 
 _CTX: dict | None = None
-
-
-def _degree_floors(task: EnumerationTask) -> tuple[int, int, list[str]]:
-    """(out_floor, in_floor, the filters still to run) for task's decoder.
-    A min_out:<t> or min_in:<t> filter is exactly a floor (the largest t
-    wins) and leaves the list. A strong digraph of order n >= 2 has every
-    degree at least 1, so strong adds floors of 1 but stays in the list."""
-    one = int("strong" in task.filters and task.n >= 2)
-    floors = {"min_out": one, "min_in": one}
-    rest = []
-    for fid in task.filters:
-        name, _, t = fid.partition(":")
-        if name in floors:
-            floors[name] = max(floors[name], int(t))
-        else:
-            rest.append(fid)
-    return floors["min_out"], floors["min_in"], rest
 
 
 def _init_worker(task: EnumerationTask, collect_survivors: bool) -> dict:
@@ -366,12 +370,9 @@ def _mix(seed: int, chunk_index: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + chunk_index) & ((1 << 64) - 1)
 
 
-def _chunk_masks(task: EnumerationTask, chunk_index: int) -> Sequence[int]:
+def _chunk_masks(task: EnumerationTask, chunk_index: int) -> list[int]:
+    """The seeded draws of chunk `chunk_index` of a sampled task."""
     bits = mask_bits(task.n)
-    if task.mode == "exhaustive":
-        start = chunk_index * EXH_CHUNK
-        stop = min(start + EXH_CHUNK, 1 << bits)
-        return range(start, stop)
     start = chunk_index * SAMPLE_CHUNK
     count = min(SAMPLE_CHUNK, task.sample_count - start)
     rng = Random(_mix(task.seed, chunk_index))
@@ -437,40 +438,40 @@ def enumerate_digraphs(
     workers: int | None = None,
 ) -> ScanResult:
     """Run the scan. With a visitor, every filter survivor's mask is passed
-    to it (in scan order) and no evaluator may be set; otherwise survivors
-    feed the task's evaluator and flagged masks come back in the result,
-    in scan order.
+    to it and no evaluator may be set; otherwise survivors feed the task's
+    evaluator and flagged masks come back in the result. Masks come in
+    ascending order on an exhaustive scan, in draw order on a sampled one.
 
-    An exhaustive scan without a visitor runs on the class generator
-    (_scan_classes) and expands each flagged class to all of its
-    labelings: one process whatever `workers` says, and no progress lines.
-    Every other scan is _scan_labeled, which prints a progress line to
-    stderr every 2^20 digraphs.
+    An exhaustive scan runs on the class generator (_scan_classes) and
+    expands each flagged class, or with a visitor each passing class, to
+    all of its labelings: one process whatever `workers` says, no progress
+    lines, and a visitor's masks are all held before the first is visited.
+    A sampled scan is _scan_sampled, which prints a progress line to stderr
+    every 2^20 digraphs.
     """
     if visitor is not None and task.evaluator is not None:
         raise ValueError("visitor and evaluator are mutually exclusive")
-    if task.mode != "exhaustive" or visitor is not None:
-        return _scan_labeled(task, visitor, workers)
+    if task.mode == "sample":
+        return _scan_sampled(task, visitor, workers)
     _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
-    res = _scan_classes(task)
-    flagged = sorted(m for rep in res.flagged for m in _labelings(task.n, rep))
-    return ScanResult(res.scanned, res.passed_filters, tuple(flagged))
+    res = _scan_classes(task, collect=visitor is not None)
+    masks = sorted(m for rep in res.flagged for m in _labelings(task.n, rep))
+    if visitor is None:
+        return ScanResult(res.scanned, res.passed_filters, tuple(masks))
+    for mask in masks:
+        visitor(mask)
+    return ScanResult(res.scanned, res.passed_filters)
 
 
-def _scan_labeled(
+def _scan_sampled(
     task: EnumerationTask,
     visitor: Callable[[int], None] | None = None,
     workers: int | None = None,
 ) -> ScanResult:
-    """enumerate_digraphs mask by mask: fixed-size chunks on a fork pool of
-    `workers` processes, merged in chunk order."""
+    """enumerate_digraphs on a sampled task: fixed-size chunks on a fork
+    pool of `workers` processes, merged in chunk order."""
     collect = visitor is not None
-    if task.mode == "exhaustive":
-        total = 1 << mask_bits(task.n)
-        nchunks = (total + EXH_CHUNK - 1) // EXH_CHUNK
-    else:
-        nchunks = (task.sample_count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-
+    nchunks = (task.sample_count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     nworkers = min(_worker_count(workers), nchunks)
     scanned = 0
     passed = 0
@@ -592,15 +593,11 @@ def _labelings(n: int, mask: int) -> set[int]:
     return out
 
 
-def _orbit_least(n: int, mask: int) -> int:
-    """0 if some relabeling of the digraph gives a smaller arc mask, else the
-    order of its automorphism group: 1 plus the relabelings that fix every
-    row. Masks compare as their rows from n-1 down, each row as an n-bit
-    integer."""
-    expand = _tables(n)[0]
-    width = n - 1
-    field = (1 << width) - 1
-    rows = [expand[u][(mask >> (u * width)) & field] for u in range(n)]
+def _orbit_least(n: int, rows: list[int]) -> int:
+    """0 if some relabeling of the digraph with out-rows `rows` gives a
+    smaller arc mask, else the order of its automorphism group: 1 plus the
+    relabelings that fix every row. Masks compare as their rows from n-1
+    down, each row as an n-bit integer."""
     aut = 1
     for order, image in _relabelings(n):
         for w, v in order:
@@ -631,10 +628,11 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _classes(n: int, filters: list[Callable]):
+def _classes(n: int, decode: Callable, filters: list[Callable]):
     """Yield (mask, aut, rows, cols, dout, din) for the orbit-least mask of
-    every isomorphism class that passes `filters`, which must all be closed
-    upward; aut is the order of the class's automorphism group.
+    every isomorphism class that `decode`, a _decoder(n, ...), accepts and
+    that passes `filters`; the degree floors and the filters must all be
+    closed upward. aut is the order of the class's automorphism group.
 
     Read's orderly generation, run downward from K*_n: the parent of an
     orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again
@@ -643,14 +641,15 @@ def _classes(n: int, filters: list[Callable]):
     lowest zero bit that pass the filters and are orbit-least, every class
     is reached once, and no seen-set is needed.
     """
-    decode = _decoder(n)
     stack = [(1 << mask_bits(n)) - 1]
     while stack:
         mask = stack.pop()
-        rows, cols, dout, din = decode(mask)
+        if (decoded := decode(mask)) is None:  # below a degree floor
+            continue
+        rows, cols, dout, din = decoded
         if not all(f(n, rows, cols, dout, din) for f in filters):
             continue
-        aut = _orbit_least(n, mask)
+        aut = _orbit_least(n, rows)
         if not aut:
             continue
         yield mask, aut, rows, cols, dout, din
@@ -661,25 +660,28 @@ def _classes(n: int, filters: list[Callable]):
             b <<= 1
 
 
-def _scan_classes(task: EnumerationTask) -> ScanResult:
-    """The exhaustive scan of a task, one digraph per class. The filters
-    closed upward prune the generator; the others, which ignore labels as
-    every filter does, are checked on each generated class. Each class that
-    passes counts n!/|Aut| passed digraphs, and the evaluator runs once on
-    it and flags the class's least mask."""
+def _scan_classes(task: EnumerationTask, collect: bool = False) -> ScanResult:
+    """The exhaustive scan of a task, one digraph per class. The degree
+    floors (_degree_floors) and the filters closed upward prune the
+    generator; the others, which ignore labels as every filter does, are
+    checked on each generated class. Each class that passes counts n!/|Aut|
+    passed digraphs, and the evaluator runs once on it and flags the class's
+    least mask; with `collect` every passing class is flagged."""
     n = task.n
+    out_floor, in_floor, rest = _degree_floors(task)
     pruning, checks = [], []
-    for fid in task.filters:
+    for fid in rest:
         (pruning if _upward_closed(fid) else checks).append(_resolve_filter(fid))
     evaluator = None if task.evaluator is None else _EVALUATORS[task.evaluator](task)
     labelings = factorial(n)
     passed = 0
     flagged = []
-    for mask, aut, rows, cols, dout, din in _classes(n, pruning):
+    decode = _decoder(n, out_floor, in_floor)
+    for mask, aut, rows, cols, dout, din in _classes(n, decode, pruning):
         if not all(f(n, rows, cols, dout, din) for f in checks):
             continue
         passed += labelings // aut
-        if evaluator is not None and evaluator(n, rows, cols, dout, din):
+        if collect or evaluator is not None and evaluator(n, rows, cols, dout, din):
             flagged.append(mask)
     return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
 
@@ -760,8 +762,8 @@ def run_claim(
     An exhaustive scan runs on the class generator: one process whatever
     `workers` says, and no progress lines. It dedupes the flagged class
     representatives as they are, without enumerate_digraphs' expansion to
-    every labeling. A sampled scan runs on enumerate_digraphs; a seed or a
-    model other than the default without `sample` is a ValueError."""
+    every labeling. A sampled scan runs on _scan_sampled. A seed or a model
+    other than the default without `sample` is a ValueError."""
     claim = CLAIMS[name]
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")
@@ -772,24 +774,18 @@ def run_claim(
     if claim.params and param not in claim.params:
         accepted = " or ".join(map(str, sorted(claim.params)))
         raise ValueError(f"{claim.param_name} must be {accepted}")
-    if sample is None:
-        if seed is not None or model != "uniform":
-            raise ValueError("seed and model apply only to a sampled scan (--sample)")
-        scan = dict(mode="exhaustive")
-    else:
-        scan = dict(mode="sample", sample_count=sample, seed=seed, model=model)
+    mode = "exhaustive" if sample is None else "sample"
     filters = tuple(fid.format(param) for fid in claim.filters)
     task = EnumerationTask(
-        n, filters=filters, evaluator=claim.evaluator, evaluator_arg=claim.evaluator_arg, **scan
+        n, mode, filters, sample or 0, seed, model, claim.evaluator, claim.evaluator_arg
     )
-
     workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
 
     t0 = time.monotonic()
     if task.mode == "exhaustive":
         result = _scan_classes(task)
     else:
-        result = enumerate_digraphs(task, workers=workers)
+        result = _scan_sampled(task, workers=workers)
     exceptions = _dedupe(n, result.flagged)
     allowed = claim.allowed
     if claim.report_only or param in claim.params[1:]:

@@ -3,9 +3,16 @@
 Everything here is deliberately naive: permutations and dict lookups instead
 of bitsets and backtracking, so that agreement with the package is evidence
 rather than tautology. Usable up to n ~ 7.
+
+The exception is reference_scan at the end: a mask-by-mask scan that reuses
+the package's floor-free decoder, raw filter predicates and evaluators, so
+that it checks how the scan engines route, prune, floor and relabel, not
+the predicates themselves.
 """
 
 from itertools import permutations
+
+from hambypass import verify
 
 
 def arc_set(g):
@@ -195,3 +202,39 @@ def naive_lemma7_clauses(g, c, y):
                 break
 
     return windows_ok, degrees_ok, reversals_ok
+
+
+def reference_filter(fid):
+    """Raw predicate of a scan filter id, with min_out:<t> and min_in:<t>
+    as plain min-degree checks instead of decoder floors."""
+    name, _, t = fid.partition(":")
+    if name == "min_out":
+        return lambda n, rows, cols, dout, din: min(dout) >= int(t)
+    if name == "min_in":
+        return lambda n, rows, cols, dout, din: min(din) >= int(t)
+    return verify._resolve_filter(fid)
+
+
+def reference_scan(task, visitor=None):
+    """enumerate_digraphs(task, visitor) mask by mask on one process: every
+    mask ascending on an exhaustive task, the engine's seeded draws in
+    order on a sampled one, each decoded by the floor-free decoder and run
+    through every filter and the evaluator."""
+    if task.mode == "exhaustive":
+        masks = range(1 << verify.mask_bits(task.n))
+    else:
+        chunks = range(-(-task.sample_count // verify.SAMPLE_CHUNK))
+        masks = [mask for i in chunks for mask in verify._chunk_masks(task, i)]
+    decode = verify._decoder(task.n)
+    filters = [reference_filter(fid) for fid in task.filters]
+    evaluator = task.evaluator and verify._EVALUATORS[task.evaluator](task)
+    passed, flagged = 0, []
+    for mask in masks:
+        args = (task.n, *decode(mask))
+        if all(f(*args) for f in filters):
+            passed += 1
+            if visitor is not None:
+                visitor(mask)
+            elif evaluator and evaluator(*args):
+                flagged.append(mask)
+    return verify.ScanResult(len(masks), passed, tuple(flagged))

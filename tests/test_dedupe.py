@@ -7,6 +7,8 @@ from itertools import permutations
 
 import pytest
 
+from naive_oracles import reference_filter
+
 from hambypass import families as fam
 from hambypass import iso
 from hambypass.conditions import known_condition_ids
@@ -121,7 +123,7 @@ def _predicates(n):
     preds = [(fid, _resolve_filter(fid)) for fid in ["strong", *_condition_ids()]]
     for t in range(n + 1):
         fids = (f"min_out:{t}", f"min_in:{t}")
-        preds += [(fid, _resolve_filter(fid)) for fid in fids]
+        preds += [(fid, reference_filter(fid)) for fid in fids]
     for name, make in _EVALUATORS.items():
         for arg in range(2, n + 1) if name == "no_dnk" else (None,):
             task = EnumerationTask(n, evaluator=name, evaluator_arg=arg)

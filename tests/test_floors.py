@@ -1,25 +1,19 @@
 """Degree floors in the generated decoder: a floored decoder rejects exactly
 the masks below a floor and otherwise decodes as the floor-free one, and
-scans that turn their min_out/min_in/strong filters into floors keep the
-floor-free scan's counts, survivors and flagged masks."""
+scans that turn their min_out/min_in/strong filters into floors, sampled or
+exhaustive, keep the floor-free reference scan's counts, survivors and
+flagged masks."""
 
 import random
 from dataclasses import replace
 
 import pytest
 
+from naive_oracles import reference_scan
 from test_verify import _decoder_masks
 
 from hambypass import verify
-from hambypass.verify import (
-    SAMPLE_CHUNK,
-    EnumerationTask,
-    _chunk_masks,
-    _degree_floors,
-    _resolve_filter,
-    enumerate_digraphs,
-    mask_bits,
-)
+from hambypass.verify import EnumerationTask, _degree_floors, enumerate_digraphs, mask_bits
 
 THM16 = ("min_out:2", "min_in:3", "thm13", "strong")
 
@@ -70,20 +64,10 @@ def test_degree_floors_come_from_the_filters(n, filters, expected):
 
 
 def _reference(task):
-    """(survivors, flagged) of task's sampled scan, built from the chunk
-    masks, the floor-free decoder and every filter's raw predicate."""
-    decode = verify._decoder(task.n)
-    filters = [_resolve_filter(fid) for fid in task.filters]
-    evaluator = task.evaluator and verify._EVALUATORS[task.evaluator](task)
-    survivors, flagged = [], []
-    for i in range(-(-task.sample_count // SAMPLE_CHUNK)):
-        for mask in _chunk_masks(task, i):
-            args = (task.n, *decode(mask))
-            if all(f(*args) for f in filters):
-                survivors.append(mask)
-                if evaluator and evaluator(*args):
-                    flagged.append(mask)
-    return survivors, flagged
+    """(survivors, flagged) of task's scan by the floor-free reference."""
+    survivors = []
+    reference_scan(replace(task, evaluator=None), survivors.append)
+    return survivors, list(reference_scan(task).flagged)
 
 
 @pytest.mark.parametrize(
@@ -111,6 +95,28 @@ def test_floored_scan_matches_the_floor_free_reference(n, model, filters, evalua
         seen = []
         visited = enumerate_digraphs(replace(task, evaluator=None), seen.append, workers)
         assert (visited.passed_filters, seen) == (len(survivors), survivors)
+
+
+@pytest.mark.parametrize(
+    "n, filters, evaluator",
+    [
+        (2, ("strong",), "no_hc"),
+        (4, ("min_out:2", "thm13"), "no_bypass"),
+        (4, ("min_in:1", "a_k:0", "min_out:1"), "no_prehc"),
+        (4, ("min_in:4",), "no_hc"),
+        (5, THM16, "no_bypass"),
+    ],
+)
+def test_floored_generator_matches_the_floor_free_reference(n, filters, evaluator):
+    """Exhaustive scans prune the class generator with the same floors."""
+    task = EnumerationTask(n, filters=filters, evaluator=evaluator)
+    survivors, flagged = _reference(task)
+    res = enumerate_digraphs(task, workers=1)
+    assert (res.scanned, res.passed_filters) == (1 << mask_bits(n), len(survivors))
+    assert res.flagged == tuple(flagged)
+    seen = []
+    enumerate_digraphs(replace(task, evaluator=None), seen.append)
+    assert seen == survivors
 
 
 def test_parity_cases_pass_some_and_reject_some():

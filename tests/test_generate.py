@@ -1,7 +1,8 @@
 """Class generation for exhaustive claims and scans: the closure each
-declared filter promises, which scans take the generator, parity of
-generated reports and scans with the labeled engine, and self-checks of the
-generator against known class counts and brute force."""
+pruning filter promises, which scans take the generator, parity of
+generated reports and scans with the mask-by-mask reference scan, and
+self-checks of the generator against known class counts, brute force and
+the canonical forms of iso."""
 
 import json
 import random
@@ -11,19 +12,18 @@ from math import factorial
 
 import pytest
 
-from naive_oracles import naive_automorphism_count
+from naive_oracles import naive_automorphism_count, reference_filter, reference_scan
 from test_dedupe import _condition_ids, _relabel
 
-from hambypass import conditions, verify
+from hambypass import conditions, iso, verify
 from hambypass import families as fam
 from hambypass.digraph import new_digraph
 from hambypass.verify import (
     CLAIMS,
     EnumerationTask,
     _classes,
+    _decoder,
     _orbit_least,
-    _resolve_filter,
-    _scan_labeled,
     _upward_closed,
     digraph_from_mask,
     enumerate_digraphs,
@@ -40,15 +40,16 @@ def _args(n, mask):
 
 
 # --------------------------------------------------------------------------
-# upward closure of the declared filters
+# upward closure of the pruning filters
 # --------------------------------------------------------------------------
 
 
 def _declared(n):
-    """(id, raw predicate) of every filter declared upward-closed at order n."""
-    fids = ["strong", *(f"{kind}:{t}" for kind in ("min_out", "min_in") for t in range(n + 1))]
-    fids += _condition_ids()
-    return [(fid, _resolve_filter(fid)) for fid in fids if _upward_closed(fid)]
+    """(id, raw predicate) of every filter that prunes the generator at
+    order n: the degree floors and the filters declared upward-closed."""
+    fids = [f"{kind}:{t}" for kind in ("min_out", "min_in") for t in range(n + 1)]
+    fids += [fid for fid in ["strong", *_condition_ids()] if _upward_closed(fid)]
+    return [(fid, reference_filter(fid)) for fid in fids]
 
 
 def _passing(preds, n, mask):
@@ -69,7 +70,7 @@ def _assert_no_flip(n, mask, passing_of):
 
 
 def test_declared_filters_are_upward_closed():
-    """Adding any one arc never turns a pass of a declared filter into a fail:
+    """Adding any one arc never turns a pass of a pruning filter into a fail:
     on every digraph of order n <= 4, and on seeded n = 5, 6 draws of three
     densities."""
     for n in range(1, 5):
@@ -119,58 +120,76 @@ def test_thm16_hypotheses_are_not_upward_closed(cond_id):
     assert not cond.check(new_digraph(8, arcs + [(2, 1)])).holds
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("wrong scan path")
+
+
 def test_exhaustive_claims_always_run_on_the_generator(monkeypatch):
-    """No exhaustive claim reaches the labeled engine, closed or not; no
+    """No exhaustive claim reaches the chunk scan, closed or not; no
     sampled scan reaches the generator."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("wrong scan path")
-
     with monkeypatch.context() as m:
-        m.setattr(verify, "enumerate_digraphs", refuse)
-        assert run_claim("thm12", 5).passed_filters == 97524
+        m.setattr(verify, "_scan_chunk", _refuse)
+        m.setattr(verify, "_pool_chunk", _refuse)
+        assert run_claim("thm12", 5, workers=2).passed_filters == 97524
         run_claim("explore", 4, "thm13")
     with monkeypatch.context() as m:
-        m.setattr(verify, "_scan_classes", refuse)
+        m.setattr(verify, "_scan_classes", _refuse)
         run_claim("thm12", 5, sample=100, seed=1)
         run_claim("explore", 4, "thm13", sample=100, seed=1)
 
 
 def test_exhaustive_scans_without_a_visitor_run_on_the_generator(monkeypatch):
-    """enumerate_digraphs routes on the mode and the visitor alone: an
-    exhaustive scan without a visitor never reaches the chunk scan, whatever
-    the worker count; visitor and sampled scans never reach the generator.
-    The generated path still rejects a malformed HAMBYPASS_THREADS."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("wrong scan path")
-
+    """enumerate_digraphs routes on the mode alone: an exhaustive scan never
+    reaches the chunk scan, whatever the worker count; a sampled scan, with
+    a visitor or without, never reaches the generator. The generated path
+    still rejects a malformed HAMBYPASS_THREADS."""
     closed = EnumerationTask(4, filters=("a_k:0", "strong"))
     with monkeypatch.context() as m:
-        m.setattr(verify, "_scan_chunk", refuse)
-        m.setattr(verify, "_pool_chunk", refuse)
+        m.setattr(verify, "_scan_chunk", _refuse)
+        m.setattr(verify, "_pool_chunk", _refuse)
         assert enumerate_digraphs(closed, workers=2).passed_filters == 660
         flagged = enumerate_digraphs(EnumerationTask(4, evaluator="no_hc"), workers=1).flagged
         assert len(flagged) == 2902
     with monkeypatch.context() as m:
-        m.setattr(verify, "_scan_classes", refuse)
+        m.setattr(verify, "_scan_classes", _refuse)
+        sampled = EnumerationTask(4, mode="sample", sample_count=100, seed=1)
         seen = []
-        assert enumerate_digraphs(closed, visitor=seen.append, workers=1).passed_filters == 660
-        assert len(seen) == 660
-        sampled = EnumerationTask(4, mode="sample", sample_count=100, seed=1, evaluator="no_bypass")
+        assert enumerate_digraphs(sampled, visitor=seen.append, workers=2).scanned == 100
+        assert seen
+        sampled = replace(sampled, evaluator="no_bypass")
         assert enumerate_digraphs(sampled, workers=2).scanned == 100
     monkeypatch.setenv("HAMBYPASS_THREADS", "four")
     with pytest.raises(ValueError, match="HAMBYPASS_THREADS"):
         enumerate_digraphs(closed)
+    with pytest.raises(ValueError, match="HAMBYPASS_THREADS"):
+        enumerate_digraphs(closed, visitor=lambda mask: None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_visitor_scans_run_on_the_generator(monkeypatch, workers):
+    """A visitor gets every survivor of an exhaustive scan, in ascending
+    mask order, from the generator's passing classes: the reference scan's
+    masks, and no chunk is scanned."""
+    monkeypatch.setattr(verify, "_scan_chunk", _refuse)
+    monkeypatch.setattr(verify, "_pool_chunk", _refuse)
+    for task in (
+        EnumerationTask(4, filters=("a_k:0", "strong")),
+        EnumerationTask(4, filters=("min_out:2", "thm13")),
+        EnumerationTask(3),
+    ):
+        seen, expected = [], []
+        res = enumerate_digraphs(task, visitor=seen.append, workers=workers)
+        assert res == reference_scan(task, expected.append)
+        assert seen == expected == sorted(seen) and seen
 
 
 def test_filters_not_closed_never_prune(monkeypatch):
     """thm13 rejects the arcs 0->1, 0->2 on four vertices but passes the
     single arc 0->1, their descendant in the generator's tree (see above).
-    So thm13 is checked per class, and the scan counts what the labeled
-    engine counts, more than a thm13-pruned tree would."""
+    So thm13 is checked per class, and the scan counts what the reference
+    scan counts, more than a thm13-pruned tree would."""
     task = EnumerationTask(4, filters=("thm13",))
-    labeled = _scan_labeled(task, workers=1).passed_filters
+    labeled = reference_scan(task).passed_filters
     assert verify._scan_classes(task).passed_filters == labeled
     with monkeypatch.context() as m:
         m.setattr(verify, "_upward_closed", lambda fid: True)
@@ -179,25 +198,25 @@ def test_filters_not_closed_never_prune(monkeypatch):
 
 def test_generated_claims_still_check_the_worker_count(monkeypatch):
     """The generator runs on one process, but a malformed HAMBYPASS_THREADS
-    is an error on every claim, as on the labeled engine."""
+    is an error on every claim, as on the sampled engine."""
     monkeypatch.setenv("HAMBYPASS_THREADS", "four")
     with pytest.raises(ValueError, match="HAMBYPASS_THREADS"):
         run_claim("thm12", 4)
 
 
 # --------------------------------------------------------------------------
-# parity of generated reports with the labeled engine
+# parity of generated reports with the mask-by-mask reference scan
 # --------------------------------------------------------------------------
 
 
 def _report(monkeypatch, name, n, param, labeled):
     """run_claim's JSON report without elapsed time (or the error it
-    raises) at any order; `labeled` swaps the labeled engine in for the
+    raises) at any order; `labeled` swaps the reference scan in for the
     generator."""
     with monkeypatch.context() as m:
         m.setitem(CLAIMS, name, replace(CLAIMS[name], min_n=1))
         if labeled:
-            m.setattr(verify, "_scan_classes", lambda task: _scan_labeled(task, workers=2))
+            m.setattr(verify, "_scan_classes", reference_scan)
         try:
             report = run_claim(name, n, param, workers=2)
         except ValueError as exc:  # the same error must come out of both paths
@@ -250,19 +269,18 @@ def _evaluators(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generated_scan_matches_labeled_engine(n, filters):
     """enumerate_digraphs expands every flagged class to all its labelings,
-    so its whole result, flagged masks in scan order included, is the
-    mask-by-mask scan's."""
+    so its whole result, flagged masks in ascending order included, is the
+    mask-by-mask reference scan's."""
     for evaluator, arg in _evaluators(n):
         task = EnumerationTask(n, filters=filters, evaluator=evaluator, evaluator_arg=arg)
-        labeled = _scan_labeled(task, workers=1)
-        assert enumerate_digraphs(task, workers=1) == labeled, (evaluator, arg)
+        assert enumerate_digraphs(task, workers=1) == reference_scan(task), (evaluator, arg)
 
 
 def test_generated_n5_scan_matches_labeled_engine():
     task = EnumerationTask(5, filters=("degree_sum:-5", "strong"), evaluator="no_bypass")
     result = enumerate_digraphs(task, workers=1)
     assert (len(verify._scan_classes(task).flagged), len(result.flagged)) == (413, 42475)
-    assert result == _scan_labeled(task, workers=2)
+    assert result == reference_scan(task)
 
 
 # --------------------------------------------------------------------------
@@ -274,22 +292,37 @@ def test_generated_n5_scan_matches_labeled_engine():
 def test_generator_visits_every_class_once(n, classes):
     """With no filters: the number of digraph classes (OEIS A000273), and
     the class sizes n!/|Aut| add up to every labeled digraph."""
-    sizes = [factorial(n) // aut for _, aut, *_ in _classes(n, [])]
+    sizes = [factorial(n) // aut for _, aut, *_ in _classes(n, _decoder(n), [])]
     assert len(sizes) == classes
     assert sum(sizes) == 1 << mask_bits(n)
 
 
-def _least_relabeling(g):
-    return min(mask_of(_relabel(g, perm)) for perm in permutations(range(g.n)))
+def _least_relabeling_rows(g):
+    least = min(mask_of(_relabel(g, perm)) for perm in permutations(range(g.n)))
+    return list(digraph_from_mask(g.n, least).rows)
 
 
 def test_automorphism_count_matches_brute_force():
     for n in range(1, 5):
-        for mask, aut, *_ in _classes(n, []):
+        for mask, aut, *_ in _classes(n, _decoder(n), []):
             assert aut == naive_automorphism_count(digraph_from_mask(n, mask)), (n, mask)
     rng = random.Random(11)
     for draw in range(150):
         g = digraph_from_mask(5, rng.getrandbits(20) | (rng.getrandbits(20) if draw % 2 else 0))
-        assert _orbit_least(5, _least_relabeling(g)) == naive_automorphism_count(g)
+        assert _orbit_least(5, _least_relabeling_rows(g)) == naive_automorphism_count(g)
     for g in (fam.t5(), fam.d0(5, fam.InnerSpec.empty()), fam.complete_digraph(5)):
-        assert _orbit_least(5, _least_relabeling(g)) == naive_automorphism_count(g)
+        assert _orbit_least(5, _least_relabeling_rows(g)) == naive_automorphism_count(g)
+
+
+def test_generator_and_canonical_form_pick_the_same_representative():
+    """The generator's orbit-least mask and iso.canonical_form, two
+    independent isomorphism engines, pick the same digraph of every class
+    at n <= 5 (9,846 classes): the canonical bits are the orbit-least rows
+    packed n bits each, row 0 lowest."""
+    count = 0
+    for n in range(1, 6):
+        for mask, _, rows, *_ in _classes(n, _decoder(n), []):
+            rep = digraph_from_mask(n, mask)
+            assert iso.canonical_form(rep).bits == sum(r << (n * u) for u, r in enumerate(rows))
+            count += 1
+    assert count == 9846

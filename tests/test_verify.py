@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naive_oracles import naive_a_k, naive_has_bypass, naive_is_strong
+from naive_oracles import naive_a_k, naive_has_bypass, naive_is_strong, reference_scan
 
-from hambypass.digraph import Digraph, is_strong, make_cycle, new_digraph
+from hambypass.digraph import Digraph, OrderError, is_strong, make_cycle, new_digraph
 from hambypass import families as fam
 from hambypass import insertion, iso, verify
 from hambypass.conditions import check_a_k, resolve
@@ -24,6 +24,7 @@ from hambypass.search import (
 )
 from hambypass.verify import (
     CLAIMS,
+    SAMPLE_CHUNK,
     EnumerationTask,
     check_theorem6,
     check_theorem8,
@@ -57,6 +58,20 @@ def test_mask_round_trip(n, data):
 
 def test_mask_of_t5(t5):
     assert digraph_from_mask(5, mask_of(t5)) == t5
+
+
+@pytest.mark.parametrize("n", [0, 17, -1, 2.0, None])
+def test_digraph_from_mask_refuses_a_bad_order(n):
+    with pytest.raises(OrderError, match="order must be an integer in"):
+        digraph_from_mask(n, 0)
+
+
+@pytest.mark.parametrize("n, mask", [(3, 1 << 6), (3, -1), (1, 1), (16, 1 << 240)])
+def test_digraph_from_mask_refuses_a_mask_out_of_range(n, mask):
+    with pytest.raises(ValueError, match="outside"):
+        digraph_from_mask(n, mask)
+    assert digraph_from_mask(n, 0).m == 0
+    assert digraph_from_mask(n, (1 << mask_bits(n)) - 1).m == mask_bits(n)
 
 
 def _decoder_masks(n):
@@ -120,18 +135,21 @@ def test_enumerate_golden_survivor_counts():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_started_from_a_visitor_leaves_the_outer_scan_alone(workers):
-    """The inner scan has a visitor, so it is a mask-by-mask scan too."""
+    """Both scans are sampled, so both run on the chunk context: the inner
+    one, started from the outer one's first visit, must not swap the
+    context of the outer one's later chunks."""
     inner = []
 
     def visit(mask):
         if not inner:
-            inner_task = EnumerationTask(3)
+            inner_task = EnumerationTask(3, "sample", sample_count=100, seed=2)
             inner.append(enumerate_digraphs(inner_task, visitor=lambda m: None, workers=1))
 
-    task = EnumerationTask(5, filters=("a_k:0", "strong"))
+    task = EnumerationTask(5, "sample", ("a_k:0", "strong"), 3 * SAMPLE_CHUNK, seed=1)
     r = enumerate_digraphs(task, visitor=visit, workers=workers)
-    assert (r.scanned, r.passed_filters) == (1048576, 97524)
-    assert (inner[0].scanned, inner[0].passed_filters) == (64, 64)
+    assert r == reference_scan(task)
+    assert 0 < r.passed_filters < r.scanned
+    assert (inner[0].scanned, inner[0].passed_filters) == (100, 100)
 
 
 def test_enumerate_filters_match_direct_evaluation():
@@ -316,6 +334,10 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
         (dict(n=5, evaluator="no_dnk", evaluator_arg=1), r"k must lie in \[2, 5\], got 1"),
         (dict(n=2, evaluator="no_dnk", evaluator_arg=2), "bypass pattern needs n >= 3"),
         (dict(n=5, evaluator="no_hc", evaluator_arg=3), "evaluator 'no_hc' takes no argument"),
+        (dict(n=4, seed=5, sample_count=10, model="dense", filters=("strong",)), "sampled scan"),
+        (dict(n=4, seed=5), "seed, model and sample_count apply only to a sampled scan"),
+        (dict(n=4, model="dense"), "sampled scan"),
+        (dict(n=4, sample_count=10), "sampled scan"),
     ],
 )
 def test_task_validation(kwargs, message):
