@@ -16,6 +16,8 @@ from itertools import combinations
 
 from .digraph import Cycle, Digraph, Path, make_path
 
+_NODE_BUDGET = 250_000
+
 
 def _pmask(verts) -> int:
     mask = 0
@@ -192,10 +194,9 @@ def _valid_sequence(g: Digraph, seq) -> bool:
     return all(g.has_arc(a, b) for a, b in zip(seq, seq[1:]))
 
 
-def find_collection_of_partners(
-    g: Digraph, p: Path, q: Path, *, node_budget: int = 250_000
-) -> PartnerCollection | None:
-    """Bounded backtracking search for a partner collection of q on p.
+def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollection | None:
+    """Backtracking search for a partner collection of q on p, bounded by
+    _NODE_BUDGET search nodes.
 
     Partitions with fewer blocks are preferred; for each partition,
     assignments using pairwise distinct partner arcs are tried before ones
@@ -208,7 +209,7 @@ def find_collection_of_partners(
     if len(pv) < 2:
         raise ValueError("host path needs at least two vertices")
     s = len(qv)
-    budget = node_budget
+    budget = _NODE_BUDGET
 
     for nblocks in range(1, s + 1):
         for interior in combinations(range(2, s + 1), nblocks - 1):

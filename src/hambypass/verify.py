@@ -9,25 +9,29 @@ scan's costliest step.
 
 Filters are condition identifiers (see conditions.resolve) plus the scan
 extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
-order given. Every scan makes min_out and min_in degree floors of its
-decoder, which drops a mask at the first row or column below one; strong
-adds floors of 1 from n = 2 on and still runs. An optional named evaluator
-runs on filter survivors and flags exceptions: "no_hc", "no_prehc",
-"no_bypass", "no_dnk" (takes k), "lemma5" and "lemma7_sweep". Names rather
-than callables cross the process boundary.
+order given. An optional evaluator runs on filter survivors and flags
+exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and
+"lemma7_sweep". Ids rather than callables cross the process boundary.
+
+Both scan engines run what _plan makes of a task's ids: min_out and min_in
+become degree floors of the decoder, which drops a mask at the first row or
+column below one; strong adds floors of 1 from n = 2 on and still runs; the
+other filters keep their order and say whether they are closed upward
+(adding an arc never makes one fail); and one flag predicate picks the
+masks a scan reports.
 
 Exhaustive scans generate one orbit-least mask per isomorphism class,
 downward from K*_n, pruned by the degree floors and the filters that are
-closed upward (adding an arc never makes one fail). The other filters and
-the evaluator run once per generated class, and each class that passes
-counts its n!/|Aut| labelings. These scans run on one process whatever the
-worker count and print no progress lines. run_claim dedupes the flagged
-class representatives directly; enumerate_digraphs expands each flagged
-class, or with a visitor each passing class, to all of its labelings in
-ascending mask order. Sampled scans split their seeded draws into
-fixed-size chunks processed by a worker pool; chunk boundaries never depend
-on the worker count and partial results are merged in chunk order, so
-reports are bit-identical whatever the parallelism.
+closed upward. The other filters and the flag run once per generated
+class, and each class that passes counts its n!/|Aut| labelings. These
+scans run on one process whatever the worker count and print no progress
+lines. run_claim dedupes the flagged class representatives directly;
+enumerate_digraphs expands each flagged class, or with a visitor each
+passing class, to all of its labelings in ascending mask order. Sampled
+scans split their seeded draws into fixed-size chunks processed by a worker
+pool; chunk boundaries never depend on the worker count and partial results
+are merged in chunk order, so reports are bit-identical whatever the
+parallelism.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 from math import factorial
 from random import Random
@@ -184,8 +188,11 @@ class EnumerationTask:
     one mask per class on one process, ignoring the worker count; it takes
     no seed, model or sample_count. Mode "sample" draws sample_count seeded
     masks, uniform or dense (union of two uniform draws), in chunks.
-    Filters and the evaluator are given by identifier so tasks stay
-    picklable.
+    Filters and the evaluator are given by identifier, a parameter after a
+    colon ("min_in:3", "no_dnk:3"), so tasks stay picklable. n,
+    sample_count and seed (unless None) must be integers, not bools; every
+    id is checked by building the task's plan (_plan), which generates no
+    decoder.
     """
 
     n: int
@@ -195,11 +202,12 @@ class EnumerationTask:
     seed: int | None = None
     model: str = "uniform"
     evaluator: str | None = None
-    evaluator_arg: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # type(True) is bool, not int
             raise ValueError(f"order must be a positive integer, got {self.n!r}")
+        if type(self.sample_count) is not int or type(self.seed) not in (int, type(None)):
+            raise ValueError(f"bad sample_count {self.sample_count!r} or seed {self.seed!r}")
         if self.mode == "exhaustive":
             if self.n > EXHAUSTIVE_MAX_N:
                 raise ValueError(
@@ -218,17 +226,7 @@ class EnumerationTask:
                 raise ValueError(f"unknown sample model {self.model!r}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
-        for fid in self.filters:
-            _resolve_filter(fid)
-        if self.evaluator is not None and self.evaluator not in _EVALUATORS:
-            raise ValueError(f"unknown evaluator {self.evaluator!r}")
-        k = self.evaluator_arg
-        if self.evaluator == "no_dnk":
-            if not isinstance(k, int):
-                raise ValueError(f"evaluator 'no_dnk' needs an integer k, got {k!r}")
-            families.bypass_pattern(self.n, k)  # raises DigraphError on a bad n or k
-        elif self.evaluator is not None and k is not None:
-            raise ValueError(f"evaluator {self.evaluator!r} takes no argument, got {k!r}")
+        _plan(self)
 
     @property
     def mode_label(self) -> str:
@@ -237,44 +235,51 @@ class EnumerationTask:
         return f"sample:{self.model}:{self.sample_count}"
 
 
-def _resolve_filter(fid: str) -> Callable | None:
-    """Raw predicate for a filter id: f(n, rows, cols, dout, din) -> keep?
-    None for min_out:<t> and min_in:<t>, which the decoder checks as
-    degree floors (_degree_floors)."""
-    name, _, param = fid.partition(":")
-    if name == "strong":
-        if param:
-            raise ValueError("filter 'strong' takes no parameter")
-        return lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols)
-    if name in ("min_out", "min_in"):
-        try:
-            int(param)
-        except ValueError:
-            raise ValueError(f"bad filter id {fid!r}: integer threshold required")
-        return None
-    return conditions.resolve(fid).raw
+def _plan(task: EnumerationTask, visitor: bool = False):
+    """(decoder, filters, flag), what both scan engines run for `task`; a
+    bad id is a ValueError. Every predicate is f(n, rows, cols, dout, din).
 
-
-def _upward_closed(fid: str) -> bool:
-    """Whether adding an arc can never make filter `fid` (no floor) fail."""
-    return fid == "strong" or conditions.resolve(fid).upward_closed
-
-
-def _degree_floors(task: EnumerationTask) -> tuple[int, int, list[str]]:
-    """(out_floor, in_floor, the filters still to run) for task's decoder.
-    A min_out:<t> or min_in:<t> filter is exactly a floor (the largest t
-    wins) and leaves the list. A strong digraph of order n >= 2 has every
-    degree at least 1, so strong adds floors of 1 but stays in the list."""
-    one = int("strong" in task.filters and task.n >= 2)
+    decoder() generates the order's decoder with the degree floors, so a
+    task checks its ids without generating one. min_out:<t> and min_in:<t>
+    are floors only; the largest t wins. A strong digraph of order n >= 2
+    has every degree at least 1, so strong adds floors of 1 and still runs.
+    The other filters are (raw predicate, closed upward) pairs in task
+    order. The flag picks the survivors a scan reports: all on a visitor
+    scan, else those the evaluator flags, or none if it is None."""
+    n = task.n
+    one = int("strong" in task.filters and n >= 2)
     floors = {"min_out": one, "min_in": one}
-    rest = []
+    filters = []
     for fid in task.filters:
-        name, _, t = fid.partition(":")
+        name, _, param = fid.partition(":")
         if name in floors:
-            floors[name] = max(floors[name], int(t))
+            try:
+                floors[name] = max(floors[name], int(param))
+            except ValueError:
+                raise ValueError(f"bad filter id {fid!r}: integer threshold required")
+        elif name == "strong":
+            if param:
+                raise ValueError("filter 'strong' takes no parameter")
+            filters.append((lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols), True))
         else:
-            rest.append(fid)
-    return floors["min_out"], floors["min_in"], rest
+            cond = conditions.resolve(fid)
+            filters.append((cond.raw, cond.upward_closed))
+    name, _, param = (task.evaluator or "").partition(":")
+    flag = _EVALUATORS.get(name)
+    if task.evaluator is not None and flag is None:
+        raise ValueError(f"unknown evaluator {task.evaluator!r}")
+    if name == "no_dnk":
+        try:
+            k = int(param)
+        except ValueError:
+            raise ValueError(f"evaluator 'no_dnk' needs an integer k, got {param or None!r}")
+        families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
+        flag = partial(flag, k)
+    elif param:
+        raise ValueError(f"evaluator {name!r} takes no argument, got {param!r}")
+    if visitor:
+        flag = lambda n, rows, cols, dout, din: True
+    return partial(_decoder, n, floors["min_out"], floors["min_in"]), filters, flag
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +299,8 @@ def _eval_no_bypass(n, rows, cols, dout, din) -> bool:
     return _bypass_raw(n, rows, cols) is None
 
 
-def _make_no_dnk(k: int):
-    def eval_no_dnk(n, rows, cols, dout, din) -> bool:
-        return _dnk_raw(n, rows, cols, k) is None
-
-    return eval_no_dnk
+def _eval_no_dnk(k, n, rows, cols, dout, din) -> bool:  # _plan binds k
+    return _dnk_raw(n, rows, cols, k) is None
 
 
 def _eval_lemma5(n, rows, cols, dout, din) -> bool:
@@ -330,12 +332,12 @@ def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
 
 
 _EVALUATORS = {
-    "no_hc": lambda task: _eval_no_hc,
-    "no_prehc": lambda task: _eval_no_prehc,
-    "no_bypass": lambda task: _eval_no_bypass,
-    "no_dnk": lambda task: _make_no_dnk(task.evaluator_arg),
-    "lemma5": lambda task: _eval_lemma5,
-    "lemma7_sweep": lambda task: _eval_lemma7_sweep,
+    "no_hc": _eval_no_hc,
+    "no_prehc": _eval_no_prehc,
+    "no_bypass": _eval_no_bypass,
+    "no_dnk": _eval_no_dnk,
+    "lemma5": _eval_lemma5,
+    "lemma7_sweep": _eval_lemma7_sweep,
 }
 
 
@@ -343,27 +345,7 @@ _EVALUATORS = {
 # Sampled scanning
 # ---------------------------------------------------------------------------
 
-_CTX: dict | None = None
-
-
-def _init_worker(task: EnumerationTask, collect_survivors: bool) -> dict:
-    """Build the context _scan_chunk reads: the task, the order's decoder
-    with the task's degree floors (_degree_floors), the other filters and
-    the evaluator. Also stores it in _CTX; this runs in the parent before
-    any fork, so pool workers inherit the context, the decoder and its
-    tables. A one-process scan passes the returned context on instead, so
-    a scan started from a visitor cannot swap it under the outer one."""
-    global _CTX
-    out_floor, in_floor, rest = _degree_floors(task)
-    _CTX = {
-        "task": task,
-        "n": task.n,
-        "decode": _decoder(task.n, out_floor, in_floor),
-        "filters": [_resolve_filter(fid) for fid in rest],
-        "evaluator": None if task.evaluator is None else _EVALUATORS[task.evaluator](task),
-        "collect": collect_survivors,
-    }
-    return _CTX
+_CTX: tuple | None = None  # the _scan_chunk arguments pool workers inherit
 
 
 def _mix(seed: int, chunk_index: int) -> int:
@@ -381,14 +363,9 @@ def _chunk_masks(task: EnumerationTask, chunk_index: int) -> list[int]:
     return [rng.getrandbits(bits) for _ in range(count)]
 
 
-def _scan_chunk(ctx: dict, chunk_index: int):
-    task = ctx["task"]
-    n = ctx["n"]
-    decode = ctx["decode"]
-    filters = ctx["filters"]
-    evaluator = ctx["evaluator"]
-    collect = ctx["collect"]
-
+def _scan_chunk(task: EnumerationTask, decode, filters, flag, chunk_index: int):
+    """(draws, survivors, flagged masks) of one chunk, run as _plan says."""
+    n = task.n
     masks = _chunk_masks(task, chunk_index)
     passed = 0
     hits: list[int] = []
@@ -401,16 +378,14 @@ def _scan_chunk(ctx: dict, chunk_index: int):
                 break
         else:
             passed += 1
-            if collect:
+            if flag is not None and flag(n, rows, cols, dout, din):
                 hits.append(mask)
-            elif evaluator is not None and evaluator(n, rows, cols, dout, din):
-                hits.append(mask)
-    return chunk_index, len(masks), passed, hits
+    return len(masks), passed, hits
 
 
 def _pool_chunk(chunk_index: int):
-    """_scan_chunk in a pool worker, on the context it inherited."""
-    return _scan_chunk(_CTX, chunk_index)
+    """_scan_chunk in a pool worker, on the arguments it inherited."""
+    return _scan_chunk(*_CTX, chunk_index)
 
 
 @dataclass(frozen=True)
@@ -454,7 +429,7 @@ def enumerate_digraphs(
     if task.mode == "sample":
         return _scan_sampled(task, visitor, workers)
     _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
-    res = _scan_classes(task, collect=visitor is not None)
+    res = _scan_classes(task, visitor is not None)
     masks = sorted(m for rep in res.flagged for m in _labelings(task.n, rep))
     if visitor is None:
         return ScanResult(res.scanned, res.passed_filters, tuple(masks))
@@ -469,8 +444,10 @@ def _scan_sampled(
     workers: int | None = None,
 ) -> ScanResult:
     """enumerate_digraphs on a sampled task: fixed-size chunks on a fork
-    pool of `workers` processes, merged in chunk order."""
-    collect = visitor is not None
+    pool of `workers` processes, merged in chunk order. The one-process
+    path passes its arguments on, so a scan started from a visitor cannot
+    swap them under the outer one."""
+    global _CTX
     nchunks = (task.sample_count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     nworkers = min(_worker_count(workers), nchunks)
     scanned = 0
@@ -479,11 +456,11 @@ def _scan_sampled(
 
     def absorb(part):
         nonlocal scanned, passed
-        _, cscanned, cpassed, hits = part
+        cscanned, cpassed, hits = part
         before = scanned
         scanned += cscanned
         passed += cpassed
-        if collect:
+        if visitor is not None:
             for mask in hits:
                 visitor(mask)
         else:
@@ -491,13 +468,15 @@ def _scan_sampled(
         if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
             print(f"scanned {scanned}", file=sys.stderr, flush=True)
 
-    ctx = _init_worker(task, collect)
+    decoder, filters, flag = _plan(task, visitor is not None)
+    ctx = task, decoder(), [f for f, _ in filters], flag
     if nworkers == 1:
         for i in range(nchunks):
-            absorb(_scan_chunk(ctx, i))
+            absorb(_scan_chunk(*ctx, i))
     else:
         import multiprocessing
 
+        _CTX = ctx  # set in the parent, so every worker inherits the decoder
         with multiprocessing.get_context("fork").Pool(nworkers) as pool:
             for part in pool.imap(_pool_chunk, range(nchunks)):
                 absorb(part)
@@ -660,28 +639,25 @@ def _classes(n: int, decode: Callable, filters: list[Callable]):
             b <<= 1
 
 
-def _scan_classes(task: EnumerationTask, collect: bool = False) -> ScanResult:
-    """The exhaustive scan of a task, one digraph per class. The degree
-    floors (_degree_floors) and the filters closed upward prune the
-    generator; the others, which ignore labels as every filter does, are
-    checked on each generated class. Each class that passes counts n!/|Aut|
-    passed digraphs, and the evaluator runs once on it and flags the class's
-    least mask; with `collect` every passing class is flagged."""
+def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
+    """The exhaustive scan of a task, one digraph per class. The plan's
+    degree floors and its filters closed upward prune the generator; the
+    others, which ignore labels as every filter does, are checked on each
+    generated class. Each class that passes counts n!/|Aut| passed
+    digraphs, and the plan's flag runs once on it and flags the class's
+    least mask; on a visitor scan every passing class is flagged."""
     n = task.n
-    out_floor, in_floor, rest = _degree_floors(task)
-    pruning, checks = [], []
-    for fid in rest:
-        (pruning if _upward_closed(fid) else checks).append(_resolve_filter(fid))
-    evaluator = None if task.evaluator is None else _EVALUATORS[task.evaluator](task)
+    decoder, filters, flag = _plan(task, visitor)
+    pruning = [f for f, closed in filters if closed]
+    checks = [f for f, closed in filters if not closed]
     labelings = factorial(n)
     passed = 0
     flagged = []
-    decode = _decoder(n, out_floor, in_floor)
-    for mask, aut, rows, cols, dout, din in _classes(n, decode, pruning):
+    for mask, aut, rows, cols, dout, din in _classes(n, decoder(), pruning):
         if not all(f(n, rows, cols, dout, din) for f in checks):
             continue
         passed += labelings // aut
-        if collect or evaluator is not None and evaluator(n, rows, cols, dout, din):
+        if flag is not None and flag(n, rows, cols, dout, din):
             flagged.append(mask)
     return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
 
@@ -707,8 +683,8 @@ def _is_theorem8_family(g: Digraph) -> bool:
 @dataclass(frozen=True)
 class Claim:
     """Every digraph of order n >= min_n that passes `filters` has the
-    structure whose absence `evaluator` flags, apart from the digraphs
-    `allowed` accepts (None: no exception is allowed).
+    structure whose absence the evaluator id (such as "no_dnk:3") flags,
+    apart from the digraphs `allowed` accepts (None: no exception allowed).
 
     A "{}" in `label` (default: the table key) or in a filter id stands for
     the per-call parameter named `param_name`. `params` lists its accepted
@@ -719,7 +695,6 @@ class Claim:
     min_n: int
     filters: tuple[str, ...]
     evaluator: str
-    evaluator_arg: int | None = None
     allowed: Callable[[Digraph], bool] | None = None
     report_only: bool = False
     label: str = ""
@@ -730,7 +705,7 @@ class Claim:
 CLAIMS = {
     "thm6": Claim(3, ("a_k:0", "strong"), "no_hc"),
     "thm8": Claim(3, ("degree_sum:-2", "strong"), "no_bypass", allowed=_is_theorem8_family),
-    "thm9": Claim(4, ("meyniel", "strong"), "no_dnk", 3),
+    "thm9": Claim(4, ("meyniel", "strong"), "no_dnk:3"),
     "thm11": Claim(4, ("a_k:0", "strong"), "no_prehc", allowed=is_balanced_complete_bipartite),
     "thm12": Claim(4, ("a_k:0", "strong"), "no_bypass", allowed=is_isomorphic_to_t5),
     "thm16": Claim(
@@ -776,9 +751,7 @@ def run_claim(
         raise ValueError(f"{claim.param_name} must be {accepted}")
     mode = "exhaustive" if sample is None else "sample"
     filters = tuple(fid.format(param) for fid in claim.filters)
-    task = EnumerationTask(
-        n, mode, filters, sample or 0, seed, model, claim.evaluator, claim.evaluator_arg
-    )
+    task = EnumerationTask(n, mode, filters, sample or 0, seed, model, claim.evaluator)
     workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
 
     t0 = time.monotonic()

@@ -5,14 +5,16 @@ of bitsets and backtracking, so that agreement with the package is evidence
 rather than tautology. Usable up to n ~ 7.
 
 The exception is reference_scan at the end: a mask-by-mask scan that reuses
-the package's floor-free decoder, raw filter predicates and evaluators, so
-that it checks how the scan engines route, prune, floor and relabel, not
-the predicates themselves.
+the package's floor-free decoder, raw filter predicates and evaluators, but
+resolves their ids by itself, so that it checks how the scan engines plan,
+route, prune, floor and relabel, not the predicates themselves.
 """
 
+from functools import cache, partial
 from itertools import permutations
 
-from hambypass import verify
+from hambypass import conditions, verify
+from hambypass.digraph import _strong_raw
 
 
 def arc_set(g):
@@ -212,14 +214,27 @@ def reference_filter(fid):
         return lambda n, rows, cols, dout, din: min(dout) >= int(t)
     if name == "min_in":
         return lambda n, rows, cols, dout, din: min(din) >= int(t)
-    return verify._resolve_filter(fid)
+    if fid == "strong":
+        return lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols)
+    return conditions.resolve(fid).raw
+
+
+def reference_evaluator(eid):
+    """Raw predicate of an evaluator id, its parameter (no_dnk:<k>) bound."""
+    name, _, k = eid.partition(":")
+    evaluator = verify._EVALUATORS[name]
+    return partial(evaluator, int(k)) if k else evaluator
 
 
 def reference_scan(task, visitor=None):
     """enumerate_digraphs(task, visitor) mask by mask on one process: every
     mask ascending on an exhaustive task, the engine's seeded draws in
     order on a sampled one, each decoded by the floor-free decoder and run
-    through every filter and the evaluator."""
+    through every filter and the evaluator. One pass gives both: a visitor
+    gets every survivor, and the evaluator's flagged masks come back too.
+    Without a visitor the result is kept per task, as tasks are frozen."""
+    if visitor is None:
+        return _memo_reference_scan(task)
     if task.mode == "exhaustive":
         masks = range(1 << verify.mask_bits(task.n))
     else:
@@ -227,14 +242,18 @@ def reference_scan(task, visitor=None):
         masks = [mask for i in chunks for mask in verify._chunk_masks(task, i)]
     decode = verify._decoder(task.n)
     filters = [reference_filter(fid) for fid in task.filters]
-    evaluator = task.evaluator and verify._EVALUATORS[task.evaluator](task)
+    evaluator = task.evaluator and reference_evaluator(task.evaluator)
     passed, flagged = 0, []
     for mask in masks:
         args = (task.n, *decode(mask))
         if all(f(*args) for f in filters):
             passed += 1
-            if visitor is not None:
-                visitor(mask)
-            elif evaluator and evaluator(*args):
+            visitor(mask)
+            if evaluator and evaluator(*args):
                 flagged.append(mask)
     return verify.ScanResult(len(masks), passed, tuple(flagged))
+
+
+@cache
+def _memo_reference_scan(task):
+    return reference_scan(task, lambda mask: None)

@@ -19,7 +19,7 @@ from hambypass.verify import (
     EnumerationTask,
     ExceptionRecord,
     _dedupe,
-    _resolve_filter,
+    _plan,
     digraph_from_mask,
     enumerate_digraphs,
     mask_bits,
@@ -73,10 +73,7 @@ _CLAIM_ROWS = [
 def test_exhaustive_dedupe_matches_first_per_class_on_claims(name, param, n):
     claim = CLAIMS[name]
     filters = tuple(fid.format(param) for fid in claim.filters)
-    task = EnumerationTask(
-        n, filters=filters, evaluator=claim.evaluator, evaluator_arg=claim.evaluator_arg
-    )
-    _assert_parity(task)
+    _assert_parity(EnumerationTask(n, filters=filters, evaluator=claim.evaluator))
 
 
 @pytest.mark.parametrize("cond_id", _condition_ids())
@@ -119,16 +116,17 @@ def test_sampled_dedupe_keys_every_mask():
 
 
 def _predicates(n):
-    """(name, raw predicate) for every scan filter and evaluator at order n."""
-    preds = [(fid, _resolve_filter(fid)) for fid in ["strong", *_condition_ids()]]
+    """(id, raw predicate) for every scan filter and evaluator id at order
+    n, as the scan plan resolves them; min_out and min_in, which the plan
+    makes decoder floors, as plain min-degree checks."""
+    fids = ["strong", *_condition_ids()]
+    preds = [(fid, _plan(EnumerationTask(n, filters=(fid,)))[1][0][0]) for fid in fids]
     for t in range(n + 1):
         fids = (f"min_out:{t}", f"min_in:{t}")
         preds += [(fid, reference_filter(fid)) for fid in fids]
-    for name, make in _EVALUATORS.items():
-        for arg in range(2, n + 1) if name == "no_dnk" else (None,):
-            task = EnumerationTask(n, evaluator=name, evaluator_arg=arg)
-            preds.append((f"{name}:{arg}", make(task)))
-    return preds
+    eids = [name for name in _EVALUATORS if name != "no_dnk"]
+    eids += [f"no_dnk:{k}" for k in range(2, n + 1)]
+    return preds + [(eid, _plan(EnumerationTask(n, evaluator=eid))[2]) for eid in eids]
 
 
 def _answers(preds, g):

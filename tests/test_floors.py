@@ -9,11 +9,11 @@ from dataclasses import replace
 
 import pytest
 
-from naive_oracles import reference_scan
+from naive_oracles import reference_filter, reference_scan
 from test_verify import _decoder_masks
 
 from hambypass import verify
-from hambypass.verify import EnumerationTask, _degree_floors, enumerate_digraphs, mask_bits
+from hambypass.verify import EnumerationTask, _plan, enumerate_digraphs, mask_bits
 
 THM16 = ("min_out:2", "min_in:3", "thm13", "strong")
 
@@ -60,14 +60,25 @@ def test_zero_and_negative_floors_share_the_floor_free_decoder():
     ],
 )
 def test_degree_floors_come_from_the_filters(n, filters, expected):
-    assert _degree_floors(EnumerationTask(n, filters=filters)) == expected
+    """The plan's decoder has the expected floors, and its other filters
+    answer as the expected ids do, in the same order, on every mask up to
+    n = 4 and on the floor masks above."""
+    out_floor, in_floor, rest = expected
+    decoder, planned, _ = _plan(EnumerationTask(n, filters=filters))
+    assert decoder() is verify._decoder(n, out_floor, in_floor)
+    assert len(planned) == len(rest)
+    plain = verify._decoder(n)
+    for mask in _floor_masks(n):
+        args = (n, *plain(mask))
+        assert [f(*args) for f, _ in planned] == [reference_filter(fid)(*args) for fid in rest]
 
 
 def _reference(task):
-    """(survivors, flagged) of task's scan by the floor-free reference."""
+    """(survivors, flagged) of task's scan by the floor-free reference, in
+    one pass."""
     survivors = []
-    reference_scan(replace(task, evaluator=None), survivors.append)
-    return survivors, list(reference_scan(task).flagged)
+    flagged = reference_scan(task, survivors.append).flagged
+    return survivors, list(flagged)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from hambypass.verify import (
     _classes,
     _decoder,
     _orbit_least,
-    _upward_closed,
+    _plan,
     digraph_from_mask,
     enumerate_digraphs,
     mask_bits,
@@ -44,11 +44,17 @@ def _args(n, mask):
 # --------------------------------------------------------------------------
 
 
+def _closed(fid):
+    """Whether the scan plan marks filter `fid` closed upward."""
+    ((_, closed),) = _plan(EnumerationTask(4, filters=(fid,)))[1]
+    return closed
+
+
 def _declared(n):
     """(id, raw predicate) of every filter that prunes the generator at
     order n: the degree floors and the filters declared upward-closed."""
     fids = [f"{kind}:{t}" for kind in ("min_out", "min_in") for t in range(n + 1)]
-    fids += [fid for fid in ["strong", *_condition_ids()] if _upward_closed(fid)]
+    fids += [fid for fid in ["strong", *_condition_ids()] if _closed(fid)]
     return [(fid, reference_filter(fid)) for fid in fids]
 
 
@@ -92,8 +98,8 @@ def test_declared_filters_cover_the_closed_claims():
     """Every filter of thm6/8/9/11/12, a degree sum and lemma5 prune the
     class generator."""
     for name in ("thm6", "thm8", "thm9", "thm11", "thm12"):
-        assert all(map(_upward_closed, CLAIMS[name].filters)), name
-    assert _upward_closed("degree_sum:-5") and _upward_closed("lemma5")
+        assert all(map(_closed, CLAIMS[name].filters)), name
+    assert _closed("degree_sum:-5") and _closed("lemma5")
 
 
 @pytest.mark.parametrize("cond_id", ["thm13", "thm14", "thm15"])
@@ -101,7 +107,7 @@ def test_common_neighbour_conditions_are_not_upward_closed(cond_id):
     """The single arc 0->1 on four vertices passes; adding 0->2 creates the
     non-adjacent pair {1, 2} with common in-neighbour 0 and low degrees."""
     cond = conditions.resolve(cond_id)
-    assert not _upward_closed(cond_id)
+    assert not _closed(cond_id)
     assert cond.check(new_digraph(4, [(0, 1)])).holds
     assert not cond.check(new_digraph(4, [(0, 1), (0, 2)])).holds
 
@@ -115,7 +121,7 @@ def test_thm16_hypotheses_are_not_upward_closed(cond_id):
     cond = conditions.resolve(cond_id)
     parts = ((0, 2, 3, 4), (1, 5, 6, 7))
     arcs = [(u, v) for part in parts for u in part for v in part if u != v]
-    assert not _upward_closed(cond_id)
+    assert not _closed(cond_id)
     assert cond.check(new_digraph(8, arcs)).holds
     assert not cond.check(new_digraph(8, arcs + [(2, 1)])).holds
 
@@ -191,8 +197,14 @@ def test_filters_not_closed_never_prune(monkeypatch):
     task = EnumerationTask(4, filters=("thm13",))
     labeled = reference_scan(task).passed_filters
     assert verify._scan_classes(task).passed_filters == labeled
+    real = verify._plan
+
+    def all_closed(task, visitor=False):
+        decoder, filters, flag = real(task, visitor)
+        return decoder, [(f, True) for f, _ in filters], flag
+
     with monkeypatch.context() as m:
-        m.setattr(verify, "_upward_closed", lambda fid: True)
+        m.setattr(verify, "_plan", all_closed)
         assert verify._scan_classes(task).passed_filters < labeled
 
 
@@ -260,9 +272,9 @@ def test_parity_cases_flag_something(monkeypatch):
 
 
 def _evaluators(n):
-    """(evaluator, argument) of every evaluator valid at order n, and none."""
-    named = [(name, None) for name in verify._EVALUATORS if name != "no_dnk"]
-    return [(None, None), *named, *(("no_dnk", k) for k in range(2, n + 1) if n >= 3)]
+    """Every evaluator id valid at order n, and None."""
+    named = [name for name in verify._EVALUATORS if name != "no_dnk"]
+    return [None, *named, *(f"no_dnk:{k}" for k in range(2, n + 1) if n >= 3)]
 
 
 @pytest.mark.parametrize("filters", [(), ("strong",), ("a_k:0", "strong"), ("thm13",)])
@@ -271,9 +283,9 @@ def test_generated_scan_matches_labeled_engine(n, filters):
     """enumerate_digraphs expands every flagged class to all its labelings,
     so its whole result, flagged masks in ascending order included, is the
     mask-by-mask reference scan's."""
-    for evaluator, arg in _evaluators(n):
-        task = EnumerationTask(n, filters=filters, evaluator=evaluator, evaluator_arg=arg)
-        assert enumerate_digraphs(task, workers=1) == reference_scan(task), (evaluator, arg)
+    for evaluator in _evaluators(n):
+        task = EnumerationTask(n, filters=filters, evaluator=evaluator)
+        assert enumerate_digraphs(task, workers=1) == reference_scan(task), evaluator
 
 
 def test_generated_n5_scan_matches_labeled_engine():

@@ -298,9 +298,7 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
     monkeypatch.setattr(verify, "_cycle_bypass_raw", lambda rows, cols, cyc, y: None)
     monkeypatch.setattr(verify, "_lemma7_raw", _fail_every_clause)
     monkeypatch.setattr(insertion, "_lemma7_raw", _fail_every_clause)
-    monkeypatch.setitem(
-        verify._EVALUATORS, "earlier_sweep", lambda task: _sweep_before_the_cycle_bypass
-    )
+    monkeypatch.setitem(verify._EVALUATORS, "earlier_sweep", _sweep_before_the_cycle_bypass)
     for kwargs in (dict(n=4), _SWEEP_SAMPLE_N5):
         res = enumerate_digraphs(EnumerationTask(**kwargs, evaluator="lemma7_sweep"), workers=1)
         ref = enumerate_digraphs(EnumerationTask(**kwargs, evaluator="earlier_sweep"), workers=1)
@@ -330,19 +328,49 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
         (dict(n=5, filters=("bogus",)), "unknown condition id"),
         (dict(n=17, mode="sample", sample_count=5, seed=1), "sampling supports n <= 16"),
         (dict(n=5, evaluator="no_dnk"), "evaluator 'no_dnk' needs an integer k, got None"),
-        (dict(n=5, evaluator="no_dnk", evaluator_arg=99), r"k must lie in \[2, 5\], got 99"),
-        (dict(n=5, evaluator="no_dnk", evaluator_arg=1), r"k must lie in \[2, 5\], got 1"),
-        (dict(n=2, evaluator="no_dnk", evaluator_arg=2), "bypass pattern needs n >= 3"),
-        (dict(n=5, evaluator="no_hc", evaluator_arg=3), "evaluator 'no_hc' takes no argument"),
+        (dict(n=5, evaluator="no_dnk:99"), r"k must lie in \[2, 5\], got 99"),
+        (dict(n=5, evaluator="no_dnk:1"), r"k must lie in \[2, 5\], got 1"),
+        (dict(n=2, evaluator="no_dnk:2"), "bypass pattern needs n >= 3"),
+        (dict(n=5, evaluator="no_hc:3"), "evaluator 'no_hc' takes no argument"),
         (dict(n=4, seed=5, sample_count=10, model="dense", filters=("strong",)), "sampled scan"),
         (dict(n=4, seed=5), "seed, model and sample_count apply only to a sampled scan"),
         (dict(n=4, model="dense"), "sampled scan"),
         (dict(n=4, sample_count=10), "sampled scan"),
+        (dict(n=5, evaluator="no_dnk:x"), "evaluator 'no_dnk' needs an integer k, got 'x'"),
+        (dict(n=True), "order must be a positive integer, got True"),
+        (dict(n=5.0), "order must be a positive integer, got 5.0"),
+        (dict(n=5, mode="sample", sample_count=2.5, seed=1), "bad sample_count 2.5"),
+        (dict(n=5, mode="sample", sample_count=True, seed=1), "bad sample_count True"),
+        (dict(n=5, mode="sample", sample_count=2, seed=1.5), "or seed 1.5"),
+        (dict(n=5, mode="sample", sample_count=2, seed="1"), "or seed '1'"),
+        (dict(n=5, mode="sample", sample_count=2, seed=False), "or seed False"),
+        (dict(n=4, sample_count=False), "bad sample_count False"),
     ],
 )
 def test_task_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         EnumerationTask(**kwargs)
+
+
+def test_task_takes_no_evaluator_arg():
+    """The evaluator id carries its parameter; the old keyword is gone."""
+    with pytest.raises(TypeError, match="evaluator_arg"):
+        EnumerationTask(n=5, evaluator="no_dnk", evaluator_arg=3)
+
+
+def test_non_integer_sample_count_is_a_value_error():
+    with pytest.raises(ValueError, match="bad sample_count 2.5"):
+        verify.run_claim("thm12", 5, sample=2.5, seed=1)
+
+
+def test_building_a_task_generates_no_decoder(monkeypatch):
+    monkeypatch.setattr(verify, "_generate_decoder", _refuse_decoder)
+    EnumerationTask(16, "sample", ("strong",), 10, 1)
+    EnumerationTask(5, filters=("min_out:2", "strong"), evaluator="no_dnk:3")
+
+
+def _refuse_decoder(*args):
+    raise AssertionError("decoder generated")
 
 
 def test_task_exhaustive_and_sampling_at_n6():
