@@ -252,7 +252,9 @@ def cmd_find(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = verify.run_claim(args.theorem, args.n, args.param, args.sample, args.seed, args.model)
+    report = verify.run_claim(
+        args.theorem, args.n, args.param, sample=args.sample, seed=args.seed, model=args.model
+    )
     _emit(report.to_json_dict())
     return 1 if report.verdict == "counterexample-found" else 0
 
@@ -315,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="param",
         metavar="MIN_IN",
         type=int,
-        default=None,
         help="thm16 minimum in-degree floor (3 = proven statement, 2 = probe)",
     )
     ver.set_defaults(func=cmd_scan)

@@ -37,6 +37,8 @@ def _degree_toward(g: Digraph, x: int, mask: int) -> int:
 
 def find_partner_for_vertex(g: Digraph, p: Path, x: int) -> int | None:
     """Smallest partner index of the single vertex x on p, or None."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} outside range({g.n})")
     verts = p.vertices
     if x in verts:
         raise ValueError(f"vertex {x} already lies on the path")
@@ -90,6 +92,8 @@ def lemma2_hypothesis(g: Digraph, p: Path, x: int, *, literal_ii: bool = False) 
     `literal_ii` swaps (ii)'s second disjunct for "arc P.last->P.first
     missing" (the uncorrected reading, kept for comparison runs).
     """
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} outside range({g.n})")
     verts = p.vertices
     if x in verts:
         raise ValueError(f"vertex {x} already lies on the path")
@@ -138,6 +142,8 @@ def lemma4_hypothesis(g: Digraph, p: Path, q: Path, *, literal_terms: bool = Fal
 
 def lemma1_hypothesis(g: Digraph, c: Cycle, x: int) -> bool:
     """d(x, C) >= |C| + 1 for an off-cycle vertex x."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} outside range({g.n})")
     if x in c.vertices:
         raise ValueError(f"vertex {x} lies on the cycle")
     return _degree_toward(g, x, _pmask(c.vertices)) >= len(c) + 1

@@ -686,10 +686,10 @@ class Claim:
     structure whose absence the evaluator id (such as "no_dnk:3") flags,
     apart from the digraphs `allowed` accepts (None: no exception allowed).
 
-    A "{}" in `label` (default: the table key) or in a filter id stands for
-    the per-call parameter named `param_name`. `params` lists its accepted
-    values (empty: any): the first is the claim as stated and the default,
-    the others are probes whose runs are report-only.
+    A claim takes a per-call parameter iff a filter id holds "{}", which
+    stands for it there and in `label` (default: the table key). `params`
+    lists its accepted values (empty: any): the first is the claim as stated
+    and the default, the others are probes whose runs are report-only.
     """
 
     min_n: int
@@ -698,26 +698,24 @@ class Claim:
     allowed: Callable[[Digraph], bool] | None = None
     report_only: bool = False
     label: str = ""
-    param_name: str = ""
     params: tuple = ()
 
 
 CLAIMS = {
+    # Strong plus a_k:0 forces a Hamiltonian cycle; no exception allowed.
     "thm6": Claim(3, ("a_k:0", "strong"), "no_hc"),
+    # Strong plus degree_sum:-2 forces a bypass outside a short list of extremal families.
     "thm8": Claim(3, ("degree_sum:-2", "strong"), "no_bypass", allowed=_is_theorem8_family),
+    # Strong plus meyniel forces a spanning reversed-tail pattern with k=3.
     "thm9": Claim(4, ("meyniel", "strong"), "no_dnk:3"),
+    # Strong plus a_k:0 forces an (n-1)-cycle except balanced complete bipartite digraphs.
     "thm11": Claim(4, ("a_k:0", "strong"), "no_prehc", allowed=is_balanced_complete_bipartite),
+    # Strong plus a_k:0 forces a Hamiltonian bypass except the one 5-vertex tournament.
     "thm12": Claim(4, ("a_k:0", "strong"), "no_bypass", allowed=is_isomorphic_to_t5),
-    "thm16": Claim(
-        6,
-        ("min_out:2", "min_in:{}", "thm13", "strong"),
-        "no_bypass",
-        param_name="min_in_degree",
-        params=(3, 2),
-    ),
-    "explore": Claim(
-        1, ("{}", "strong"), "no_bypass", report_only=True, label="explore:{}", param_name="cond_id"
-    ),
+    # thm13, min out-degree 2 and min in-degree 3 force a bypass; in-degree 2 probes an open case.
+    "thm16": Claim(6, ("min_out:2", "min_in:{}", "thm13", "strong"), "no_bypass", params=(3, 2)),
+    # Catalog of strong, bypass-free digraphs meeting a condition id; asserts nothing.
+    "explore": Claim(1, ("{}", "strong"), "no_bypass", report_only=True, label="explore:{}"),
 }
 
 
@@ -725,6 +723,7 @@ def run_claim(
     name: str,
     n: int,
     param=None,
+    *,
     sample: int | None = None,
     seed: int | None = None,
     model: str = "uniform",
@@ -737,21 +736,27 @@ def run_claim(
     An exhaustive scan runs on the class generator: one process whatever
     `workers` says, and no progress lines. It dedupes the flagged class
     representatives as they are, without enumerate_digraphs' expansion to
-    every labeling. A sampled scan runs on _scan_sampled. A seed or a model
-    other than the default without `sample` is a ValueError."""
-    claim = CLAIMS[name]
-    if n < claim.min_n:
-        raise ValueError(f"{name} needs n >= {claim.min_n}")
+    every labeling. A sampled scan runs on _scan_sampled. ValueError for an
+    unknown claim, a missing, extra or unaccepted parameter, a task that
+    EnumerationTask refuses, or n below the claim's min_n."""
+    claim = CLAIMS.get(name)
+    if claim is None:
+        raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
+    takes_param = any("{}" in fid for fid in claim.filters)
     if param is None and claim.params:
         param = claim.params[0]
-    if param is not None and not claim.param_name:
+    if takes_param and param is None:
+        raise ValueError(f"{name} needs a parameter")
+    if param is not None and not takes_param:
         raise ValueError(f"{name} takes no parameter, got {param!r}")
     if claim.params and param not in claim.params:
         accepted = " or ".join(map(str, sorted(claim.params)))
-        raise ValueError(f"{claim.param_name} must be {accepted}")
+        raise ValueError(f"{name} takes {accepted}, got {param!r}")
     mode = "exhaustive" if sample is None else "sample"
     filters = tuple(fid.format(param) for fid in claim.filters)
     task = EnumerationTask(n, mode, filters, sample or 0, seed, model, claim.evaluator)
+    if n < claim.min_n:
+        raise ValueError(f"{name} needs n >= {claim.min_n}")
     workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
 
     t0 = time.monotonic()
@@ -780,103 +785,11 @@ def run_claim(
     )
 
 
-# ---------------------------------------------------------------------------
-# Theorem drivers
-# ---------------------------------------------------------------------------
-
-
-def check_theorem6(
-    n: int,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Strong plus a_k:0 forces a Hamiltonian cycle; no exception allowed."""
-    return run_claim("thm6", n, None, sample, seed, model, workers)
-
-
-def check_theorem11(
-    n: int,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Strong plus a_k:0 forces an (n-1)-cycle except balanced complete
-    bipartite digraphs."""
-    return run_claim("thm11", n, None, sample, seed, model, workers)
-
-
-def check_theorem12(
-    n: int,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Strong plus a_k:0 forces a Hamiltonian bypass except the one
-    5-vertex tournament."""
-    return run_claim("thm12", n, None, sample, seed, model, workers)
-
-
-def check_theorem8(
-    n: int,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Strong plus degree_sum:-2 forces a bypass outside a short list of
-    extremal families."""
-    return run_claim("thm8", n, None, sample, seed, model, workers)
-
-
-def check_theorem9(
-    n: int,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Strong plus meyniel forces a spanning reversed-tail pattern with k=3."""
-    return run_claim("thm9", n, None, sample, seed, model, workers)
-
-
-def check_theorem16_conjecture(
-    n: int,
-    min_in_degree: int = 3,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """thm13 hypothesis with degree floors forces a bypass for n >= 6.
-
-    min_in_degree=3 is the proven statement (confirmed expected); 2 probes
-    the open strengthening, so its report carries no asserted outcome.
-    """
-    return run_claim("thm16", n, min_in_degree, sample, seed, model, workers)
-
-
-def explore_no_bypass(
-    n: int,
-    cond_id: str,
-    *,
-    sample: int | None = None,
-    seed: int | None = None,
-    model: str = "uniform",
-    workers: int | None = None,
-) -> TheoremReport:
-    """Catalog of strong, condition-satisfying, bypass-free digraphs.
-
-    Open-ended by design: the report lists the deduplicated survivors and
-    asserts nothing about them.
-    """
-    return run_claim("explore", n, cond_id, sample, seed, model, workers)
+# The public drivers, one per CLAIMS row: run_claim with the claim name bound.
+check_theorem6 = partial(run_claim, "thm6")
+check_theorem8 = partial(run_claim, "thm8")
+check_theorem9 = partial(run_claim, "thm9")
+check_theorem11 = partial(run_claim, "thm11")
+check_theorem12 = partial(run_claim, "thm12")
+check_theorem16_conjecture = partial(run_claim, "thm16")
+explore_no_bypass = partial(run_claim, "explore")

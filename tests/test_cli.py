@@ -416,3 +416,20 @@ def test_module_run_executes_command():
         env=env,
     )
     assert (proc.returncode, proc.stdout) == (0, T5_TEXT)
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The package and its CLI import nothing outside the standard library,
+    even where numpy or networkx are installed: -S keeps site-packages off
+    the path, and every top-level module loaded must be stdlib or ours."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import hambypass, hambypass.cli\n"
+        "allowed = set(sys.stdlib_module_names) | {'hambypass', '__main__'}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} - allowed))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

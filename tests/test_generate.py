@@ -245,7 +245,7 @@ def _assert_parity(monkeypatch, name, n, param=None):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", [name for name in CLAIMS if name != "explore"])
 def test_generated_claim_matches_labeled_engine(monkeypatch, name, n):
-    """Every claim row at each of its parameters: thm16 with min_in_degree
+    """Every claim row at each of its parameters: thm16 with min in-degree
     3 and 2 mixes pruning filters with per-class thm13 checks."""
     for param in CLAIMS[name].params or (None,):
         _assert_parity(monkeypatch, name, n, param)

@@ -38,6 +38,19 @@ def test_partner_for_vertex_examples(t5):
     assert ins.find_partner_for_vertex(t5, make_path(t5, (0, 1, 2, 3)), 4) == 1
 
 
+@pytest.mark.parametrize("x", [5, 9, -1])
+def test_single_vertex_checks_reject_a_vertex_outside_the_digraph(t5, x):
+    p = make_path(t5, (0, 1))
+    c = make_cycle(t5, (0, 1, 2, 3))
+    for call in (
+        lambda: ins.find_partner_for_vertex(t5, p, x),
+        lambda: ins.lemma1_hypothesis(t5, c, x),
+        lambda: ins.lemma2_hypothesis(t5, p, x),
+    ):
+        with pytest.raises(ValueError, match=rf"vertex {x} outside range\(5\)"):
+            call()
+
+
 def test_partner_rejects_vertex_on_path(t5):
     with pytest.raises(ValueError):
         ins.find_partner_for_vertex(t5, make_path(t5, (0, 1, 2, 3)), 2)

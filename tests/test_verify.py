@@ -515,6 +515,47 @@ def test_explore_unknown_condition():
         explore_no_bypass(4, "zzz")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify.run_claim("nope", 5), "unknown claim 'nope'; known: thm6, thm8, .*explore"),
+        (lambda: verify.run_claim("thm12", True), "order must be a positive integer, got True"),
+        (lambda: verify.run_claim("thm12", "5"), "order must be a positive integer, got '5'"),
+        (lambda: check_theorem12(3), "thm12 needs n >= 4"),
+        (lambda: check_theorem12(5, 3), "thm12 takes no parameter, got 3"),
+        (lambda: check_theorem16_conjecture(6, 4), "thm16 takes 2 or 3, got 4"),
+        (lambda: explore_no_bypass(4, None), "explore needs a parameter"),
+    ],
+    ids=["unknown", "bool_n", "str_n", "below_min_n", "extra_param", "bad_param", "no_param"],
+)
+def test_run_claim_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_drivers_are_claim_bindings():
+    """Each driver is run_claim with its claim bound; the scan options are
+    keyword-only and the old parameter keywords are gone."""
+    drivers = {
+        "thm6": check_theorem6,
+        "thm8": check_theorem8,
+        "thm9": check_theorem9,
+        "thm11": check_theorem11,
+        "thm12": check_theorem12,
+        "thm16": check_theorem16_conjecture,
+        "explore": explore_no_bypass,
+    }
+    assert list(drivers) == list(CLAIMS)
+    for name, driver in drivers.items():
+        assert (driver.func, driver.args, driver.keywords) == (verify.run_claim, (name,), {})
+    with pytest.raises(TypeError):
+        verify.run_claim("thm12", 5, None, 100, 1)
+    with pytest.raises(TypeError):
+        check_theorem16_conjecture(6, min_in_degree=3)
+    with pytest.raises(TypeError):
+        explore_no_bypass(4, cond_id="meyniel")
+
+
 # --------------------------------------------------------------------------
 # determinism and exception soundness
 # --------------------------------------------------------------------------
