@@ -11,8 +11,8 @@ The `_*_violation` functions work on raw (n, rows, cols, dout, din) data so
 the enumeration engine can run them on millions of digraphs without building
 Digraph objects. Each returns None when the condition holds, else the first
 violation as (vertices, value, bound, detail): `vertices` is the tuple
-(x[, y[, z]]) and `detail` a constant string. `_report` turns that into the
-public ConditionReport.
+(x[, y[, z]]) and `detail` a constant string. `_checker` binds a core as
+its public checker, and `_report` turns the violation into a ConditionReport.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ def _report(hit) -> ConditionReport:
     return ConditionReport(
         False, ConditionWitness(dict(zip("xyz", vertices)), value, bound, detail)
     )
+
+
+def _checker(core, *extra) -> Callable[..., ConditionReport]:
+    """check(g, *params) reporting core(*_arrays(g), *params, *extra)."""
+    return lambda g, *params: _report(core(*_arrays(g), *params, *extra))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +114,7 @@ def check_a_k(g: Digraph, k: int, *, inclusive: bool = False) -> ConditionReport
 
 
 def _pair_sum_violation(n, rows, cols, dout, din, offset):
+    """d(x) + d(y) >= 2n + offset for every non-adjacent pair."""
     bound = 2 * n + offset
     for x in range(n):
         adj = rows[x] | cols[x]
@@ -122,14 +128,8 @@ def _pair_sum_violation(n, rows, cols, dout, din, offset):
     return None
 
 
-def check_meyniel(g: Digraph) -> ConditionReport:
-    """d(x) + d(y) >= 2n - 1 for every non-adjacent pair."""
-    return check_degree_sum(g, -1)
-
-
-def check_degree_sum(g: Digraph, offset: int) -> ConditionReport:
-    """d(x) + d(y) >= 2n + offset for every non-adjacent pair."""
-    return _report(_pair_sum_violation(*_arrays(g), offset))
+check_degree_sum = _checker(_pair_sum_violation)  # (g, offset)
+check_meyniel = _checker(_pair_sum_violation, -1)  # offset -1: d(x) + d(y) >= 2n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +138,18 @@ def check_degree_sum(g: Digraph, offset: int) -> ConditionReport:
 
 
 def _ghouila_violation(n, rows, cols, dout, din):
+    """Total degree at least n at every vertex."""
     for x in range(n):
         if dout[x] + din[x] < n:
             return (x,), dout[x] + din[x], n, ""
     return None
 
 
-def check_ghouila_houri(g: Digraph) -> ConditionReport:
-    """Total degree at least n at every vertex."""
-    return _report(_ghouila_violation(*_arrays(g)))
+check_ghouila_houri = _checker(_ghouila_violation)
 
 
 def _woodall_violation(n, rows, cols, dout, din):
+    """d_out(x) + d_in(y) >= n whenever the arc x->y is missing."""
     for x in range(n):
         rx = rows[x]
         for y in range(n):
@@ -161,13 +161,11 @@ def _woodall_violation(n, rows, cols, dout, din):
     return None
 
 
-def check_woodall(g: Digraph) -> ConditionReport:
-    """d_out(x) + d_in(y) >= n whenever the arc x->y is missing."""
-    return _report(_woodall_violation(*_arrays(g)))
+check_woodall = _checker(_woodall_violation)
 
 
 def _nash_violation(n, rows, cols, dout, din):
-    # Doubled comparison: 2 * semidegree >= n, exact for odd n.
+    """Both semidegrees at least n/2 at every vertex (doubled: exact for odd n)."""
     for x in range(n):
         if 2 * dout[x] < n:
             return (x,), 2 * dout[x], n, "doubled out-degree vs n"
@@ -176,9 +174,7 @@ def _nash_violation(n, rows, cols, dout, din):
     return None
 
 
-def check_nash_williams(g: Digraph) -> ConditionReport:
-    """Both semidegrees at least n/2 at every vertex (doubled arithmetic)."""
-    return _report(_nash_violation(*_arrays(g)))
+check_nash_williams = _checker(_nash_violation)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +183,8 @@ def check_nash_williams(g: Digraph) -> ConditionReport:
 
 
 def _thm13_violation(n, rows, cols, dout, din):
+    """Non-adjacent pairs with a common in-neighbour need high degrees:
+    min{d(x), d(y)} >= n-1 and d(x)+d(y) >= 2n-1 for every such pair."""
     for x in range(n):
         adj = rows[x] | cols[x]
         cx = cols[x]
@@ -203,12 +201,7 @@ def _thm13_violation(n, rows, cols, dout, din):
     return None
 
 
-def check_thm13_condition(g: Digraph) -> ConditionReport:
-    """Non-adjacent pairs with a common in-neighbour need high degrees.
-
-    min{d(x), d(y)} >= n-1 and d(x)+d(y) >= 2n-1 for every such pair.
-    """
-    return _report(_thm13_violation(*_arrays(g)))
+check_thm13_condition = _checker(_thm13_violation)
 
 
 def _common_flank(rows, cols, x, y) -> bool:
@@ -216,6 +209,8 @@ def _common_flank(rows, cols, x, y) -> bool:
 
 
 def _thm14_violation(n, rows, cols, dout, din):
+    """min{d_out(x)+d_in(y), d_in(x)+d_out(y)} >= n for non-adjacent pairs
+    sharing an out-neighbour or an in-neighbour."""
     for x in range(n):
         adj = rows[x] | cols[x]
         for y in range(x + 1, n):
@@ -229,13 +224,12 @@ def _thm14_violation(n, rows, cols, dout, din):
     return None
 
 
-def check_thm14_condition(g: Digraph) -> ConditionReport:
-    """min{d_out(x)+d_in(y), d_in(x)+d_out(y)} >= n for non-adjacent pairs
-    sharing an out-neighbour or an in-neighbour."""
-    return _report(_thm14_violation(*_arrays(g)))
+check_thm14_condition = _checker(_thm14_violation)
 
 
 def _thm15_violation(n, rows, cols, dout, din):
+    """Degree sum >= 2n-1 and crossed semidegree sums >= n-1 for non-adjacent
+    pairs sharing an out-neighbour or an in-neighbour."""
     for x in range(n):
         adj = rows[x] | cols[x]
         dx = dout[x] + din[x]
@@ -253,13 +247,12 @@ def _thm15_violation(n, rows, cols, dout, din):
     return None
 
 
-def check_thm15_condition(g: Digraph) -> ConditionReport:
-    """Degree sum >= 2n-1 and crossed semidegree sums >= n-1 for non-adjacent
-    pairs sharing an out-neighbour or an in-neighbour."""
-    return _report(_thm15_violation(*_arrays(g)))
+check_thm15_condition = _checker(_thm15_violation)
 
 
 def _thm16_violation(n, rows, cols, dout, din, min_in=3):
+    """Order >= 6, min out-degree >= 2, min in-degree >= min_in, plus the
+    common-in-neighbour pair condition of _thm13_violation."""
     if n < 6:
         return (), n, 6, "order below 6"
     for x in range(n):
@@ -271,15 +264,8 @@ def _thm16_violation(n, rows, cols, dout, din, min_in=3):
     return _thm13_violation(n, rows, cols, dout, din)
 
 
-def check_thm16_hypothesis(g: Digraph) -> ConditionReport:
-    """Order >= 6, min out-degree >= 2, min in-degree >= 3, plus the
-    common-in-neighbour pair condition."""
-    return _report(_thm16_violation(*_arrays(g)))
-
-
-def check_thm16_relaxed(g: Digraph) -> ConditionReport:
-    """Same hypothesis with the in-degree floor lowered to 2 (probe form)."""
-    return _report(_thm16_violation(*_arrays(g), 2))
+check_thm16_hypothesis = _checker(_thm16_violation)
+check_thm16_relaxed = _checker(_thm16_violation, 2)  # in-degree floor 2 (probe form)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +274,12 @@ def check_thm16_relaxed(g: Digraph) -> ConditionReport:
 
 
 def _lemma5_violation(n, rows, cols, dout, din):
+    """Slack transfer between overlapping non-adjacent pairs.
+
+    For every x with two distinct non-neighbours y and z: writing
+    a = 2n - d(x) - d(y), if a >= 1 then 2(d(x) + d(z)) >= 4n - 4 + a.
+    Value and bound in the witness are the doubled quantities.
+    """
     d = [dout[i] + din[i] for i in range(n)]
     for x in range(n):
         adj = rows[x] | cols[x]
@@ -305,14 +297,7 @@ def _lemma5_violation(n, rows, cols, dout, din):
     return None
 
 
-def lemma5_consequence_holds(g: Digraph) -> ConditionReport:
-    """Slack transfer between overlapping non-adjacent pairs.
-
-    For every x with two distinct non-neighbours y and z: writing
-    a = 2n - d(x) - d(y), if a >= 1 then 2(d(x) + d(z)) >= 4n - 4 + a.
-    Value and bound in the witness are the doubled quantities.
-    """
-    return _report(_lemma5_violation(*_arrays(g)))
+lemma5_consequence_holds = _checker(_lemma5_violation)
 
 
 # ---------------------------------------------------------------------------

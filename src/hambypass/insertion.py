@@ -26,8 +26,17 @@ def _pmask(verts) -> int:
     return mask
 
 
-def _degree_toward(g: Digraph, x: int, mask: int) -> int:
-    return (g.rows[x] & mask).bit_count() + (g.cols[x] & mask).bit_count()
+def _disjoint(g: Digraph, host, guest) -> int:
+    """Bitmask of the host vertices. Raises ValueError unless every vertex of
+    host and guest is an integer in range(g.n) and none lies on both."""
+    for v in (*host, *guest):
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise ValueError(f"vertex {v} outside range({g.n})")
+    mask = _pmask(host)
+    shared = (mask & _pmask(guest)).bit_length() - 1
+    if shared >= 0:
+        raise ValueError(f"vertex {shared} lies on the host and on the insert")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -37,24 +46,13 @@ def _degree_toward(g: Digraph, x: int, mask: int) -> int:
 
 def find_partner_for_vertex(g: Digraph, p: Path, x: int) -> int | None:
     """Smallest partner index of the single vertex x on p, or None."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} outside range({g.n})")
-    verts = p.vertices
-    if x in verts:
-        raise ValueError(f"vertex {x} already lies on the path")
-    if len(verts) < 2:
-        raise ValueError("host path needs at least two vertices")
-    for i in range(1, len(verts)):
-        if g.has_arc(verts[i - 1], x) and g.has_arc(x, verts[i]):
-            return i
-    return None
+    return find_partner_for_path(g, p, Path((x,)))
 
 
 def find_partner_for_path(g: Digraph, p: Path, q: Path) -> int | None:
     """Smallest partner index of the whole path q on p, or None."""
     pv, qv = p.vertices, q.vertices
-    if set(pv) & set(qv):
-        raise ValueError("paths must be vertex-disjoint")
+    _disjoint(g, pv, qv)
     if len(pv) < 2:
         raise ValueError("host path needs at least two vertices")
     for i in range(1, len(pv)):
@@ -66,8 +64,7 @@ def find_partner_for_path(g: Digraph, p: Path, q: Path) -> int | None:
 def insert_at(g: Digraph, p: Path, i: int, q: Path) -> Path:
     """Splice q between p[i] and p[i+1] (1-indexed partner position)."""
     pv, qv = p.vertices, q.vertices
-    if set(pv) & set(qv):
-        raise ValueError("paths must be vertex-disjoint")
+    _disjoint(g, pv, qv)
     if not 1 <= i <= len(pv) - 1:
         raise ValueError(f"partner index {i} outside [1, {len(pv) - 1}]")
     if not (g.has_arc(pv[i - 1], qv[0]) and g.has_arc(qv[-1], pv[i])):
@@ -92,13 +89,10 @@ def lemma2_hypothesis(g: Digraph, p: Path, x: int, *, literal_ii: bool = False) 
     `literal_ii` swaps (ii)'s second disjunct for "arc P.last->P.first
     missing" (the uncorrected reading, kept for comparison runs).
     """
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} outside range({g.n})")
     verts = p.vertices
-    if x in verts:
-        raise ValueError(f"vertex {x} already lies on the path")
+    mask = _disjoint(g, verts, (x,))
     m = len(verts)
-    d = _degree_toward(g, x, _pmask(verts))
+    d = (g.rows[x] & mask).bit_count() + (g.cols[x] & mask).bit_count()
     to_first_missing = not g.has_arc(x, verts[0])
     from_last_missing = not g.has_arc(verts[-1], x)
     if d >= m + 2:
@@ -128,9 +122,7 @@ def lemma4_hypothesis(g: Digraph, p: Path, q: Path, *, literal_terms: bool = Fal
     lemma2_hypothesis's literal_ii, for comparison runs).
     """
     pv, qv = p.vertices, q.vertices
-    if set(pv) & set(qv):
-        raise ValueError("paths must be vertex-disjoint")
-    mask = _pmask(pv)
+    mask = _disjoint(g, pv, qv)
     din_first = (g.cols[qv[0]] & mask).bit_count()
     dout_last = (g.rows[qv[-1]] & mask).bit_count()
     if literal_terms:
@@ -141,19 +133,14 @@ def lemma4_hypothesis(g: Digraph, p: Path, q: Path, *, literal_terms: bool = Fal
 
 
 def lemma1_hypothesis(g: Digraph, c: Cycle, x: int) -> bool:
-    """d(x, C) >= |C| + 1 for an off-cycle vertex x."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} outside range({g.n})")
-    if x in c.vertices:
-        raise ValueError(f"vertex {x} lies on the cycle")
-    return _degree_toward(g, x, _pmask(c.vertices)) >= len(c) + 1
+    """d(x, C) >= |C| + 1 for an off-cycle vertex x: Lemma 3 with q = (x,),
+    as d(x, C) = d_in(x, C) + d_out(x, C)."""
+    return lemma3_hypothesis(g, c, Path((x,)))
 
 
 def lemma3_hypothesis(g: Digraph, c: Cycle, q: Path) -> bool:
     """d_in(q.first, C) + d_out(q.last, C) >= |C| + 1 for a disjoint path q."""
-    if set(c.vertices) & set(q.vertices):
-        raise ValueError("cycle and path must be vertex-disjoint")
-    mask = _pmask(c.vertices)
+    mask = _disjoint(g, c.vertices, q.vertices)
     din_first = (g.cols[q.vertices[0]] & mask).bit_count()
     dout_last = (g.rows[q.vertices[-1]] & mask).bit_count()
     return din_first + dout_last >= len(c) + 1
@@ -210,8 +197,7 @@ def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollecti
     the spliced sequence, so anything returned is realizable.
     """
     pv, qv = p.vertices, q.vertices
-    if set(pv) & set(qv):
-        raise ValueError("paths must be vertex-disjoint")
+    _disjoint(g, pv, qv)
     if len(pv) < 2:
         raise ValueError("host path needs at least two vertices")
     s = len(qv)
@@ -339,14 +325,10 @@ def extend_as_much_as_possible(g: Digraph, p: Path, extra) -> InsertionOutcome:
     Each round inserts the lowest insertable vertex id at its smallest
     partner index; the step log records (vertex, index at insertion time).
     """
-    verts = list(p.vertices)
-    if set(verts) & set(extra):
-        raise ValueError("extra vertices must avoid the path")
     left = sorted(set(extra))
-    if left and not (0 <= left[0] and left[-1] < g.n):
-        raise ValueError("extra vertices outside the digraph")
+    _disjoint(g, p.vertices, left)
     steps: list[tuple[int, int]] = []
-    cur = Path(tuple(verts))
+    cur = p
     progressed = True
     while progressed and left:
         progressed = False
@@ -418,12 +400,9 @@ def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
     """Evaluate the Lemma7Report clauses for the (n-1)-cycle c of g and its
     off vertex y. Raises ValueError unless c covers all vertices but one
     and y is that one."""
+    _disjoint(g, c.vertices, (y,))
     if len(c) != g.n - 1:
         raise ValueError("cycle must cover all vertices but one")
-    if not 0 <= y < g.n:
-        raise ValueError(f"vertex {y} outside range({g.n})")
-    if y in c.vertices:
-        raise ValueError(f"vertex {y} lies on the cycle")
     return Lemma7Report(*_lemma7_raw(g.n, g.rows, g.cols, c.vertices, y))
 
 

@@ -739,7 +739,7 @@ def run_claim(
     every labeling. A sampled scan runs on _scan_sampled. ValueError for an
     unknown claim, a missing, extra or unaccepted parameter, a task that
     EnumerationTask refuses, or n below the claim's min_n."""
-    claim = CLAIMS.get(name)
+    claim = CLAIMS.get(name) if isinstance(name, str) else None
     if claim is None:
         raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
     takes_param = any("{}" in fid for fid in claim.filters)

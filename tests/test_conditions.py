@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given
 
-from conftest import digraphs, tournaments
+from conftest import digraphs, seeded_corpus, tournaments
 from naive_oracles import naive_a_k
 
 from hambypass.digraph import converse, degrees, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
 from hambypass import conditions as cond
+from hambypass.verify import digraph_from_mask, mask_bits
 
 
 EMPTY = fam.InnerSpec("empty", (), None)
@@ -278,3 +279,44 @@ def test_registry_round_trip(c4, t5):
 def test_resolve_inclusive_variant(kstar12):
     assert cond.resolve("a_k:0").check(kstar12).holds
     assert not cond.resolve("a_k_inc:0").check(kstar12).holds
+
+
+# The public checker of each registry row, and the parameters to try its id at
+# (None for an id without one).
+PUBLIC_CHECKERS = {
+    "a_k": (cond.check_a_k, (-1, 0, 1)),
+    "a_k_inc": (lambda g, k: cond.check_a_k(g, k, inclusive=True), (-1, 0)),
+    "meyniel": (cond.check_meyniel, None),
+    "degree_sum": (cond.check_degree_sum, (-5, -2, -1)),
+    "ghouila_houri": (cond.check_ghouila_houri, None),
+    "woodall": (cond.check_woodall, None),
+    "nash_williams": (cond.check_nash_williams, None),
+    "thm13": (cond.check_thm13_condition, None),
+    "thm14": (cond.check_thm14_condition, None),
+    "thm15": (cond.check_thm15_condition, None),
+    "thm16": (cond.check_thm16_hypothesis, None),
+    "thm16relaxed": (cond.check_thm16_relaxed, None),
+    "lemma5": (cond.lemma5_consequence_holds, None),
+}
+
+
+@pytest.fixture(scope="module")
+def checker_corpus():
+    """Every n = 4 digraph, then 150 uniform and 150 dense seeded draws at
+    n = 5..7."""
+    graphs = [digraph_from_mask(4, m) for m in range(1 << mask_bits(4))]
+    for p in (0.5, 0.85):
+        graphs += [g for _, g in seeded_corpus(seed=311, count=150, n_lo=5, n_hi=7, p=p)]
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(cond._CONDITIONS))
+def test_public_checkers_agree_with_the_registry(name, checker_corpus):
+    check, params = PUBLIC_CHECKERS[name]
+    for param in params or (None,):
+        args = () if param is None else (param,)
+        entry = cond.resolve(name if param is None else f"{name}:{param}")
+        for g in checker_corpus:
+            rep = check(g, *args)
+            assert rep.to_dict() == entry.check(g).to_dict(), (entry.cond_id, g.arcs())
+            assert rep.holds == entry.raw(*cond._arrays(g)), (entry.cond_id, g.arcs())

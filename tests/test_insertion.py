@@ -6,7 +6,7 @@ from hypothesis import given
 from conftest import digraphs, seeded_corpus
 from naive_oracles import naive_lemma7_clauses
 
-from hambypass.digraph import make_cycle, make_path, new_digraph
+from hambypass.digraph import Cycle, Path, make_cycle, make_path, new_digraph
 from hambypass import families as fam
 from hambypass import insertion as ins
 from hambypass.search import find_cycle_of_length, find_hamiltonian_bypass
@@ -49,6 +49,50 @@ def test_single_vertex_checks_reject_a_vertex_outside_the_digraph(t5, x):
     ):
         with pytest.raises(ValueError, match=rf"vertex {x} outside range\(5\)"):
             call()
+
+
+# Every insertion entry point that takes vertices, called with a host (a path
+# or a cycle of t5) and an insert vertex x.
+PATH_ENTRY_POINTS = {
+    "find_partner_for_vertex": lambda g, p, x: ins.find_partner_for_vertex(g, p, x),
+    "find_partner_for_path": lambda g, p, x: ins.find_partner_for_path(g, p, Path((x,))),
+    "insert_at": lambda g, p, x: ins.insert_at(g, p, 1, Path((x,))),
+    "lemma2_hypothesis": lambda g, p, x: ins.lemma2_hypothesis(g, p, x),
+    "lemma4_hypothesis": lambda g, p, x: ins.lemma4_hypothesis(g, p, Path((x,))),
+    "find_collection_of_partners": lambda g, p, x: ins.find_collection_of_partners(
+        g, p, Path((x,))
+    ),
+    "multi_insert": lambda g, p, x: ins.multi_insert(g, p, Path((x,))),
+    "extend_as_much_as_possible": lambda g, p, x: ins.extend_as_much_as_possible(g, p, (x,)),
+}
+CYCLE_ENTRY_POINTS = {
+    "lemma1_hypothesis": lambda g, c, x: ins.lemma1_hypothesis(g, c, x),
+    "lemma3_hypothesis": lambda g, c, x: ins.lemma3_hypothesis(g, c, Path((x,))),
+    "lemma7_consequences": lambda g, c, x: ins.lemma7_consequences(g, c, x),
+}
+
+
+def _entry_call(t5, entry, host_vertex, x):
+    """The call of `entry` on t5 whose host is the path (0, host_vertex) or
+    the cycle (0, 1, 2, host_vertex), built without make_path's checks."""
+    if entry in PATH_ENTRY_POINTS:
+        return lambda: PATH_ENTRY_POINTS[entry](t5, Path((0, host_vertex)), x)
+    return lambda: CYCLE_ENTRY_POINTS[entry](t5, Cycle((0, 1, 2, host_vertex)), x)
+
+
+@pytest.mark.parametrize("v", [9, -1, 2.0])
+@pytest.mark.parametrize("place", ["insert", "host"])
+@pytest.mark.parametrize("entry", [*PATH_ENTRY_POINTS, *CYCLE_ENTRY_POINTS])
+def test_entry_points_reject_a_vertex_outside_the_digraph(t5, entry, place, v):
+    call = _entry_call(t5, entry, 3, v) if place == "insert" else _entry_call(t5, entry, v, 4)
+    with pytest.raises(ValueError, match=rf"vertex {v} outside range\(5\)"):
+        call()
+
+
+@pytest.mark.parametrize("entry", [*PATH_ENTRY_POINTS, *CYCLE_ENTRY_POINTS])
+def test_entry_points_reject_a_vertex_on_the_host(t5, entry):
+    with pytest.raises(ValueError, match="vertex 0 lies on the host and on the insert"):
+        _entry_call(t5, entry, 3, 0)()
 
 
 def test_partner_rejects_vertex_on_path(t5):

@@ -519,6 +519,7 @@ def test_explore_unknown_condition():
     "call, message",
     [
         (lambda: verify.run_claim("nope", 5), "unknown claim 'nope'; known: thm6, thm8, .*explore"),
+        (lambda: verify.run_claim(["thm12"], 5), r"unknown claim \['thm12'\]; known: thm6"),
         (lambda: verify.run_claim("thm12", True), "order must be a positive integer, got True"),
         (lambda: verify.run_claim("thm12", "5"), "order must be a positive integer, got '5'"),
         (lambda: check_theorem12(3), "thm12 needs n >= 4"),
@@ -526,7 +527,10 @@ def test_explore_unknown_condition():
         (lambda: check_theorem16_conjecture(6, 4), "thm16 takes 2 or 3, got 4"),
         (lambda: explore_no_bypass(4, None), "explore needs a parameter"),
     ],
-    ids=["unknown", "bool_n", "str_n", "below_min_n", "extra_param", "bad_param", "no_param"],
+    ids=[
+        "unknown", "list_name", "bool_n", "str_n", "below_min_n", "extra_param", "bad_param",
+        "no_param",
+    ],
 )
 def test_run_claim_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
