@@ -13,8 +13,12 @@ digraphs the condition holds on and the SHA-256 of the reports' JSON lines.
 Search witnesses (cycles, paths between fixed ends, bypass orders and
 pattern mappings) are kept the same way: for each (finder, group), over the
 same digraphs plus every n=2 digraph, the number of witnesses found and the
-SHA-256 of one JSON line of witnesses per digraph. `--dump ID GROUP` prints
-the lines of a condition id or a finder name, so two checkouts can be diffed.
+SHA-256 of one JSON line of witnesses per digraph. Canonical forms are kept
+by name for the families up to n=8 (K*_n, K*_{p,q}, C_n, D(n, k), d1, d0 and
+T5) and, for 300 uniform plus 300 dense seeded masks at each of n=5..8, as the
+number of distinct forms and the SHA-256 of the hexes in draw order.
+`--dump ID GROUP` prints the lines of a condition id, a finder name or
+`canonical`, so two checkouts can be diffed.
 Rewrite the files only for an intended output change, and record why.
 """
 
@@ -28,13 +32,15 @@ from pathlib import Path
 
 import pytest
 
-from hambypass import conditions, search, verify
+from hambypass import conditions, iso, search, verify
+from hambypass import families as fam
 from hambypass.verify import digraph_from_mask, mask_bits
 
 GOLDEN = Path(__file__).parent / "golden"
 CLAIMS_FILE = GOLDEN / "claims.json"
 CONDITIONS_FILE = GOLDEN / "conditions.json"
 SEARCH_FILE = GOLDEN / "search.json"
+CANONICAL_FILE = GOLDEN / "canonical.json"
 
 CLAIM_CASES = {
     "thm6_n3": lambda: verify.check_theorem6(3, workers=1),
@@ -165,6 +171,60 @@ def search_summary(finder: str, graphs) -> dict:
     }
 
 
+def canonical_families() -> dict:
+    """Named family members with n <= 8."""
+    named = {"t5": fam.t5()}
+    for n in range(1, 9):
+        named[f"K*_{n}"] = fam.complete_digraph(n)
+    for p in range(1, 5):
+        for q in range(p, 9 - p):
+            named[f"K*_{p},{q}"] = fam.complete_bipartite_digraph(p, q)
+    for n in range(2, 9):
+        named[f"C_{n}"] = fam.directed_cycle(n)
+    for n in range(3, 9):
+        for k in range(2, n + 1):
+            named[f"D({n},{k})"] = fam.bypass_pattern(n, k)
+    for n in range(4, 9):
+        for k in range(1, n - 1):
+            named[f"d1({n},{k})"] = fam.d1(n, k)
+    for n in (5, 7):
+        inners = [fam.InnerSpec.empty(), fam.InnerSpec.complete()]
+        inners += [fam.InnerSpec.random(seed) for seed in range(3)]
+        for inner in inners:
+            named[f"d0({n},{inner.kind}{inner.seed if inner.kind == 'random' else ''})"] = (
+                fam.d0(n, inner)
+            )
+    return named
+
+
+def canonical_groups() -> dict[str, list[tuple[int, int]]]:
+    """300 uniform and 300 dense seeded masks at each of n=5..8."""
+    rng = random.Random(11)
+    groups = {}
+    for n in range(5, 9):
+        bits = mask_bits(n)
+        groups[f"uniform_n{n}"] = [(n, rng.getrandbits(bits)) for _ in range(300)]
+        groups[f"dense_n{n}"] = [
+            (n, rng.getrandbits(bits) | rng.getrandbits(bits)) for _ in range(300)
+        ]
+    return groups
+
+
+def canonical_hexes(graphs) -> list[str]:
+    return [iso.canonical_form(digraph_from_mask(n, m)).hex for n, m in graphs]
+
+
+def canonical_doc() -> dict:
+    doc = {name: iso.canonical_form(g).hex for name, g in canonical_families().items()}
+    for group, graphs in canonical_groups().items():
+        hexes = canonical_hexes(graphs)
+        doc[group] = {
+            "classes": len(set(hexes)),
+            "sha256": hashlib.sha256("\n".join(hexes).encode()).hexdigest(),
+        }
+    return doc
+
+
 def claim_doc(name: str) -> dict:
     return CLAIM_CASES[name]().to_json_dict(include_elapsed=False)
 
@@ -198,6 +258,10 @@ def test_search_witnesses_match_golden(finder):
     assert {group: search_summary(finder, groups[group]) for group in groups} == want
 
 
+def test_canonical_forms_match_golden():
+    assert canonical_doc() == json.loads(CANONICAL_FILE.read_text())
+
+
 def write_goldens() -> None:
     claims = {name: claim_doc(name) for name in CLAIM_CASES}
     CLAIMS_FILE.write_text(json.dumps(claims, indent=2) + "\n")
@@ -213,12 +277,15 @@ def write_goldens() -> None:
         for finder in SEARCH_CASES
     }
     SEARCH_FILE.write_text(json.dumps(found, indent=2) + "\n")
+    CANONICAL_FILE.write_text(json.dumps(canonical_doc(), indent=2) + "\n")
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--dump"]:
         cid, group = sys.argv[2], sys.argv[3]
-        if cid in SEARCH_CASES:
+        if cid == "canonical":
+            print("\n".join(canonical_hexes(canonical_groups()[group])))
+        elif cid in SEARCH_CASES:
             print("\n".join(map(json.dumps, search_results(cid, search_groups()[group]))))
         else:
             print("\n".join(condition_lines(cid, condition_groups()[group])))
