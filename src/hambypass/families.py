@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import MAX_N, Digraph, DigraphError, new_digraph
+from .digraph import Digraph, DigraphError, new_digraph
 
 # The 5-vertex tournament that satisfies the k=0 triple degree condition and
 # is strong and Hamiltonian, yet has no Hamiltonian bypass. Unique such

@@ -26,14 +26,25 @@ def _pmask(verts) -> int:
     return mask
 
 
-def _disjoint(g: Digraph, host, guest) -> int:
-    """Bitmask of the host vertices. Raises ValueError unless every vertex of
-    host and guest is an integer in range(g.n) and none lies on both."""
-    for v in (*host, *guest):
+def _vertex_mask(g: Digraph, verts) -> int:
+    """Bitmask of verts. Raises ValueError unless every vertex is an integer
+    in range(g.n) and none repeats."""
+    for v in verts:
         if not (isinstance(v, int) and 0 <= v < g.n):
             raise ValueError(f"vertex {v} outside range({g.n})")
-    mask = _pmask(host)
-    shared = (mask & _pmask(guest)).bit_length() - 1
+    mask = _pmask(verts)
+    if mask.bit_count() != len(verts):
+        repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
+        raise ValueError(f"vertex {repeated} repeats")
+    return mask
+
+
+def _disjoint(g: Digraph, host, guest) -> int:
+    """Bitmask of the host vertices. Raises ValueError unless every vertex of
+    host and guest is an integer in range(g.n), none repeats inside host or
+    guest, and none lies on both."""
+    mask = _vertex_mask(g, host)
+    shared = (mask & _vertex_mask(g, guest)).bit_length() - 1
     if shared >= 0:
         raise ValueError(f"vertex {shared} lies on the host and on the insert")
     return mask
@@ -407,8 +418,10 @@ def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
 
 
 def is_good_cycle(g: Digraph, c: Cycle) -> bool:
-    """(n-1)-cycle whose off-cycle vertex has total degree at least n."""
+    """(n-1)-cycle whose off-cycle vertex has total degree at least n.
+    Raises ValueError unless c's vertices are distinct and in range(g.n)."""
+    on = _disjoint(g, c.vertices, ())
     if len(c) != g.n - 1:
         return False
-    (off,) = set(range(g.n)) - set(c.vertices)
+    off = (((1 << g.n) - 1) ^ on).bit_length() - 1
     return g.degree(off) >= g.n

@@ -3,19 +3,19 @@
 The canonical form is the lexicographically minimal row-major adjacency
 bitstring over all vertex relabelings (row 0 first, column 0 the most
 significant bit of each row). It is computed exactly by ordered-partition
-branch and bound. Key fact: once a vertex is placed, its whole matrix row is
-already determined, because refining the remaining cells into
-non-neighbour/neighbour subcells pins down every later column position; so
-rows can be minimized greedily, and the per-row minimum is where the
-degree-based pruning lives (the smallest achievable first row is the
-trailing-ones pattern of a minimum-out-degree vertex). Two digraphs are
-isomorphic iff their canonical forms coincide.
+branch and bound. A cell of the partition is an int bitmask of unplaced
+vertices. Key fact: once a vertex is placed, its whole matrix row is already
+determined, because refining the remaining cells into non-neighbour/neighbour
+subcells pins down every later column position; so rows can be minimized
+greedily, and the per-row minimum is where the degree-based pruning lives
+(the smallest achievable first row is the trailing-ones pattern of a
+minimum-out-degree vertex). Two digraphs are isomorphic iff their canonical
+forms coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import families
 from .digraph import Digraph
@@ -39,77 +39,53 @@ def canonical_form(g: Digraph) -> CanonicalForm:
     n = g.n
     if n > CANON_MAX_N:
         raise ValueError(f"canonical form supports n <= {CANON_MAX_N}, got {n}")
-    if n == 1:
-        return CanonicalForm(1, 0)
     rows = g.rows
-    best: list[int] | None = None
+    best: list[int] = []
+    placed: list[int] = []
+    rowvals: list[int] = []
 
-    def row_value(v: int, placed: list[int], cells: list[tuple[int, ...]]) -> int:
-        # Columns: placed vertices in order, v's own diagonal zero, then the
-        # remaining cells left to right, non-neighbours before neighbours
-        # inside each cell. Placing v commits to exactly this row.
-        rv = rows[v]
-        val = 0
-        for u in placed:
-            val = (val << 1) | ((rv >> u) & 1)
-        val <<= 1
-        for cell in cells:
-            ones = 0
-            width = 0
-            for u in cell:
-                if u == v:
-                    continue
-                width += 1
-                ones += (rv >> u) & 1
-            val = (val << width) | ((1 << ones) - 1)
-        return val
-
-    def refine(v: int, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        rv = rows[v]
-        out = []
-        for cell in cells:
-            zeros = tuple(u for u in cell if u != v and not (rv >> u) & 1)
-            ones = tuple(u for u in cell if u != v and (rv >> u) & 1)
-            if zeros:
-                out.append(zeros)
-            if ones:
-                out.append(ones)
-        return out
-
-    def prunable(rowvals: list[int], low: int) -> bool:
-        # Fresh comparison against best every time: best may have improved
-        # while siblings ran.
-        if best is None:
-            return False
-        i = len(rowvals)
-        prefix = best[:i]
-        if rowvals != prefix:
-            return rowvals > prefix
-        return low > best[i]
-
-    def rec(placed: list[int], cells: list[tuple[int, ...]], rowvals: list[int]):
+    def rec(cells: list[int]) -> None:
         nonlocal best
         if not cells:
-            if best is None or rowvals < best:
-                best = list(rowvals)
+            if not best or rowvals < best:
+                best = rowvals[:]
             return
-        scored = sorted((row_value(v, placed, cells), v) for v in cells[0])
+        # Placing v commits to its row: the placed vertices in order, v's own
+        # diagonal zero, then each remaining cell left to right with its
+        # non-neighbours of v before its neighbours.
+        scored = []
+        first = cells[0]
+        while first:
+            bit = first & -first
+            first ^= bit
+            v = bit.bit_length() - 1
+            rv = rows[v]
+            val = 0
+            for u in placed:
+                val = (val << 1) | ((rv >> u) & 1)
+            val <<= 1
+            for c in cells:
+                c &= ~bit
+                val = (val << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
+            scored.append((val, v))
+        scored.sort()
         low = scored[0][0]
         # Only candidates achieving the minimal row can reach the global
-        # minimum; ties must all be explored since they diverge deeper.
+        # minimum; ties must all be explored since they diverge deeper. The
+        # prune is re-checked per candidate: best may have improved meanwhile.
         for val, v in scored:
-            if val != low:
-                break
-            if prunable(rowvals, low):
+            if val != low or best and rowvals + [low] > best[: len(rowvals) + 1]:
                 return
+            rv = rows[v]
+            off = ~(rv | (1 << v))
+            refined = [part for c in cells for part in (c & off, c & rv) if part]
             placed.append(v)
             rowvals.append(val)
-            rec(placed, refine(v, cells), rowvals)
+            rec(refined)
             rowvals.pop()
             placed.pop()
 
-    rec([], [tuple(range(n))], [])
-    assert best is not None
+    rec([(1 << n) - 1])
     bits = 0
     for rv in best:
         bits = (bits << n) | rv
@@ -128,19 +104,9 @@ def are_isomorphic(g: Digraph, h: Digraph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-@lru_cache(maxsize=1)
-def _t5_canonical() -> CanonicalForm:
-    return canonical_form(families.t5())
-
-
 def is_isomorphic_to_t5(g: Digraph) -> bool:
-    """Structural screen (order, size, tournament) then canonical compare."""
-    if g.n != 5 or g.m != 10:
-        return False
-    for u in range(5):
-        if (g.rows[u] | g.cols[u]) != (0b11111 & ~(1 << u)):
-            return False  # not a tournament
-    return canonical_form(g) == _t5_canonical()
+    """True iff g is a relabeling of the tournament `families.t5()`."""
+    return are_isomorphic(g, families.t5())
 
 
 def is_balanced_complete_bipartite(g: Digraph) -> bool:

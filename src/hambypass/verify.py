@@ -61,7 +61,6 @@ from .iso import (
 from .search import _bypass_raw, _cycle_bypass_raw, _cycles_raw, _dnk_raw
 
 EXHAUSTIVE_MAX_N = 6
-SAMPLE_MAX_N = 16
 SAMPLE_CHUNK = 4096
 _PROGRESS_STEP = 1 << 20
 _MODELS = ("uniform", "dense")
@@ -95,23 +94,18 @@ def _tables(n: int):
     u->v is bit n*v + u), so the transpose of a whole mask is one sum of n
     table entries.
     """
-    width = n - 1
     expand = []
     spread = []
     for u in range(n):
-        e_u = []
-        s_u = []
-        for raw in range(1 << width):
-            row = ((raw >> u) << (u + 1)) | (raw & ((1 << u) - 1))
-            e_u.append(row)
-            packed = 0
-            r = row
-            while r:
-                b = r & -r
-                r ^= b
-                v = b.bit_length() - 1
-                packed |= 1 << (n * v + u)
-            s_u.append(packed)
+        heads = [v for v in range(n) if v != u]
+        e_u = [0]
+        s_u = [0]
+        # Each entry is the entry without raw's lowest bit, plus that arc.
+        for raw in range(1, 1 << (n - 1)):
+            low = raw & -raw
+            v = heads[low.bit_length() - 1]
+            e_u.append(e_u[raw ^ low] | 1 << v)
+            s_u.append(s_u[raw ^ low] | 1 << (n * v + u))
         expand.append(tuple(e_u))
         spread.append(tuple(s_u))
     return tuple(expand), tuple(spread)
@@ -216,8 +210,8 @@ class EnumerationTask:
             if self.seed is not None or self.model != "uniform" or self.sample_count:
                 raise ValueError("seed, model and sample_count apply only to a sampled scan")
         elif self.mode == "sample":
-            if self.n > SAMPLE_MAX_N:
-                raise ValueError(f"sampling supports n <= {SAMPLE_MAX_N}")
+            if self.n > MAX_N:
+                raise ValueError(f"sampling supports n <= {MAX_N}")
             if self.sample_count < 1:
                 raise ValueError("sample mode needs sample_count >= 1")
             if self.seed is None:

@@ -95,6 +95,37 @@ def test_entry_points_reject_a_vertex_on_the_host(t5, entry):
         _entry_call(t5, entry, 3, 0)()
 
 
+@pytest.mark.parametrize("entry", [*PATH_ENTRY_POINTS, *CYCLE_ENTRY_POINTS])
+def test_entry_points_reject_a_repeated_host_vertex(t5, entry):
+    with pytest.raises(ValueError, match="vertex 0 repeats"):
+        _entry_call(t5, entry, 0, 4)()
+
+
+def test_entry_points_reject_a_repeated_insert_vertex(t5):
+    p, q = Path((0, 1)), Path((3, 2, 3))
+    for call in (
+        lambda: ins.find_partner_for_path(t5, p, q),
+        lambda: ins.insert_at(t5, p, 1, q),
+        lambda: ins.lemma3_hypothesis(t5, Cycle((0, 1)), q),
+        lambda: ins.multi_insert(t5, p, q),
+    ):
+        with pytest.raises(ValueError, match="vertex 3 repeats"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        ((0, 1, 2, 9), r"vertex 9 outside range\(5\)"),
+        ((0, 1, 2, -1), r"vertex -1 outside range\(5\)"),
+        ((0, 1, 2, 2), "vertex 2 repeats"),
+    ],
+)
+def test_is_good_cycle_rejects_bad_cycle_vertices(t5, cycle, message):
+    with pytest.raises(ValueError, match=message):
+        ins.is_good_cycle(t5, Cycle(cycle))
+
+
 def test_partner_rejects_vertex_on_path(t5):
     with pytest.raises(ValueError):
         ins.find_partner_for_vertex(t5, make_path(t5, (0, 1, 2, 3)), 2)

@@ -12,6 +12,7 @@ from naive_oracles import naive_canonical_bits
 from hambypass.digraph import converse, new_digraph
 from hambypass import families as fam
 from hambypass import iso
+from hambypass.verify import digraph_from_mask, mask_bits
 
 
 def permute(g, perm):
@@ -52,11 +53,10 @@ def test_canonical_permutation_invariant(g, rnd):
     assert iso.canonical_form(permute(g, perm)) == iso.canonical_form(g)
 
 
-def test_canonical_matches_naive_exhaustively_n3():
-    from hambypass.verify import digraph_from_mask
-
-    for mask in range(64):
-        g = digraph_from_mask(3, mask)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_matches_naive_exhaustively(n):
+    for mask in range(1 << mask_bits(n)):
+        g = digraph_from_mask(n, mask)
         assert iso.canonical_form(g).bits == naive_canonical_bits(g)
 
 
