@@ -215,7 +215,7 @@ def cmd_find(args) -> int:
     elif name == "cycle":
         if not param:
             raise ValueError("structure 'cycle' needs a length, e.g. cycle:4")
-        hit = search.find_cycle_of_length(g, int(param))
+        hit = search.find_cycle_of_length(g, conditions.id_int(param))
         witness = None if hit is None else {"vertices": list(hit.vertices)}
     elif name == "bypass":
         hit = search.find_hamiltonian_bypass(g)
@@ -225,7 +225,7 @@ def cmd_find(args) -> int:
     elif name == "dnk":
         if not param:
             raise ValueError("structure 'dnk' needs a parameter, e.g. dnk:3")
-        hit = search.find_bypass_pattern(g, int(param))
+        hit = search.find_bypass_pattern(g, conditions.id_int(param))
         witness = None if hit is None else {"mapping": list(hit.mapping)}
     elif name == "goodcycle":
         hit = search.find_good_cycle(g)

@@ -345,6 +345,15 @@ _CONDITIONS = {
 }
 
 
+def id_int(text: str) -> int:
+    """An id's integer parameter in its one spelling ("-2"; not "+0", " 0",
+    "0_0" or "-0"): ValueError unless str(int(text)) == text."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"integer {text!r} is not in canonical form")
+    return value
+
+
 def resolve(cond_id: str) -> Condition:
     """Map a stable identifier string to its checker and raw predicate.
 
@@ -355,7 +364,7 @@ def resolve(cond_id: str) -> Condition:
     unit, check, core, extra, upward = _CONDITIONS.get(name, (None, None, None, (), False))
     if unit is not None:
         try:
-            args = (int(param),)
+            args = (id_int(param),)
         except ValueError:
             raise ValueError(f"bad condition id {cond_id!r}: integer {unit} required")
     elif param:

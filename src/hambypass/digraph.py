@@ -32,7 +32,7 @@ class SelfLoopError(DigraphError):
 
 
 class VertexRangeError(DigraphError):
-    """Vertex outside 0..n-1."""
+    """Not a vertex: anything but an int, not a bool, in range(n)."""
 
 
 class DuplicateArcError(DigraphError):
@@ -53,7 +53,9 @@ class Digraph:
 
     `cols` is the transpose (bit u of `cols[v]` set iff arc u->v). Build
     instances through new_digraph / parse_digraph / the family generators;
-    the raw constructor trusts its arguments.
+    the raw constructor trusts its arguments. So do the accessors below:
+    they sit in inner loops, and `has_arc(-1, 0)` reads row n-1. Every API
+    function that takes a vertex checks it with vertex_mask instead.
     """
 
     n: int
@@ -106,13 +108,11 @@ def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     Each defect class raises its own error type so callers (and tests) can
     tell them apart.
     """
-    if not isinstance(n, int) or n < 1 or n > MAX_N:
-        raise OrderError(f"order must be an integer in [1, {MAX_N}], got {n!r}")
+    _check_order(n)
     rows = [0] * n
     for arc in arcs:
         u, v = arc
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"arc {arc} outside 0..{n - 1}")
+        vertex_mask(n, (u, v))
         if u == v:
             raise SelfLoopError(f"self-loop at {u}")
         if (rows[u] >> v) & 1:
@@ -121,15 +121,19 @@ def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     return Digraph._from_rows(n, rows)
 
 
+def _check_order(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise OrderError(f"order must be an integer in [1, {MAX_N}], got {n!r}")
+
+
 def degrees(g: Digraph, v: int) -> tuple[int, int, int]:
     """(out-degree, in-degree, total degree) of v."""
-    do = g.rows[v].bit_count()
-    di = g.cols[v].bit_count()
-    return do, di, do + di
+    return degrees_toward_set(g, v, range(g.n))
 
 
 def degrees_toward_set(g: Digraph, v: int, s: Iterable[int]) -> tuple[int, int, int]:
     """Degrees of v counted toward the vertex set s only."""
+    vertex_mask(g.n, (v,))
     mask = vertex_mask(g.n, s)
     do = (g.rows[v] & mask).bit_count()
     di = (g.cols[v] & mask).bit_count()
@@ -137,10 +141,13 @@ def degrees_toward_set(g: Digraph, v: int, s: Iterable[int]) -> tuple[int, int, 
 
 
 def vertex_mask(n: int, s: Iterable[int]) -> int:
+    """Bitmask of the vertices in s, and the one vertex rule of the API: a
+    vertex is an int, not a bool, in range(n). Anything else raises
+    VertexRangeError."""
     mask = 0
     for v in s:
-        if not 0 <= v < n:
-            raise VertexRangeError(f"vertex {v} outside 0..{n - 1}")
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+            raise VertexRangeError(f"vertex {v!r} outside range({n})")
         mask |= 1 << v
     return mask
 
@@ -193,11 +200,10 @@ def induced_subdigraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, tuple[int
 
     Vertices of s are relabelled 0..|s|-1 in ascending old-label order.
     """
-    verts = sorted(set(s))
-    if not verts:
+    mask = vertex_mask(g.n, s)
+    if not mask:
         raise DigraphError("induced subdigraph needs a nonempty vertex set")
-    if verts[0] < 0 or verts[-1] >= g.n:
-        raise VertexRangeError(f"vertex set {verts} outside 0..{g.n - 1}")
+    verts = [v for v in range(g.n) if (mask >> v) & 1]
     index = {v: i for i, v in enumerate(verts)}
     rows = [0] * len(verts)
     for v in verts:
@@ -248,10 +254,7 @@ class Cycle:
 
 
 def _check_sequence(g: Digraph, verts: tuple[int, ...], what: str) -> None:
-    for v in verts:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise PathError(f"{what} vertex {v!r} outside 0..{g.n - 1}")
-    if len(set(verts)) != len(verts):
+    if vertex_mask(g.n, verts).bit_count() != len(verts):
         raise PathError(f"{what} repeats a vertex: {verts}")
     for a, b in zip(verts, verts[1:]):
         if not g.has_arc(a, b):

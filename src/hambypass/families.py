@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, DigraphError, new_digraph
+from .digraph import Digraph, DigraphError, new_digraph, vertex_mask
 
 # The 5-vertex tournament that satisfies the k=0 triple degree condition and
 # is strong and Hamiltonian, yet has no Hamiltonian bypass. Unique such
@@ -76,8 +76,9 @@ class InnerSpec:
     """How to fill the dependent part B of the independent-set family.
 
     kind is one of "empty", "complete", "explicit", "random". Explicit arcs
-    use B-local indices 0..|B|-1. Random fills each ordered pair
-    independently with probability 1/2 from the given seed.
+    use B-local indices 0..|B|-1, which inner_arcs checks with vertex_mask.
+    Random fills each ordered pair independently with probability 1/2 from
+    the given seed.
     """
 
     kind: str
@@ -94,7 +95,7 @@ class InnerSpec:
 
     @classmethod
     def explicit(cls, arcs) -> "InnerSpec":
-        return cls("explicit", arcs=tuple((int(u), int(v)) for u, v in arcs))
+        return cls("explicit", arcs=tuple((u, v) for u, v in arcs))
 
     @classmethod
     def random(cls, seed: int) -> "InnerSpec":
@@ -107,9 +108,8 @@ class InnerSpec:
         if self.kind == "complete":
             return [(u, v) for u in range(b) for v in range(b) if u != v]
         if self.kind == "explicit":
-            for u, v in self.arcs:
-                if not (0 <= u < b and 0 <= v < b):
-                    raise DigraphError(f"inner arc ({u}, {v}) outside 0..{b - 1}")
+            for arc in self.arcs:
+                vertex_mask(b, arc)
             return list(self.arcs)
         if self.kind == "random":
             rng = random.Random(self.seed)

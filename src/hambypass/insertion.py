@@ -14,40 +14,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .digraph import Cycle, Digraph, Path, make_path
+from .digraph import Cycle, Digraph, Path, make_path, vertex_mask
 
 _NODE_BUDGET = 250_000
 
 
-def _pmask(verts) -> int:
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-    return mask
-
-
-def _vertex_mask(g: Digraph, verts) -> int:
-    """Bitmask of verts. Raises ValueError unless every vertex is an integer
-    in range(g.n) and none repeats."""
-    for v in verts:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise ValueError(f"vertex {v} outside range({g.n})")
-    mask = _pmask(verts)
-    if mask.bit_count() != len(verts):
-        repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
-        raise ValueError(f"vertex {repeated} repeats")
-    return mask
-
-
 def _disjoint(g: Digraph, host, guest) -> int:
-    """Bitmask of the host vertices. Raises ValueError unless every vertex of
-    host and guest is an integer in range(g.n), none repeats inside host or
-    guest, and none lies on both."""
-    mask = _vertex_mask(g, host)
-    shared = (mask & _vertex_mask(g, guest)).bit_length() - 1
+    """Bitmask of the host vertices. Raises VertexRangeError unless every
+    vertex of host and guest passes digraph.vertex_mask, and ValueError if
+    one repeats inside host or guest or lies on both."""
+    masks = []
+    for verts in (host, guest):
+        mask = vertex_mask(g.n, verts)
+        if mask.bit_count() != len(verts):
+            repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
+            raise ValueError(f"vertex {repeated} repeats")
+        masks.append(mask)
+    shared = (masks[0] & masks[1]).bit_length() - 1
     if shared >= 0:
         raise ValueError(f"vertex {shared} lies on the host and on the insert")
-    return mask
+    return masks[0]
+
+
+def _partners(g: Digraph, pv, first, last) -> list[int]:
+    """Every partner position, ascending, on the host sequence pv of an
+    insert that runs from `first` to `last`."""
+    return [i for i in range(1, len(pv)) if g.has_arc(pv[i - 1], first) and g.has_arc(last, pv[i])]
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +58,7 @@ def find_partner_for_path(g: Digraph, p: Path, q: Path) -> int | None:
     _disjoint(g, pv, qv)
     if len(pv) < 2:
         raise ValueError("host path needs at least two vertices")
-    for i in range(1, len(pv)):
-        if g.has_arc(pv[i - 1], qv[0]) and g.has_arc(qv[-1], pv[i]):
-            return i
-    return None
+    return next(iter(_partners(g, pv, qv[0], qv[-1])), None)
 
 
 def insert_at(g: Digraph, p: Path, i: int, q: Path) -> Path:
@@ -78,7 +67,7 @@ def insert_at(g: Digraph, p: Path, i: int, q: Path) -> Path:
     _disjoint(g, pv, qv)
     if not 1 <= i <= len(pv) - 1:
         raise ValueError(f"partner index {i} outside [1, {len(pv) - 1}]")
-    if not (g.has_arc(pv[i - 1], qv[0]) and g.has_arc(qv[-1], pv[i])):
+    if i not in _partners(g, pv, qv[0], qv[-1]):
         raise ValueError(f"position {i} is not a partner of the insert path")
     return make_path(g, pv[:i] + qv + pv[i:])
 
@@ -192,12 +181,6 @@ def _splice(pv, blocks, partners):
     return out
 
 
-def _valid_sequence(g: Digraph, seq) -> bool:
-    if len(set(seq)) != len(seq):
-        return False
-    return all(g.has_arc(a, b) for a, b in zip(seq, seq[1:]))
-
-
 def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollection | None:
     """Backtracking search for a partner collection of q on p, bounded by
     _NODE_BUDGET search nodes.
@@ -218,19 +201,8 @@ def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollecti
         for interior in combinations(range(2, s + 1), nblocks - 1):
             cuts = (1,) + interior + (s + 1,)
             blocks = [qv[cuts[j] - 1 : cuts[j + 1] - 1] for j in range(nblocks)]
-            options = []
-            dead = False
-            for block in blocks:
-                opts = [
-                    i
-                    for i in range(1, len(pv))
-                    if g.has_arc(pv[i - 1], block[0]) and g.has_arc(block[-1], pv[i])
-                ]
-                if not opts:
-                    dead = True
-                    break
-                options.append(opts)
-            if dead:
+            options = [_partners(g, pv, block[0], block[-1]) for block in blocks]
+            if not all(options):
                 continue
 
             for allow_shared in (False, True):
@@ -244,8 +216,9 @@ def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollecti
                     if j == nblocks:
                         if allow_shared and len(set(chosen)) == nblocks:
                             return False  # all-distinct ones ran in pass one
+                        # Distinct by construction: only the arcs need a check.
                         seq = _splice(pv, blocks, chosen)
-                        return _valid_sequence(g, seq)
+                        return all(map(g.has_arc, seq, seq[1:]))
                     for i in options[j]:
                         if not allow_shared and i in chosen[:j]:
                             continue
@@ -269,7 +242,7 @@ def _ordered_cover_path(g: Digraph, pv, qset):
     """
     rows = g.rows
     last = pv[-1]
-    qmask = _pmask(qset)
+    qmask = vertex_mask(g.n, qset)
 
     out: list[int] = [pv[0]]
 
@@ -419,7 +392,7 @@ def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
 
 def is_good_cycle(g: Digraph, c: Cycle) -> bool:
     """(n-1)-cycle whose off-cycle vertex has total degree at least n.
-    Raises ValueError unless c's vertices are distinct and in range(g.n)."""
+    Raises ValueError unless c's vertices are distinct vertices of g."""
     on = _disjoint(g, c.vertices, ())
     if len(c) != g.n - 1:
         return False

@@ -96,19 +96,17 @@ def _cycles_raw(rows, cols, smask, m):
         yield from _paths_raw(rows, s, rest, m, cols[s])
 
 
+def iter_cycles_of_length(g: Digraph, m: int):
+    """Every cycle of exactly m vertices, each once, in witness order. Needs
+    2 <= m <= n, checked when called rather than at the first next()."""
+    if not 2 <= m <= g.n:
+        raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
+    return (make_cycle(g, verts) for verts in _cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m))
+
+
 def find_cycle_of_length(g: Digraph, m: int) -> Cycle | None:
     """First cycle of exactly m vertices, or None. Needs 2 <= m <= n."""
-    if not 2 <= m <= g.n:
-        raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    hit = next(_cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m), None)
-    return None if hit is None else make_cycle(g, hit)
-
-
-def iter_cycles_of_length(g: Digraph, m: int):
-    if not 2 <= m <= g.n:
-        raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
-    for verts in _cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m):
-        yield make_cycle(g, verts)
+    return next(iter_cycles_of_length(g, m), None)
 
 
 def find_hamiltonian_cycle(g: Digraph) -> Cycle | None:
@@ -140,9 +138,10 @@ def _ham_path_raw(rows, cols, u, v, smask):
 def find_hamiltonian_path_between(g: Digraph, u: int, v: int, s) -> Path | None:
     """Path from u to v visiting every vertex of s exactly once."""
     smask = vertex_mask(g.n, s)
+    ends = vertex_mask(g.n, (u, v))
     if u == v:
         raise ValueError("endpoints must differ")
-    if not (smask >> u) & 1 or not (smask >> v) & 1:
+    if ends & ~smask:
         raise ValueError("both endpoints must lie in the vertex set")
     hit = _ham_path_raw(g.rows, g.cols, u, v, smask)
     return None if hit is None else make_path(g, hit)

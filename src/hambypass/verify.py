@@ -47,7 +47,7 @@ from random import Random
 from typing import Callable, Iterable
 
 from . import conditions, families
-from .digraph import MAX_N, Digraph, OrderError, _strong_raw
+from .digraph import MAX_N, Digraph, _check_order, _strong_raw
 from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
@@ -156,8 +156,7 @@ def _generate_decoder(n: int, out_floor: int, in_floor: int):
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     """The digraph of arc mask `mask`: OrderError for an order outside
     [1, MAX_N], ValueError for a mask outside [0, 2^(n(n-1)))."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise OrderError(f"order must be an integer in [1, {MAX_N}], got {n!r}")
+    _check_order(n)
     if not 0 <= mask < 1 << mask_bits(n):
         raise ValueError(f"mask {mask!r} outside [0, 2^{mask_bits(n)}) at n={n}")
     width = n - 1
@@ -248,7 +247,7 @@ def _plan(task: EnumerationTask, visitor: bool = False):
         name, _, param = fid.partition(":")
         if name in floors:
             try:
-                floors[name] = max(floors[name], int(param))
+                floors[name] = max(floors[name], conditions.id_int(param))
             except ValueError:
                 raise ValueError(f"bad filter id {fid!r}: integer threshold required")
         elif name == "strong":
@@ -264,7 +263,7 @@ def _plan(task: EnumerationTask, visitor: bool = False):
         raise ValueError(f"unknown evaluator {task.evaluator!r}")
     if name == "no_dnk":
         try:
-            k = int(param)
+            k = conditions.id_int(param)
         except ValueError:
             raise ValueError(f"evaluator 'no_dnk' needs an integer k, got {param or None!r}")
         families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k

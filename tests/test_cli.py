@@ -361,6 +361,28 @@ def test_exit_codes(argv, stdin_text, expected):
     assert run_cli(argv, stdin_text)[0] == expected
 
 
+@pytest.mark.parametrize("spelling", ["+3", " 3", "3 ", "0_3", "03", "-0"])
+@pytest.mark.parametrize("structure", ["cycle", "dnk"])
+def test_find_parameter_has_one_spelling(structure, spelling):
+    assert run_cli(["find", "-", f"{structure}:3"], T5_TEXT)[0] == 0
+    code, out, err = run_cli(["find", "-", f"{structure}:{spelling}"], T5_TEXT)
+    assert (code, out) == (2, "")
+    assert "not in canonical form" in err
+
+
+def test_a_vertex_outside_the_digraph_exits_2(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("3 1\n0 5\n")
+    d0_argv = ["gen", "d0", "--n", "5", "--inner", "explicit", "--arcs", "0,5"]
+    for argv, message in [
+        (["find", str(path), "hc"], "vertex 5 outside range(3)"),
+        (d0_argv, "vertex 5 outside range(2)"),
+    ]:
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err
+
+
 # --------------------------------------------------------------------------
 # file input and console script
 # --------------------------------------------------------------------------

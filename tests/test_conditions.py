@@ -9,7 +9,7 @@ from naive_oracles import naive_a_k
 from hambypass.digraph import converse, degrees, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
 from hambypass import conditions as cond
-from hambypass.verify import digraph_from_mask, mask_bits
+from hambypass.verify import EnumerationTask, digraph_from_mask, mask_bits
 
 
 EMPTY = fam.InnerSpec("empty", (), None)
@@ -274,6 +274,31 @@ def test_registry_round_trip(c4, t5):
         cond.resolve("not_a_condition")
     with pytest.raises(ValueError):
         cond.resolve("a_k:")
+
+
+# Each site that reads an integer from an id, with the message it refuses a
+# bad one with: a parameter has one spelling, so one scan has one label.
+ID_INT_SITES = {
+    "resolve": (lambda p: cond.resolve(f"a_k:{p}"), "integer k required"),
+    "floor": (lambda p: EnumerationTask(4, filters=(f"min_in:{p}",)), "integer threshold"),
+    "no_dnk": (lambda p: EnumerationTask(4, evaluator=f"no_dnk:{p}"), "needs an integer k"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["+3", " 3", "3 ", "0_3", "03", "-0"])
+@pytest.mark.parametrize("site", ID_INT_SITES)
+def test_integer_id_parameters_have_one_spelling(site, spelling):
+    build, message = ID_INT_SITES[site]
+    build("3")
+    with pytest.raises(ValueError, match=message):
+        build(spelling)
+
+
+def test_id_int_keeps_canonical_negatives():
+    assert cond.id_int("-2") == -2
+    assert cond.resolve("degree_sum:-2").cond_id == "degree_sum:-2"
+    with pytest.raises(ValueError, match="not in canonical form"):
+        cond.id_int("-02")
 
 
 def test_resolve_inclusive_variant(kstar12):

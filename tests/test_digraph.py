@@ -63,6 +63,8 @@ def test_new_digraph_rejects_bad_order():
         new_digraph(0, [])
     with pytest.raises(OrderError):
         new_digraph(17, [])
+    with pytest.raises(OrderError, match="got True"):
+        new_digraph(True, [])
 
 
 def test_t5_matches_its_frozen_arc_list(t5):

@@ -63,6 +63,11 @@ def test_iter_cycles_of_length(c4, kstar4):
             assert kstar4.has_arc(u, c.vertices[(i + 1) % 3])
 
 
+def test_iter_cycles_of_length_checks_the_length_when_called(c4):
+    with pytest.raises(ValueError, match=r"cycle length must lie in \[2, 4\], got 9"):
+        srch.iter_cycles_of_length(c4, 9)
+
+
 # --------------------------------------------------------------------------
 # hamiltonian paths between endpoints
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_mask_of_t5(t5):
     assert digraph_from_mask(5, mask_of(t5)) == t5
 
 
-@pytest.mark.parametrize("n", [0, 17, -1, 2.0, None])
+@pytest.mark.parametrize("n", [0, 17, -1, 2.0, None, True])
 def test_digraph_from_mask_refuses_a_bad_order(n):
     with pytest.raises(OrderError, match="order must be an integer in"):
         digraph_from_mask(n, 0)
