@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import conditions, families, search, verify
-from .digraph import Digraph, Path, format_digraph, make_path, parse_digraph
+from .digraph import Digraph, Path, format_digraph, id_int, make_path, parse_digraph
 from .insertion import _splice_collection, extend_as_much_as_possible, find_collection_of_partners
 
 _FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
@@ -61,7 +61,7 @@ def _parse_inner_arcs(text: str) -> list[tuple[int, int]]:
         pieces = part.split(",")
         if len(pieces) != 2:
             raise ValueError(f"bad inner arc {part!r}, expected 'u,v'")
-        arcs.append((int(pieces[0]), int(pieces[1])))
+        arcs.append((id_int(pieces[0]), id_int(pieces[1])))
     return arcs
 
 
@@ -215,7 +215,7 @@ def cmd_find(args) -> int:
     elif name == "cycle":
         if not param:
             raise ValueError("structure 'cycle' needs a length, e.g. cycle:4")
-        hit = search.find_cycle_of_length(g, conditions.id_int(param))
+        hit = search.find_cycle_of_length(g, id_int(param))
         witness = None if hit is None else {"vertices": list(hit.vertices)}
     elif name == "bypass":
         hit = search.find_hamiltonian_bypass(g)
@@ -225,7 +225,7 @@ def cmd_find(args) -> int:
     elif name == "dnk":
         if not param:
             raise ValueError("structure 'dnk' needs a parameter, e.g. dnk:3")
-        hit = search.find_bypass_pattern(g, conditions.id_int(param))
+        hit = search.find_bypass_pattern(g, id_int(param))
         witness = None if hit is None else {"mapping": list(hit.mapping)}
     elif name == "goodcycle":
         hit = search.find_good_cycle(g)

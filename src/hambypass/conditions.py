@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
-from .digraph import Digraph
+from .digraph import Digraph, id_int
 
 
 @dataclass(frozen=True)
@@ -343,15 +343,6 @@ _CONDITIONS = {
     "thm16relaxed": (None, check_thm16_relaxed, _thm16_violation, (2,), False),
     "lemma5": (None, lemma5_consequence_holds, _lemma5_violation, (), True),
 }
-
-
-def id_int(text: str) -> int:
-    """An id's integer parameter in its one spelling ("-2"; not "+0", " 0",
-    "0_0" or "-0"): ValueError unless str(int(text)) == text."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"integer {text!r} is not in canonical form")
-    return value
 
 
 def resolve(cond_id: str) -> Condition:

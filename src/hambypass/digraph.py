@@ -284,6 +284,15 @@ def make_cycle(g: Digraph, verts: Iterable[int]) -> Cycle:
 # ---------------------------------------------------------------------------
 
 
+def id_int(text: str) -> int:
+    """An integer in its one spelling ("-2"; not "+0", " 0", "0_0" or "-0"),
+    as ids and digraph text write it: ValueError unless str(int(text)) == text."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"integer {text!r} is not in canonical form")
+    return value
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the "n m" / "u v" plain-text format. '#' starts a comment."""
     tokens: list[tuple[int, list[str]]] = []
@@ -297,7 +306,7 @@ def parse_digraph(text: str) -> Digraph:
     if len(head) != 2:
         raise ParseError(f"line {lineno}: header must be 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = id_int(head[0]), id_int(head[1])
     except ValueError as exc:
         raise ParseError(f"line {lineno}: header must be two integers") from exc
     body_lines = tokens[1:]
@@ -308,7 +317,7 @@ def parse_digraph(text: str) -> Digraph:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: arc line must be 'u v'")
         try:
-            arcs.append((int(parts[0]), int(parts[1])))
+            arcs.append((id_int(parts[0]), id_int(parts[1])))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: arc endpoints must be integers") from exc
     try:

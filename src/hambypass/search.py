@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families
-from .digraph import Cycle, Digraph, Path, make_cycle, make_path, vertex_mask
+from .digraph import Cycle, Digraph, Path, VertexRangeError, make_cycle, make_path, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -206,10 +206,13 @@ def find_hamiltonian_bypass(g: Digraph) -> BypassWitness | None:
 
 
 def validate_bypass(g: Digraph, witness: BypassWitness) -> bool:
-    """Witness order must be a permutation of all vertices, consecutive arcs
-    present, plus the chord first->last."""
+    """Witness order must be a permutation of all vertices (vertex_mask's
+    rule), consecutive arcs present, plus the chord first->last."""
     order = witness.order
-    if sorted(order) != list(range(g.n)):
+    try:
+        if len(order) != g.n or vertex_mask(g.n, order) != (1 << g.n) - 1:
+            return False
+    except VertexRangeError:
         return False
     if not all(g.has_arc(a, b) for a, b in zip(order, order[1:])):
         return False

@@ -14,11 +14,11 @@ exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and
 "lemma7_sweep". Ids rather than callables cross the process boundary.
 
 Both scan engines run what _plan makes of a task's ids: min_out and min_in
-become degree floors of the decoder, which drops a mask at the first row or
-column below one; strong adds floors of 1 from n = 2 on and still runs; the
-other filters keep their order and say whether they are closed upward
-(adding an arc never makes one fail); and one flag predicate picks the
-masks a scan reports.
+become degree floors, one packed-counter test (_floor_test) that opens the
+decoder and that sampled scans run over each chunk before decoding; strong
+adds floors of 1 from n = 2 on and still runs; the other filters keep their
+order and say whether they are closed upward (adding an arc never makes
+one fail); and one flag predicate picks the masks a scan reports.
 
 Exhaustive scans generate one orbit-least mask per isomorphism class,
 downward from K*_n, pruned by the degree floors and the filters that are
@@ -41,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial
 from random import Random
 from typing import Callable, Iterable
@@ -87,12 +87,13 @@ def mask_of(g: Digraph) -> int:
 
 @lru_cache(maxsize=8)
 def _tables(n: int):
-    """Per-row decode tables.
+    """Per-order decode tables.
 
     EXPAND[u][raw] is the n-bit out-row (diagonal bit reinserted as 0);
     SPREAD[u][raw] packs the same arcs column-wise into n-bit lanes (arc
     u->v is bit n*v + u), so the transpose of a whole mask is one sum of n
-    table entries.
+    table entries. COUNT[j][x] holds the _floor_test counters of the arcs
+    that x holds among bits 10j.. of a mask.
     """
     expand = []
     spread = []
@@ -108,38 +109,70 @@ def _tables(n: int):
             s_u.append(s_u[raw ^ low] | 1 << (n * v + u))
         expand.append(tuple(e_u))
         spread.append(tuple(s_u))
-    return tuple(expand), tuple(spread)
+    width = n.bit_length() + 1
+    arcs = [(1 << width * u) + (1 << width * (n + v)) for u in range(n) for v in range(n) if v != u]
+    count = []
+    for j in range(0, len(arcs), 10):
+        c_j = [0]
+        for arc in arcs[j : j + 10]:  # the entries with this bit set follow those without
+            c_j += [c + arc for c in c_j]
+        count.append(tuple(c_j))
+    return tuple(expand), tuple(spread), tuple(count)
+
+
+def _floor_test(n: int, out_floor: int, in_floor: int) -> str:
+    """Source of the test that `mask` has every out-degree at least
+    out_floor and every in-degree at least in_floor (both >= 0; "" if both
+    are 0). Lanes of w = n.bit_length() + 1 bits count the arcs out of u
+    (lane u) and into v (lane n + v), summed from one _tables(n) COUNT
+    entry per 10-bit slice. Adding G - t to a lane of floor t, G = 2^(w-1)
+    > n - 1 and t clamped to [0, G], sets its bit G iff its count is at
+    least t: one sum and one mask test every floor (TAOCP 4A, 7.1.3)."""
+    if not (out_floor or in_floor):
+        return ""
+    width = n.bit_length() + 1
+    guard = 1 << (width - 1)
+    lanes = [min(out_floor, guard)] * n + [min(in_floor, guard)] * n
+    offset = sum((guard - t) << (width * i) for i, t in enumerate(lanes))
+    guards = sum(guard << (width * i) for i in range(2 * n))
+    last = (mask_bits(n) - 1) // 10
+    terms = [
+        f"C{j}[{f'mask >> {10 * j}' if j else 'mask'}{' & 1023' if j < last else ''}]"
+        for j in range(last + 1)
+    ]
+    return " + ".join([*terms, str(offset)]) + f" & {guards} == {guards}"
 
 
 def _decoder(n: int, out_floor: int = 0, in_floor: int = 0):
     """decode(mask) -> (rows, cols, dout, din) for order n, as fresh lists;
     None if an out-degree is below out_floor or an in-degree below in_floor.
 
-    A straight-line function generated from the _tables(n) entries: it
-    reads each row's field once, sums the SPREAD entries into packed
-    columns and splits them into n-bit lanes, with no loop or
-    comprehension frames. Each floor above 0 is checked as soon as its
-    degrees are known: on the row fields before the SPREAD sum, on the
-    lanes before the rows are expanded. The source is built from integers.
+    A straight-line function generated from integers and the _tables(n)
+    entries: after the _floor_test of both floors, it reads each row's
+    field once, sums the SPREAD entries into packed columns and splits them
+    into n-bit lanes, with no loop or comprehension frames.
     """
-    return _generate_decoder(n, max(0, out_floor), max(0, in_floor))
+    return _generate_decoder(n, max(0, out_floor), max(0, in_floor))[0]
 
 
 @lru_cache(maxsize=16)
 def _generate_decoder(n: int, out_floor: int, in_floor: int):
-    expand, spread = _tables(n)
+    """(decode, screen) from one generated source, for floors >= 0: the
+    _decoder, and screen(masks), the masks that pass the decoder's
+    _floor_test in order by one comprehension (masks itself without one)."""
+    expand, spread, count = _tables(n)
     width = n - 1
     field = (1 << width) - 1
     lane = (1 << n) - 1
     us = range(n)
-    def floor(var: str, t: int) -> str:
-        return f"\n    if {var}.bit_count() < {t}: return None" if t else ""
+    test = _floor_test(n, out_floor, in_floor)
     src = "\n    ".join(
         [
             "def decode(mask):",
-            *(f"a{u} = (mask >> {u * width}) & {field}" + floor(f"a{u}", out_floor) for u in us),
+            *([f"if not ({test}): return None"] if test else []),
+            *(f"a{u} = (mask >> {u * width}) & {field}" for u in us),
             "p = " + " + ".join(f"S{u}[a{u}]" for u in us),
-            *(f"c{v} = (p >> {n * v}) & {lane}" + floor(f"c{v}", in_floor) for v in us),
+            *(f"c{v} = (p >> {n * v}) & {lane}" for v in us),
             "; ".join(f"r{u} = E{u}[a{u}]" for u in us),
             "return "
             + ", ".join(
@@ -148,9 +181,12 @@ def _generate_decoder(n: int, out_floor: int, in_floor: int):
             ),
         ]
     )
+    screen = f"[mask for mask in masks if {test}]" if test else "masks"
+    src += f"\ndef screen(masks):\n    return {screen}"
     namespace = {f"E{u}": expand[u] for u in us} | {f"S{u}": spread[u] for u in us}
+    namespace |= {f"C{j}": c_j for j, c_j in enumerate(count)}
     exec(src, namespace)
-    return namespace["decode"]
+    return namespace["decode"], namespace["screen"]
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
@@ -351,21 +387,21 @@ def _chunk_masks(task: EnumerationTask, chunk_index: int) -> list[int]:
     start = chunk_index * SAMPLE_CHUNK
     count = min(SAMPLE_CHUNK, task.sample_count - start)
     rng = Random(_mix(task.seed, chunk_index))
-    if task.model == "dense":
-        return [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(count)]
-    return [rng.getrandbits(bits) for _ in range(count)]
+    if task.model == "dense":  # draw i is the union of draws 2i and 2i + 1
+        draws = map(rng.getrandbits, repeat(bits, 2 * count))
+        return list(map(int.__or__, draws, draws))
+    return list(map(rng.getrandbits, repeat(bits, count)))
 
 
-def _scan_chunk(task: EnumerationTask, decode, filters, flag, chunk_index: int):
-    """(draws, survivors, flagged masks) of one chunk, run as _plan says."""
+def _scan_chunk(task: EnumerationTask, screen, decode, filters, flag, chunk_index: int):
+    """(draws, survivors, flagged masks) of one chunk, run as _plan says:
+    `screen` drops the draws below a degree floor before any is decoded."""
     n = task.n
     masks = _chunk_masks(task, chunk_index)
     passed = 0
     hits: list[int] = []
-    for mask in masks:
-        if (decoded := decode(mask)) is None:  # below a degree floor
-            continue
-        rows, cols, dout, din = decoded
+    for mask in screen(masks):
+        rows, cols, dout, din = decode(mask)
         for f in filters:
             if not f(n, rows, cols, dout, din):
                 break
@@ -462,7 +498,8 @@ def _scan_sampled(
             print(f"scanned {scanned}", file=sys.stderr, flush=True)
 
     decoder, filters, flag = _plan(task, visitor is not None)
-    ctx = task, decoder(), [f for f, _ in filters], flag
+    screen = _generate_decoder(*decoder.args)[1]  # the chunk screen; the floors are >= 0
+    ctx = task, screen, _decoder(task.n), [f for f, _ in filters], flag
     if nworkers == 1:
         for i in range(nchunks):
             absorb(_scan_chunk(*ctx, i))

@@ -370,6 +370,33 @@ def test_find_parameter_has_one_spelling(structure, spelling):
     assert "not in canonical form" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\n0_1 2\n+2 0\n",
+        "+3 3\n0 1\n1 2\n2 0\n",
+        "3 03\n0 1\n1 2\n2 0\n",
+        "3 3\n-0 1\n1 2\n2 0\n",
+        "3 3\n0 1\n1 2\n2 0_0\n",
+    ],
+)
+def test_digraph_text_has_one_spelling(text):
+    """Header and arc numbers take only the spelling id_int takes."""
+    assert run_cli(["find", "-", "hc"], "3 3\n0 1\n1 2\n2 0\n")[0] == 0
+    code, out, err = run_cli(["find", "-", "hc"], text)
+    assert (code, out) == (2, "")
+    assert "must be" in err and "integers" in err
+
+
+@pytest.mark.parametrize("arcs", ["+0,1", "0,01", "0_0,1", "-0,1", "0, 1"])
+def test_inner_arcs_have_one_spelling(arcs):
+    argv = ["gen", "d0", "--n", "5", "--inner", "explicit"]
+    assert run_cli(argv + ["--arcs=0,1"])[0] == 0
+    code, out, err = run_cli(argv + [f"--arcs={arcs}"])
+    assert (code, out) == (2, "")
+    assert "not in canonical form" in err
+
+
 def test_a_vertex_outside_the_digraph_exits_2(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 1\n0 5\n")

@@ -250,7 +250,8 @@ def test_parse_accepts_comments_and_blank_lines():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "2\n", "abc\n", "2 1\n0 1\nextra line\n", "2 2\n0 1\n", "3 1\n0 3\n", "2 1\n0 0\n"],
+    ["", "2\n", "abc\n", "2 1\n0 1\nextra line\n", "2 2\n0 1\n", "3 1\n0 3\n", "2 1\n0 0\n"]
+    + ["02 1\n0 1\n", "2 +1\n0 1\n", "2 1\n-0 1\n", "2 1\n0 0_1\n"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):

@@ -138,3 +138,38 @@ def test_parity_cases_pass_some_and_reject_some():
         assert 0 < len(_reference(task)[0]) < 5000
     task = EnumerationTask(5, "sample", ("min_in:3", "min_in:2"), 5000, 5, "dense", "no_hc")
     assert _reference(task)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_chunk_screen_keeps_exactly_the_masks_that_meet_the_floors(n):
+    """The packed-counter screen keeps, in order, the masks whose floor-free
+    decoding meets both floors, for every floor pair from -1 to n + 1 and
+    with a floor beyond a counter lane's guard bit."""
+    masks = list(_floor_masks(n))
+    decoded = [verify._decoder(n)(mask) for mask in masks]
+    floors = [*range(-1, n + 2), 4 * n + 9]
+    for a in floors:
+        for b in floors:
+            expected = [m for m, d in zip(masks, decoded) if min(d[2]) >= a and min(d[3]) >= b]
+            screen = verify._generate_decoder(n, max(a, 0), max(b, 0))[1]
+            assert screen(masks) == expected, (a, b)
+
+
+def test_chunk_scan_matches_the_floored_decoder_loop():
+    """On a floored dense task, _scan_chunk (the screen, then the floor-free
+    decoder) counts and flags what decoding each draw with the floored
+    decoder does."""
+    task = EnumerationTask(8, "sample", THM16, 5000, 8, "dense", "no_bypass")
+    decoder, filters, flag = _plan(task)
+    filters = [f for f, _ in filters]
+    ctx = task, verify._generate_decoder(*decoder.args)[1], verify._decoder(8), filters, flag
+    decode = decoder()
+    for i in (0, 1):
+        masks = verify._chunk_masks(task, i)
+        survivors = []
+        for mask in masks:
+            if (d := decode(mask)) is not None and all(f(8, *d) for f in filters):
+                survivors.append((mask, flag(8, *d)))
+        assert 0 < len(survivors) < len(masks)
+        hits = [mask for mask, flagged in survivors if flagged]
+        assert verify._scan_chunk(*ctx, i) == (len(masks), len(survivors), hits)

@@ -108,6 +108,9 @@ def test_validate_bypass(kb22):
     assert srch.validate_bypass(kb22, w)
     assert not srch.validate_bypass(kb22, srch.BypassWitness((3, 0, 1, 2)))
     assert not srch.validate_bypass(kb22, srch.BypassWitness((0, 3, 1)))
+    # a vertex is an int and not a bool, checked before sorting or arc lookups
+    assert not srch.validate_bypass(kb22, srch.BypassWitness((0, 3, True, 2)))
+    assert not srch.validate_bypass(kb22, srch.BypassWitness((0, 2, 1.0, 3)))
     c4 = fam.directed_cycle(4)
     assert not srch.validate_bypass(c4, srch.BypassWitness((0, 1, 2, 3)))  # chord missing
 

@@ -598,6 +598,24 @@ def test_sample_stream_is_seeded():
     assert stream(1) != stream(2)
 
 
+@pytest.mark.parametrize("model", ["uniform", "dense"])
+@pytest.mark.parametrize("n", [2, 5, 6, 8, 12, 16])
+def test_chunk_draws_are_the_seeded_stream(n, model):
+    """Chunk i of a seeded task draws from Random(seed * 0x9E3779B97F4A7C15
+    + i mod 2^64), one getrandbits(n(n-1)) per draw, the union of two
+    consecutive ones on the dense model: pinned draw by draw, since the
+    reference scans themselves draw through _chunk_masks."""
+    bits = mask_bits(n)
+    task = EnumerationTask(n, "sample", sample_count=SAMPLE_CHUNK + 100, seed=7, model=model)
+    for i, count in ((0, SAMPLE_CHUNK), (1, 100)):
+        rng = random.Random((7 * 0x9E3779B97F4A7C15 + i) % (1 << 64))
+        if model == "dense":
+            expected = [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(count)]
+        else:
+            expected = [rng.getrandbits(bits) for _ in range(count)]
+        assert verify._chunk_masks(task, i) == expected
+
+
 def test_dense_model_label_and_determinism():
     a = check_theorem16_conjecture(6, 3, sample=4000, seed=9, model="dense", workers=1)
     b = check_theorem16_conjecture(6, 3, sample=4000, seed=9, model="dense", workers=4)
