@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
-from .digraph import Digraph, id_int
+from .digraph import Digraph, _check_int, id_int
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def check_a_k(g: Digraph, k: int, *, inclusive: bool = False) -> ConditionReport
     """
     if g.n < 3:
         raise ValueError("triple degree condition needs order >= 3")
-    return _report(_a_k_violation(*_arrays(g), k, inclusive))
+    return _report(_a_k_violation(*_arrays(g), _check_int(k, "k"), inclusive))
 
 
 # ---------------------------------------------------------------------------

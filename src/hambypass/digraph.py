@@ -126,6 +126,16 @@ def _check_order(n: int) -> None:
         raise OrderError(f"order must be an integer in [1, {MAX_N}], got {n!r}")
 
 
+def _check_int(value, name: str, least: int | None = None) -> int:
+    """value, by the one rule for an integer parameter that is neither a
+    vertex nor an order: an int, not a bool, and at least `least` if given.
+    Anything else raises ValueError naming the value."""
+    if isinstance(value, bool) or not isinstance(value, int) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def degrees(g: Digraph, v: int) -> tuple[int, int, int]:
     """(out-degree, in-degree, total degree) of v."""
     return degrees_toward_set(g, v, range(g.n))

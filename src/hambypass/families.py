@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, DigraphError, new_digraph, vertex_mask
+from .digraph import Digraph, DigraphError, _check_int, new_digraph, vertex_mask
 
 # The 5-vertex tournament that satisfies the k=0 triple degree condition and
 # is strong and Hamiltonian, yet has no Hamiltonian bypass. Unique such
@@ -30,7 +30,7 @@ def complete_digraph(n: int) -> Digraph:
 
 def complete_bipartite_digraph(p: int, q: int) -> Digraph:
     """K*_{p,q} with parts {0..p-1} and {p..p+q-1}, both arcs of every cross pair."""
-    if p < 1 or q < 1:
+    if _check_int(p, "part size") < 1 or _check_int(q, "part size") < 1:
         raise DigraphError("both parts must be nonempty")
     arcs = []
     for u in range(p):
@@ -56,7 +56,7 @@ def bypass_pattern(n: int, k: int) -> Digraph:
     """
     if n < 3:
         raise DigraphError("bypass pattern needs n >= 3")
-    if not 2 <= k <= n:
+    if not 2 <= _check_int(k, "k") <= n:
         raise DigraphError(f"k must lie in [2, {n}], got {k}")
     arcs = []
     for i in range(1, n + 1):          # e_i = (i-1) -> (i mod n)
@@ -159,7 +159,7 @@ def d1(n: int, k: int) -> Digraph:
     """
     if n < 4:
         raise DigraphError("glued-cliques family needs n >= 4")
-    if not 1 <= k <= n - 2:
+    if not 1 <= _check_int(k, "k") <= n - 2:
         raise DigraphError(f"k must lie in [1, {n - 2}], got {k}")
     cut = n - k - 1
     arcs = []

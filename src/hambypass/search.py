@@ -18,7 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import families
-from .digraph import Cycle, Digraph, Path, VertexRangeError, make_cycle, make_path, vertex_mask
+from .digraph import (
+    Cycle,
+    Digraph,
+    Path,
+    VertexRangeError,
+    _check_int,
+    make_cycle,
+    make_path,
+    vertex_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ def _cycles_raw(rows, cols, smask, m):
 def iter_cycles_of_length(g: Digraph, m: int):
     """Every cycle of exactly m vertices, each once, in witness order. Needs
     2 <= m <= n, checked when called rather than at the first next()."""
-    if not 2 <= m <= g.n:
+    if not 2 <= _check_int(m, "cycle length") <= g.n:
         raise ValueError(f"cycle length must lie in [2, {g.n}], got {m}")
     return (make_cycle(g, verts) for verts in _cycles_raw(g.rows, g.cols, (1 << g.n) - 1, m))
 

@@ -15,10 +15,12 @@ exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and
 
 Both scan engines run what _plan makes of a task's ids: min_out and min_in
 become degree floors, one packed-counter test (_floor_test) that opens the
-decoder and that sampled scans run over each chunk before decoding; strong
-adds floors of 1 from n = 2 on and still runs; the other filters keep their
-order and say whether they are closed upward (adding an arc never makes
-one fail); and one flag predicate picks the masks a scan reports.
+decoder; strong adds floors of 1 from n = 2 on and still runs; the other
+filters keep their order and say whether they are closed upward (adding an
+arc never makes one fail); and one flag predicate picks the masks a scan
+reports. A sampled scan with a floor draws each chunk as packed blocks of
+draws and tests the floors of every draw in a block at once (_screen), so
+only the survivors are decoded.
 
 Exhaustive scans generate one orbit-least mask per isomorphism class,
 downward from K*_n, pruned by the degree floors and the filters that are
@@ -29,9 +31,9 @@ lines. run_claim dedupes the flagged class representatives directly;
 enumerate_digraphs expands each flagged class, or with a visitor each
 passing class, to all of its labelings in ascending mask order. Sampled
 scans split their seeded draws into fixed-size chunks processed by a worker
-pool; chunk boundaries never depend on the worker count and partial results
-are merged in chunk order, so reports are bit-identical whatever the
-parallelism.
+pool, which takes them in batches; chunk boundaries never depend on the
+worker count and partial results are merged in chunk order, so reports are
+bit-identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations, repeat
+from itertools import compress, permutations, repeat
 from math import factorial
 from random import Random
 from typing import Callable, Iterable
 
 from . import conditions, families
-from .digraph import MAX_N, Digraph, _check_order, _strong_raw
+from .digraph import MAX_N, Digraph, _check_int, _check_order, _strong_raw
 from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
@@ -152,14 +154,12 @@ def _decoder(n: int, out_floor: int = 0, in_floor: int = 0):
     field once, sums the SPREAD entries into packed columns and splits them
     into n-bit lanes, with no loop or comprehension frames.
     """
-    return _generate_decoder(n, max(0, out_floor), max(0, in_floor))[0]
+    return _generate_decoder(n, max(0, out_floor), max(0, in_floor))
 
 
 @lru_cache(maxsize=16)
 def _generate_decoder(n: int, out_floor: int, in_floor: int):
-    """(decode, screen) from one generated source, for floors >= 0: the
-    _decoder, and screen(masks), the masks that pass the decoder's
-    _floor_test in order by one comprehension (masks itself without one)."""
+    """The _decoder of floors >= 0, generated from its source."""
     expand, spread, count = _tables(n)
     width = n - 1
     field = (1 << width) - 1
@@ -181,12 +181,10 @@ def _generate_decoder(n: int, out_floor: int, in_floor: int):
             ),
         ]
     )
-    screen = f"[mask for mask in masks if {test}]" if test else "masks"
-    src += f"\ndef screen(masks):\n    return {screen}"
     namespace = {f"E{u}": expand[u] for u in us} | {f"S{u}": spread[u] for u in us}
     namespace |= {f"C{j}": c_j for j, c_j in enumerate(count)}
     exec(src, namespace)
-    return namespace["decode"], namespace["screen"]
+    return namespace["decode"]
 
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
@@ -375,6 +373,7 @@ _EVALUATORS = {
 # ---------------------------------------------------------------------------
 
 _CTX: tuple | None = None  # the _scan_chunk arguments pool workers inherit
+_BLOCK_BITS = 1 << 14  # a packed block, and so each _packing constant
 
 
 def _mix(seed: int, chunk_index: int) -> int:
@@ -393,14 +392,99 @@ def _chunk_masks(task: EnumerationTask, chunk_index: int) -> list[int]:
     return list(map(rng.getrandbits, repeat(bits, count)))
 
 
-def _scan_chunk(task: EnumerationTask, screen, decode, filters, flag, chunk_index: int):
+def _moves(pairs, lanes: int) -> tuple[tuple[int, int], ...]:
+    """(offset, mask) steps moving bit src of every lane to bit dst, for the
+    (src, dst) `pairs`: one per offset, the mask repeated by `lanes`."""
+    groups: dict[int, int] = {}
+    for src, dst in pairs:
+        groups[dst - src] = groups.get(dst - src, 0) | 1 << src
+    return tuple((k, m * lanes) for k, m in groups.items())
+
+
+def _move(x: int, moves) -> int:
+    moved = 0
+    for k, m in moves:  # | is cheaper than + on long integers
+        moved |= (x & m) << k if k >= 0 else (x & m) >> -k
+    return moved
+
+
+@lru_cache(maxsize=8)
+def _packing(n: int, model: str):
+    """(width, per, draw, rows, cols, fields, span, guard, marks): a block
+    packs up to `per` draws in lanes of `width` bits. getrandbits(b) takes
+    w = ceil(b / 32) words and shifts the last right by -b % 32, so one
+    getrandbits(32 * w * per) holds per draws, which `draw` moves into
+    place (a dense lane holds two, which `draw` ORs). `rows` and `cols`
+    move the arcs out of and into each vertex to a field of `stride` bits
+    whose lowest bit `fields` marks; a count plus 2^guard - t has bit
+    `guard` set iff it is at least t, as in _floor_test. `marks` sets the
+    free bit n * stride < width of every lane."""
+    bits = mask_bits(n)
+    words = -(-bits // 32)
+    width = 32 * max(words, 1) << (model == "dense")
+    per = max(1, _BLOCK_BITS // width)
+    lanes = sum(1 << width * i for i in range(per))
+    top = 32 * (words - 1)
+    starts = [(p + (-bits % 32) * (p >= top), p) for p in range(bits)]  # in getrandbits' lane
+    halves = (0, width // 2) if model == "dense" else (0,)
+    draw = _moves([(h + src, dst) for h in halves for src, dst in starts], lanes)
+    span = n - 1
+    guard = span.bit_length()
+    stride = max(span, guard + 1)
+    arcs = [(u, v) for u in range(n) for v in range(n) if v != u]  # in mask bit order
+    rows = _moves([(p, p + u * (stride - span)) for p, (u, v) in enumerate(arcs)], lanes)
+    cols = _moves([(p, v * stride + u - (u > v)) for p, (u, v) in enumerate(arcs)], lanes)
+    fields = sum(1 << v * stride for v in range(n)) * lanes
+    return width, per, draw, rows, cols, fields, span, guard, (1 << n * stride) * lanes
+
+
+def _chunk_blocks(task: EnumerationTask, chunk_index: int):
+    """Yield the draws of chunk `chunk_index` as (block, lanes) pairs, packed
+    as _packing says: lane for lane the masks of _chunk_masks."""
+    width, per, draw = _packing(task.n, task.model)[:3]
+    count = min(SAMPLE_CHUNK, task.sample_count - chunk_index * SAMPLE_CHUNK)
+    rng = Random(_mix(task.seed, chunk_index))
+    for start in range(0, count, per):
+        lanes = min(per, count - start)
+        raw = rng.getrandbits(lanes * width) if draw else 0  # at n = 1 nothing is drawn
+        yield _move(raw, draw), lanes
+
+
+def _screen(n: int, model: str, floors: tuple[int, int], blocks):
+    """Yield, in lane order, the masks packed in `blocks` ((block, lanes)
+    pairs as _packing(n, model) says) that have every out-degree at least
+    floors[0] and every in-degree at least floors[1]: a few dozen
+    whole-block steps, then one selector byte per lane."""
+    width, per, _, rows, cols, fields, span, guard, marks = _packing(n, model)
+    top = 1 << guard
+    sides = [(m, fields * (top - min(t, top))) for m, t in zip((rows, cols), floors) if t > 0]
+    size = width // 8
+    at = ((marks & -marks).bit_length() - 1) // 8  # the byte of a lane that holds its mark
+    for block, lanes in blocks:
+        ok = -1
+        for moves, offset in sides:
+            x = _move(block, moves)
+            ok &= sum(((x >> i) & fields for i in range(span)), offset)
+        clear = marks - (~ok >> guard & fields) & marks  # a lane keeps its mark iff it missed none
+        keep = clear.to_bytes(per * size, "little")[at : lanes * size : size]
+        data = block.to_bytes(lanes * size, "little")
+        for i in compress(range(0, lanes * size, size), keep):
+            yield int.from_bytes(data[i : i + size], "little")
+
+
+def _scan_chunk(task: EnumerationTask, floors, decode, filters, flag, chunk_index: int):
     """(draws, survivors, flagged masks) of one chunk, run as _plan says:
-    `screen` drops the draws below a degree floor before any is decoded."""
+    with a degree floor (out, in) > 0, _screen drops the draws below it in
+    packed blocks before any is decoded."""
     n = task.n
-    masks = _chunk_masks(task, chunk_index)
+    count = min(SAMPLE_CHUNK, task.sample_count - chunk_index * SAMPLE_CHUNK)
+    if any(floors):
+        masks = _screen(n, task.model, floors, _chunk_blocks(task, chunk_index))
+    else:
+        masks = _chunk_masks(task, chunk_index)
     passed = 0
     hits: list[int] = []
-    for mask in screen(masks):
+    for mask in masks:
         rows, cols, dout, din = decode(mask)
         for f in filters:
             if not f(n, rows, cols, dout, din):
@@ -409,7 +493,7 @@ def _scan_chunk(task: EnumerationTask, screen, decode, filters, flag, chunk_inde
             passed += 1
             if flag is not None and flag(n, rows, cols, dout, din):
                 hits.append(mask)
-    return len(masks), passed, hits
+    return count, passed, hits
 
 
 def _pool_chunk(chunk_index: int):
@@ -425,14 +509,16 @@ class ScanResult:
 
 
 def _worker_count(explicit: int | None) -> int:
+    """`explicit`, else HAMBYPASS_THREADS, else min(4, CPUs); a given count
+    must be an int >= 1 (_check_int)."""
     if explicit is not None:
-        return max(1, explicit)
+        return _check_int(explicit, "workers", 1)
     env = os.environ.get("HAMBYPASS_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return _check_int(int(env), "HAMBYPASS_THREADS", 1)
         except ValueError:
-            raise ValueError(f"HAMBYPASS_THREADS must be an integer, got {env!r}")
+            raise ValueError(f"HAMBYPASS_THREADS must be an integer >= 1, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -498,8 +584,8 @@ def _scan_sampled(
             print(f"scanned {scanned}", file=sys.stderr, flush=True)
 
     decoder, filters, flag = _plan(task, visitor is not None)
-    screen = _generate_decoder(*decoder.args)[1]  # the chunk screen; the floors are >= 0
-    ctx = task, screen, _decoder(task.n), [f for f, _ in filters], flag
+    floors = decoder.args[1:]  # (out, in), both >= 0
+    ctx = task, floors, _decoder(task.n), [f for f, _ in filters], flag
     if nworkers == 1:
         for i in range(nchunks):
             absorb(_scan_chunk(*ctx, i))
@@ -507,8 +593,9 @@ def _scan_sampled(
         import multiprocessing
 
         _CTX = ctx  # set in the parent, so every worker inherits the decoder
+        batch = max(1, nchunks // (8 * nworkers))  # cuts pool traffic, keeps the tail short
         with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            for part in pool.imap(_pool_chunk, range(nchunks)):
+            for part in pool.imap(_pool_chunk, range(nchunks), batch):
                 absorb(part)
     return ScanResult(scanned, passed, tuple(flagged))
 

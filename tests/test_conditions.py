@@ -32,6 +32,12 @@ def test_a_k_examples(t5, c4):
     assert w.detail == "missing arc z->x"
 
 
+@pytest.mark.parametrize("k", [0.5, True, "0", 0.0])
+def test_a_k_level_is_an_integer(t5, k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        cond.check_a_k(t5, k)
+
+
 def test_a_k_on_d0():
     g = fam.d0(5, EMPTY)
     assert cond.check_a_k(g, -1).holds

@@ -50,6 +50,12 @@ def test_complete_bipartite_parts_and_errors():
         fam.complete_bipartite_digraph(0, 2)
 
 
+@pytest.mark.parametrize("p, q, bad", [(True, 2, True), (2.0, 2, 2.0), (2, "2", "'2'")])
+def test_complete_bipartite_part_sizes_are_integers(p, q, bad):
+    with pytest.raises(ValueError, match=f"part size must be an integer, got {bad}"):
+        fam.complete_bipartite_digraph(p, q)
+
+
 def test_directed_cycle():
     assert sorted(fam.directed_cycle(3).arcs()) == [(0, 1), (1, 2), (2, 0)]
     assert fam.directed_cycle(5).m == 5
@@ -174,6 +180,12 @@ def test_d1_shapes():
         (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2),
     }
     assert fam.d1(4, 2).m == 8
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1", None])
+def test_d1_k_is_an_integer(k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        fam.d1(5, k)
 
 
 def test_d1_glue_vertex_is_cut_vertex():

@@ -5,6 +5,7 @@ exhaustive, keep the floor-free reference scan's counts, survivors and
 flagged masks."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -140,19 +141,28 @@ def test_parity_cases_pass_some_and_reject_some():
     assert _reference(task)[1]
 
 
+def _blocks(n, model, masks):
+    """`masks` packed into (block, lanes) pairs as verify._packing says."""
+    width, per = verify._packing(n, model)[:2]
+    parts = [masks[i : i + per] for i in range(0, len(masks), per)]
+    return [(sum(m << width * j for j, m in enumerate(part)), len(part)) for part in parts]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
 def test_chunk_screen_keeps_exactly_the_masks_that_meet_the_floors(n):
-    """The packed-counter screen keeps, in order, the masks whose floor-free
+    """The packed screen keeps, in order, the masks whose floor-free
     decoding meets both floors, for every floor pair from -1 to n + 1 and
-    with a floor beyond a counter lane's guard bit."""
+    with a floor beyond a counter lane's guard bit, in the lanes of either
+    model."""
     masks = list(_floor_masks(n))
     decoded = [verify._decoder(n)(mask) for mask in masks]
     floors = [*range(-1, n + 2), 4 * n + 9]
-    for a in floors:
-        for b in floors:
-            expected = [m for m, d in zip(masks, decoded) if min(d[2]) >= a and min(d[3]) >= b]
-            screen = verify._generate_decoder(n, max(a, 0), max(b, 0))[1]
-            assert screen(masks) == expected, (a, b)
+    for model in ("uniform", "dense"):
+        blocks = _blocks(n, model, masks)
+        for a in floors:
+            for b in floors:
+                expected = [m for m, d in zip(masks, decoded) if min(d[2]) >= a and min(d[3]) >= b]
+                assert list(verify._screen(n, model, (a, b), blocks)) == expected, (model, a, b)
 
 
 def test_chunk_scan_matches_the_floored_decoder_loop():
@@ -162,7 +172,7 @@ def test_chunk_scan_matches_the_floored_decoder_loop():
     task = EnumerationTask(8, "sample", THM16, 5000, 8, "dense", "no_bypass")
     decoder, filters, flag = _plan(task)
     filters = [f for f, _ in filters]
-    ctx = task, verify._generate_decoder(*decoder.args)[1], verify._decoder(8), filters, flag
+    ctx = task, decoder.args[1:], verify._decoder(8), filters, flag
     decode = decoder()
     for i in (0, 1):
         masks = verify._chunk_masks(task, i)
@@ -173,3 +183,15 @@ def test_chunk_scan_matches_the_floored_decoder_loop():
         assert 0 < len(survivors) < len(masks)
         hits = [mask for mask, flagged in survivors if flagged]
         assert verify._scan_chunk(*ctx, i) == (len(masks), len(survivors), hits)
+
+
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("model", ["uniform", "dense"])
+def test_packed_screen_constants_stay_small(n, model):
+    """Every sampled scan with a floor caches its order's _packing, the
+    harness warm-up and strong (floors of 1) included, so it stays within a
+    fixed byte budget at every order."""
+    budget = 128 * 1024
+    width, per, draw, rows, cols, *rest = verify._packing(n, model)
+    ints = [m for moves in (draw, rows, cols) for _, m in moves] + rest[:1]
+    assert sum(map(sys.getsizeof, ints)) < budget

@@ -68,6 +68,12 @@ def test_iter_cycles_of_length_checks_the_length_when_called(c4):
         srch.iter_cycles_of_length(c4, 9)
 
 
+@pytest.mark.parametrize("m", [3.0, True, "3"])
+def test_cycle_length_is_an_integer(kstar4, m):
+    with pytest.raises(ValueError, match=f"cycle length must be an integer, got {m!r}"):
+        srch.iter_cycles_of_length(kstar4, m)
+
+
 # --------------------------------------------------------------------------
 # hamiltonian paths between endpoints
 # --------------------------------------------------------------------------
@@ -130,6 +136,13 @@ def test_bypass_pattern_search_examples(kstar4, c4):
         srch.find_bypass_pattern(kstar4, 1)
     with pytest.raises(ValueError):
         srch.find_bypass_pattern(kstar4, 5)
+
+
+@pytest.mark.parametrize("k", [3.0, True, "3"])
+def test_bypass_pattern_k_is_an_integer(k):
+    kstar5 = fam.complete_digraph(5)
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        srch.find_bypass_pattern(kstar5, k)
 
 
 @given(digraphs(min_n=3, max_n=5))

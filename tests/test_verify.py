@@ -616,6 +616,51 @@ def test_chunk_draws_are_the_seeded_stream(n, model):
         assert verify._chunk_masks(task, i) == expected
 
 
+@pytest.mark.parametrize("model", ["uniform", "dense"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_chunk_draws_are_the_chunk_masks(n, model):
+    """The packed blocks of a full chunk and of a partial last chunk hold,
+    lane for lane, the draws of _chunk_masks."""
+    task = EnumerationTask(n, "sample", sample_count=SAMPLE_CHUNK + 700, seed=3, model=model)
+    width = verify._packing(n, model)[0]
+    for i in (0, 1):
+        lanes = [
+            (block >> width * j) & ((1 << width) - 1)
+            for block, count in verify._chunk_blocks(task, i)
+            for j in range(count)
+        ]
+        assert lanes == verify._chunk_masks(task, i)
+
+
+def test_sampled_reports_identical_across_worker_counts_and_batches():
+    """53 chunks: the pool takes batches of 3 chunks on 2 workers and of 2
+    on 3, neither dividing the chunk count, and the report is unchanged."""
+    reps = [
+        check_theorem16_conjecture(6, 3, sample=52 * SAMPLE_CHUNK + 1000, seed=5, workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert len({report_fingerprint(r) for r in reps}) == 1
+    assert reps[0].scanned == 52 * SAMPLE_CHUNK + 1000 and reps[0].passed_filters > 0
+
+
+@pytest.mark.parametrize("workers", [1.5, "2", 0, -1, True])
+def test_worker_count_is_an_integer_of_at_least_one(workers):
+    """On a sampled and on an exhaustive claim alike."""
+    message = f"workers must be an integer >= 1, got {workers!r}"
+    with pytest.raises(ValueError, match=message):
+        verify.run_claim("thm12", 6, sample=20000, seed=1, workers=workers)
+    with pytest.raises(ValueError, match=message):
+        verify.run_claim("thm12", 4, workers=workers)
+
+
+@pytest.mark.parametrize("threads", ["1.5", "0", "-1", "True", "four"])
+def test_thread_env_is_an_integer_of_at_least_one(monkeypatch, threads):
+    monkeypatch.setenv("HAMBYPASS_THREADS", threads)
+    message = f"HAMBYPASS_THREADS must be an integer >= 1, got '{threads}'"
+    with pytest.raises(ValueError, match=message):
+        verify.run_claim("thm12", 6, sample=20000, seed=1)
+
+
 def test_dense_model_label_and_determinism():
     a = check_theorem16_conjecture(6, 3, sample=4000, seed=9, model="dense", workers=1)
     b = check_theorem16_conjecture(6, 3, sample=4000, seed=9, model="dense", workers=4)
