@@ -186,11 +186,13 @@ def _thm13_violation(n, rows, cols, dout, din):
     """Non-adjacent pairs with a common in-neighbour need high degrees:
     min{d(x), d(y)} >= n-1 and d(x)+d(y) >= 2n-1 for every such pair."""
     for x in range(n):
-        adj = rows[x] | cols[x]
         cx = cols[x]
         dx = dout[x] + din[x]
-        for y in range(x + 1, n):
-            if (adj >> y) & 1 or not (cx & cols[y]):
+        rest = (1 << n) - (2 << x) & ~(rows[x] | cx)  # the non-neighbours y > x
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not cx & cols[y]:
                 continue
             dy = dout[y] + din[y]
             lo = dx if dx < dy else dy

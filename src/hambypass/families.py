@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .digraph import Digraph, DigraphError, _check_int, new_digraph, vertex_mask
+from .digraph import Digraph, DigraphError, _check_int, _check_order, new_digraph, vertex_mask
 
 # The 5-vertex tournament that satisfies the k=0 triple degree condition and
 # is strong and Hamiltonian, yet has no Hamiltonian bypass. Unique such
@@ -25,6 +25,7 @@ T5_ARCS: tuple[tuple[int, int], ...] = (
 
 def complete_digraph(n: int) -> Digraph:
     """K*_n: both arcs between every pair."""
+    _check_order(n)
     return new_digraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))
 
 
@@ -42,6 +43,7 @@ def complete_bipartite_digraph(p: int, q: int) -> Digraph:
 
 def directed_cycle(n: int) -> Digraph:
     """The n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    _check_order(n)
     if n < 2:
         raise DigraphError("directed cycle needs n >= 2")
     return new_digraph(n, ((i, (i + 1) % n) for i in range(n)))
@@ -54,6 +56,7 @@ def bypass_pattern(n: int, k: int) -> Digraph:
     e_{n-k+2}..e_n are reversed. k = 2 is the Hamiltonian bypass shape
     (a Hamiltonian path plus the arc from its first to its last vertex).
     """
+    _check_order(n)
     if n < 3:
         raise DigraphError("bypass pattern needs n >= 3")
     if not 2 <= _check_int(k, "k") <= n:
@@ -129,6 +132,7 @@ def d0(n: int, inner: InnerSpec) -> Digraph:
     carries both arcs, so e(A,B) = 2|A||B| = (n+1)(n-1)/2. The subdigraph on
     B is whatever `inner` says.
     """
+    _check_order(n)
     if n < 5 or n % 2 == 0:
         raise DigraphError("this family needs odd n >= 5")
     a = (n + 1) // 2
@@ -157,6 +161,7 @@ def d1(n: int, k: int) -> Digraph:
     K*_{n-k} sits on {0..n-k-1} and K*_{k+1} on {n-k-1..n-1}; vertex n-k-1
     is the cut vertex. Requires n >= 4 and 1 <= k <= n-2.
     """
+    _check_order(n)
     if n < 4:
         raise DigraphError("glued-cliques family needs n >= 4")
     if not 1 <= _check_int(k, "k") <= n - 2:

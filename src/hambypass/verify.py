@@ -15,12 +15,12 @@ exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and
 
 Both scan engines run what _plan makes of a task's ids: min_out and min_in
 become degree floors, one packed-counter test (_floor_test) that opens the
-decoder; strong adds floors of 1 from n = 2 on and still runs; the other
-filters keep their order and say whether they are closed upward (adding an
-arc never makes one fail); and one flag predicate picks the masks a scan
-reports. A sampled scan with a floor draws each chunk as packed blocks of
-draws and tests the floors of every draw in a block at once (_screen), so
-only the survivors are decoded.
+decoder; strong adds floors of 1 from n = 2 on and runs only where the
+floors do not force it; the other filters keep their order and say whether
+they are closed upward (adding an arc never makes one fail); and one flag
+predicate picks the masks a scan reports. A sampled scan with a floor draws
+each chunk as packed blocks of draws and tests the floors of every draw in
+a block at once (_screen), so only the survivors are decoded.
 
 Exhaustive scans generate one orbit-least mask per isomorphism class,
 downward from K*_n, pruned by the degree floors and the filters that are
@@ -43,7 +43,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress, permutations, repeat
+from itertools import permutations, repeat
 from math import factorial
 from random import Random
 from typing import Callable, Iterable
@@ -269,13 +269,16 @@ def _plan(task: EnumerationTask, visitor: bool = False):
     decoder() generates the order's decoder with the degree floors, so a
     task checks its ids without generating one. min_out:<t> and min_in:<t>
     are floors only; the largest t wins. A strong digraph of order n >= 2
-    has every degree at least 1, so strong adds floors of 1 and still runs.
-    The other filters are (raw predicate, closed upward) pairs in task
+    has every degree at least 1, so strong adds floors of 1. It runs only if
+    min_out + min_in < n - 1: a set that no arc enters holds min_in + 1
+    vertices or more, its complement min_out + 1, so larger floors force
+    strong. The other filters are (raw predicate, closed upward) pairs in task
     order. The flag picks the survivors a scan reports: all on a visitor
     scan, else those the evaluator flags, or none if it is None."""
     n = task.n
     one = int("strong" in task.filters and n >= 2)
     floors = {"min_out": one, "min_in": one}
+    strong = (lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols), True)
     filters = []
     for fid in task.filters:
         name, _, param = fid.partition(":")
@@ -287,10 +290,12 @@ def _plan(task: EnumerationTask, visitor: bool = False):
         elif name == "strong":
             if param:
                 raise ValueError("filter 'strong' takes no parameter")
-            filters.append((lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols), True))
+            filters.append(strong)
         else:
             cond = conditions.resolve(fid)
             filters.append((cond.raw, cond.upward_closed))
+    if floors["min_out"] + floors["min_in"] >= n - 1:  # the floors force strong
+        filters = [f for f in filters if f is not strong]
     name, _, param = (task.evaluator or "").partition(":")
     flag = _EVALUATORS.get(name)
     if task.evaluator is not None and flag is None:
@@ -454,21 +459,22 @@ def _screen(n: int, model: str, floors: tuple[int, int], blocks):
     """Yield, in lane order, the masks packed in `blocks` ((block, lanes)
     pairs as _packing(n, model) says) that have every out-degree at least
     floors[0] and every in-degree at least floors[1]: a few dozen
-    whole-block steps, then one selector byte per lane."""
+    whole-block steps, then one bytes.find per survivor."""
     width, per, _, rows, cols, fields, span, guard, marks = _packing(n, model)
     top = 1 << guard
     sides = [(m, fields * (top - min(t, top))) for m, t in zip((rows, cols), floors) if t > 0]
     size = width // 8
-    at = ((marks & -marks).bit_length() - 1) // 8  # the byte of a lane that holds its mark
+    low = (marks & -marks).bit_length() - 1  # the bit of a lane that holds its mark
     for block, lanes in blocks:
         ok = -1
         for moves, offset in sides:
             x = _move(block, moves)
             ok &= sum(((x >> i) & fields for i in range(span)), offset)
         clear = marks - (~ok >> guard & fields) & marks  # a lane keeps its mark iff it missed none
-        keep = clear.to_bytes(per * size, "little")[at : lanes * size : size]
+        keep = (clear >> low).to_bytes(per * size, "little")  # byte i * size: 1 iff lane i is kept
         data = block.to_bytes(lanes * size, "little")
-        for i in compress(range(0, lanes * size, size), keep):
+        i = -size
+        while (i := keep.find(1, i + size, lanes * size)) >= 0:
             yield int.from_bytes(data[i : i + size], "little")
 
 

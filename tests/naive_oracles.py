@@ -14,7 +14,7 @@ from functools import cache, partial
 from itertools import permutations
 
 from hambypass import conditions, verify
-from hambypass.digraph import _strong_raw
+from hambypass.digraph import Digraph, _strong_raw
 
 
 def arc_set(g):
@@ -131,6 +131,23 @@ def naive_min_nonadjacent_degree_sum(g):
     return best
 
 
+def naive_thm13_violation(g):
+    """The first pair x < y, non-adjacent with a common in-neighbour, whose
+    degrees break min{d(x), d(y)} >= n-1 or d(x)+d(y) >= 2n-1, reported as
+    conditions._thm13_violation reports it; None if there is none."""
+    n = g.n
+    for x in range(n):
+        for y in range(x + 1, n):
+            if g.has_arc(x, y) or g.has_arc(y, x) or not g.cols[x] & g.cols[y]:
+                continue
+            dx, dy = g.degree(x), g.degree(y)
+            if min(dx, dy) < n - 1:
+                return (x, y), min(dx, dy), n - 1, "min degree"
+            if dx + dy < 2 * n - 1:
+                return (x, y), dx + dy, 2 * n - 1, "degree sum"
+    return None
+
+
 def naive_a_k(g, k: int, inclusive: bool = False) -> bool:
     """Triple-loop evaluation of the A_k degree condition.
 
@@ -208,7 +225,8 @@ def naive_lemma7_clauses(g, c, y):
 
 def reference_filter(fid):
     """Raw predicate of a scan filter id, with min_out:<t> and min_in:<t>
-    as plain min-degree checks instead of decoder floors."""
+    as plain min-degree checks instead of decoder floors, and thm13 by
+    naive_thm13_violation instead of the engine's core."""
     name, _, t = fid.partition(":")
     if name == "min_out":
         return lambda n, rows, cols, dout, din: min(dout) >= int(t)
@@ -216,6 +234,8 @@ def reference_filter(fid):
         return lambda n, rows, cols, dout, din: min(din) >= int(t)
     if fid == "strong":
         return lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols)
+    if fid == "thm13":
+        return lambda n, rows, *_: naive_thm13_violation(Digraph._from_rows(n, rows)) is None
     return conditions.resolve(fid).raw
 
 

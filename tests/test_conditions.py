@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import digraphs, seeded_corpus, tournaments
-from naive_oracles import naive_a_k
+from naive_oracles import naive_a_k, naive_thm13_violation
 
 from hambypass.digraph import converse, degrees, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
@@ -351,3 +351,15 @@ def test_public_checkers_agree_with_the_registry(name, checker_corpus):
             rep = check(g, *args)
             assert rep.to_dict() == entry.check(g).to_dict(), (entry.cond_id, g.arcs())
             assert rep.holds == entry.raw(*cond._arrays(g)), (entry.cond_id, g.arcs())
+
+
+def test_thm13_core_agrees_with_the_naive_checker(checker_corpus):
+    """The bit-loop core finds the same first violation, or none, as the
+    pair-by-pair checker over Digraph methods; both verdicts and both kinds
+    of witness occur in the corpus."""
+    seen = set()
+    for g in checker_corpus:
+        hit = cond._thm13_violation(*cond._arrays(g))
+        assert hit == naive_thm13_violation(g), g.arcs()
+        seen.add(hit and hit[3])
+    assert seen == {None, "min degree", "degree sum"}

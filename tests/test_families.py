@@ -1,10 +1,13 @@
 """Named family generators: shapes, arc counts, and structural invariants."""
 
+import re
+from functools import partial
+
 import pytest
 
 from naive_oracles import naive_has_bypass
 
-from hambypass.digraph import DigraphError, induced_subdigraph, is_strong, new_digraph
+from hambypass.digraph import MAX_N, DigraphError, OrderError, induced_subdigraph, is_strong, new_digraph
 from hambypass import families as fam
 from hambypass.conditions import check_a_k
 from hambypass.search import find_cycle_of_length, find_hamiltonian_bypass
@@ -61,6 +64,24 @@ def test_directed_cycle():
     assert fam.directed_cycle(5).m == 5
     with pytest.raises(DigraphError):
         fam.directed_cycle(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        fam.complete_digraph,
+        fam.directed_cycle,
+        partial(fam.bypass_pattern, k=2),
+        partial(fam.d0, inner=EMPTY),
+        partial(fam.d1, k=1),
+    ],
+)
+@pytest.mark.parametrize("n", [5.0, True, "5", 0, MAX_N + 1])
+def test_family_builders_check_their_order_first(build, n):
+    """A bad order is an OrderError naming it, before any other check or
+    any range over it."""
+    with pytest.raises(OrderError, match=re.escape(f"got {n!r}")):
+        build(n)
 
 
 # --------------------------------------------------------------------------

@@ -10,11 +10,19 @@ from dataclasses import replace
 
 import pytest
 
-from naive_oracles import reference_filter, reference_scan
+from naive_oracles import naive_is_strong, reference_filter, reference_scan
 from test_verify import _decoder_masks
 
 from hambypass import verify
-from hambypass.verify import EnumerationTask, _plan, enumerate_digraphs, mask_bits
+from hambypass.digraph import new_digraph
+from hambypass.verify import (
+    EnumerationTask,
+    _plan,
+    digraph_from_mask,
+    enumerate_digraphs,
+    mask_bits,
+    mask_of,
+)
 
 THM16 = ("min_out:2", "min_in:3", "thm13", "strong")
 
@@ -52,9 +60,10 @@ def test_zero_and_negative_floors_share_the_floor_free_decoder():
 @pytest.mark.parametrize(
     "n, filters, expected",
     [
-        (1, ("strong",), (0, 0, ["strong"])),
-        (2, ("strong",), (1, 1, ["strong"])),
-        (6, THM16, (2, 3, ["thm13", "strong"])),
+        (1, ("strong",), (0, 0, [])),
+        (2, ("strong",), (1, 1, [])),
+        (6, THM16, (2, 3, ["thm13"])),
+        (7, THM16, (2, 3, ["thm13", "strong"])),
         (5, ("min_in:2", "a_k:0", "min_in:3"), (0, 3, ["a_k:0"])),
         (5, ("min_out:0", "min_in:-1"), (0, 0, [])),
         (5, ("min_out:-1", "strong"), (1, 1, ["strong"])),
@@ -65,13 +74,50 @@ def test_degree_floors_come_from_the_filters(n, filters, expected):
     answer as the expected ids do, in the same order, on every mask up to
     n = 4 and on the floor masks above."""
     out_floor, in_floor, rest = expected
-    decoder, planned, _ = _plan(EnumerationTask(n, filters=filters))
+    decoder, planned, _ = _plan(EnumerationTask(n, "sample", filters, 1, 0))
     assert decoder() is verify._decoder(n, out_floor, in_floor)
     assert len(planned) == len(rest)
     plain = verify._decoder(n)
     for mask in _floor_masks(n):
         args = (n, *plain(mask))
         assert [f(*args) for f, _ in planned] == [reference_filter(fid)(*args) for fid in rest]
+
+
+def _strong_task(n, a, b):
+    return EnumerationTask(n, "sample", (f"min_out:{a}", f"min_in:{b}", "strong"), 1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_floors_that_force_strong_connectivity_drop_the_strong_filter(n):
+    """If no arc enters a proper vertex set S, S holds at least min_in + 1
+    vertices and its complement min_out + 1. So floors a, b with a + b >=
+    n - 1 force strong, and the plan drops strong exactly then. Every mask
+    up to n = 4, and every floor mask above, that meets such floors is
+    strong."""
+    for a in range(n >= 2, n + 1):  # strong itself sets floors of 1 from n = 2 on
+        for b in range(n >= 2, n + 1):
+            assert len(_plan(_strong_task(n, a, b))[1]) == (a + b < n - 1), (a, b)
+    plain = verify._decoder(n)
+    forced = [m for m in _floor_masks(n) if min((d := plain(m))[2]) + min(d[3]) >= n - 1]
+    assert forced
+    assert all(naive_is_strong(digraph_from_mask(n, m)) for m in forced)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_floors_one_short_of_the_strong_rule_do_not_force_it(n):
+    """For floors a, b >= 1 with a + b = n - 2, K*_{b+1} on S with every arc
+    from S to a K*_{a+1} meets both floors and is not strong, and the plan
+    keeps strong, which rejects it."""
+    for a in range(1, n - 2):
+        b = n - 2 - a
+        s = range(b + 1)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and (u in s or v not in s)]
+        mask = mask_of(new_digraph(n, arcs))
+        rows, cols, dout, din = verify._decoder(n)(mask)
+        assert (min(dout), min(din)) == (a, b)
+        assert not naive_is_strong(digraph_from_mask(n, mask))
+        (strong, _), = _plan(_strong_task(n, a, b))[1]
+        assert not strong(n, rows, cols, dout, din)
 
 
 def _reference(task):
