@@ -1,12 +1,12 @@
-"""Degree floors in the generated decoder: a floored decoder rejects exactly
-the masks below a floor and otherwise decodes as the floor-free one, and
-scans that turn their min_out/min_in/strong filters into floors, sampled or
-exhaustive, keep the floor-free reference scan's counts, survivors and
-flagged masks."""
+"""Degree floors: the class generator and the packed screen keep exactly
+the classes and draws that meet them, and scans that turn their
+min_out/min_in/strong filters into floors, sampled or exhaustive, keep the
+floor-free reference scan's counts, survivors and flagged masks."""
 
 import random
 import sys
 from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -17,6 +17,7 @@ from hambypass import verify
 from hambypass.digraph import new_digraph
 from hambypass.verify import (
     EnumerationTask,
+    _classes,
     _plan,
     digraph_from_mask,
     enumerate_digraphs,
@@ -40,21 +41,40 @@ def _floor_masks(n):
     return [*_decoder_masks(n), *sparse, *dense]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
-def test_floored_decoder_matches_the_floor_free_one(n):
-    plain = verify._decoder(n)
-    decoded = [(mask, plain(mask)) for mask in _floor_masks(n)]
-    for a in range(n + 1):
-        for b in range(n + 1):
-            decode = verify._decoder(n, a, b)
-            for mask, full in decoded:
-                below = min(full[2]) < a or min(full[3]) < b
-                assert decode(mask) == (None if below else full), (a, b, mask)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_floored_generator_keeps_exactly_the_classes_that_meet_the_floors(n):
+    """For every floor pair up to n at n <= 4, and a few at n = 5, the
+    generator yields the (mask, aut) pairs of the floor-free one whose
+    least out- and in-degree meet the floors, in the same order. A floor
+    of n yields nothing."""
+    plain = [(m, aut, min(dout), min(din)) for m, aut, *_, dout, din in _classes(n, (0, 0), [])]
+    if n <= 4:
+        pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
+    else:
+        pairs = [(1, 1), (2, 3), (3, 3), (n, 0), (0, n), (n, n)]
+    for a, b in pairs:
+        expected = [(mask, aut) for mask, aut, out, in_ in plain if out >= a and in_ >= b]
+        assert [(mask, aut) for mask, aut, *_ in _classes(n, (a, b), [])] == expected, (a, b)
+        assert bool(expected) == (max(a, b) < n), (a, b)
 
 
-def test_zero_and_negative_floors_share_the_floor_free_decoder():
-    assert verify._decoder(5) is verify._decoder(5, 0, 0) is verify._decoder(5, -1, -3)
-    assert verify._decoder(5, 2, 0) is not verify._decoder(5)
+def test_zero_and_negative_floors_keep_every_class():
+    plain = [(mask, aut) for mask, aut, *_ in _classes(5, (0, 0), [])]
+    assert len(plain) == 9608
+    for floors in [(-1, -3), (0, -1), (-2, 0)]:
+        assert [(mask, aut) for mask, aut, *_ in _classes(5, floors, [])] == plain, floors
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_floors_at_the_complete_digraph_keep_only_it(n):
+    """Past n = 5, where the generator cannot be run floor-free: a floor of
+    n - 1 keeps K*_n alone, since every child lacks an arc, and a floor of
+    n keeps nothing, K*_n included."""
+    full = ((1 << mask_bits(n)) - 1, factorial(n))
+    for floors in [(n - 1, n - 1), (n - 1, 0), (0, n - 1)]:
+        assert [(mask, aut) for mask, aut, *_ in _classes(n, floors, [])] == [full], floors
+    for floors in [(n, 0), (0, n), (n, n - 1)]:
+        assert list(_classes(n, floors, [])) == [], floors
 
 
 @pytest.mark.parametrize(
@@ -70,12 +90,12 @@ def test_zero_and_negative_floors_share_the_floor_free_decoder():
     ],
 )
 def test_degree_floors_come_from_the_filters(n, filters, expected):
-    """The plan's decoder has the expected floors, and its other filters
-    answer as the expected ids do, in the same order, on every mask up to
-    n = 4 and on the floor masks above."""
+    """The plan has the expected floors, and its other filters answer as
+    the expected ids do, in the same order, on every mask up to n = 4 and
+    on the floor masks above."""
     out_floor, in_floor, rest = expected
-    decoder, planned, _ = _plan(EnumerationTask(n, "sample", filters, 1, 0))
-    assert decoder() is verify._decoder(n, out_floor, in_floor)
+    floors, planned, _ = _plan(EnumerationTask(n, "sample", filters, 1, 0))
+    assert floors == (out_floor, in_floor)
     assert len(planned) == len(rest)
     plain = verify._decoder(n)
     for mask in _floor_masks(n):
@@ -162,6 +182,8 @@ def test_floored_scan_matches_the_floor_free_reference(n, model, filters, evalua
         (4, ("min_out:2", "thm13"), "no_bypass"),
         (4, ("min_in:1", "a_k:0", "min_out:1"), "no_prehc"),
         (4, ("min_in:4",), "no_hc"),
+        (3, ("min_out:2",), "no_hc"),
+        (5, ("min_out:1", "min_in:2", "strong"), "no_prehc"),
         (5, THM16, "no_bypass"),
     ],
 )
@@ -211,20 +233,21 @@ def test_chunk_screen_keeps_exactly_the_masks_that_meet_the_floors(n):
                 assert list(verify._screen(n, model, (a, b), blocks)) == expected, (model, a, b)
 
 
-def test_chunk_scan_matches_the_floored_decoder_loop():
-    """On a floored dense task, _scan_chunk (the screen, then the floor-free
-    decoder) counts and flags what decoding each draw with the floored
-    decoder does."""
+def test_chunk_scan_matches_the_per_draw_floor_loop():
+    """On a floored dense task, _scan_chunk (the screen, then the decoder)
+    counts and flags what decoding each draw and testing its least out- and
+    in-degree against the floors does."""
     task = EnumerationTask(8, "sample", THM16, 5000, 8, "dense", "no_bypass")
-    decoder, filters, flag = _plan(task)
+    (a, b), filters, flag = _plan(task)
     filters = [f for f, _ in filters]
-    ctx = task, decoder.args[1:], verify._decoder(8), filters, flag
-    decode = decoder()
+    decode = verify._decoder(8)
+    ctx = task, (a, b), decode, filters, flag
     for i in (0, 1):
         masks = verify._chunk_masks(task, i)
         survivors = []
         for mask in masks:
-            if (d := decode(mask)) is not None and all(f(8, *d) for f in filters):
+            d = decode(mask)
+            if min(d[2]) >= a and min(d[3]) >= b and all(f(8, *d) for f in filters):
                 survivors.append((mask, flag(8, *d)))
         assert 0 < len(survivors) < len(masks)
         hits = [mask for mask, flagged in survivors if flagged]
