@@ -136,8 +136,10 @@ def _decoder(n: int):
 
 def digraph_from_mask(n: int, mask: int) -> Digraph:
     """The digraph of arc mask `mask`: OrderError for an order outside
-    [1, MAX_N], ValueError for a mask outside [0, 2^(n(n-1)))."""
+    [1, MAX_N], ValueError for a mask that is not an integer
+    (digraph._check_int) or lies outside [0, 2^(n(n-1)))."""
     _check_order(n)
+    _check_int(mask, "mask")
     if not 0 <= mask < 1 << mask_bits(n):
         raise ValueError(f"mask {mask!r} outside [0, 2^{mask_bits(n)}) at n={n}")
     width = n - 1
@@ -165,7 +167,8 @@ class EnumerationTask:
     Filters and the evaluator are given by identifier, a parameter after a
     colon ("min_in:3", "no_dnk:3"), so tasks stay picklable. n must be an
     order (digraph._check_order), sample_count and seed (unless None)
-    integers (digraph._check_int); every id is checked by building the
+    integers (digraph._check_int), the seed in [-2^63, 2^63), where _mix
+    gives each seed its own draws; every id is checked by building the
     task's plan (_plan).
     """
 
@@ -180,8 +183,8 @@ class EnumerationTask:
     def __post_init__(self):
         _check_order(self.n)
         _check_int(self.sample_count, "sample_count")
-        if self.seed is not None:
-            _check_int(self.seed, "seed")
+        if self.seed is not None and not -(1 << 63) <= _check_int(self.seed, "seed") < 1 << 63:
+            raise ValueError(f"seed must lie in [-2^63, 2^63), got {self.seed!r}")
         if self.mode == "exhaustive":
             if self.n > EXHAUSTIVE_MAX_N:
                 raise ValueError(
@@ -324,7 +327,7 @@ _EVALUATORS = {
 # ---------------------------------------------------------------------------
 
 _CTX: tuple | None = None  # the _scan_chunk arguments pool workers inherit
-_BLOCK_BITS = 1 << 14  # a packed block, and so each _packing constant
+_BUDGET = 112 * 1024  # bytes of the block-wide constants of one _packing
 
 
 def _mix(seed: int, chunk_index: int) -> int:
@@ -343,13 +346,13 @@ def _chunk_masks(task: EnumerationTask, chunk_index: int) -> list[int]:
     return list(map(rng.getrandbits, repeat(bits, count)))
 
 
-def _moves(pairs, lanes: int) -> tuple[tuple[int, int], ...]:
-    """(offset, mask) steps moving bit src of every lane to bit dst, for the
-    (src, dst) `pairs`: one per offset, the mask repeated by `lanes`."""
+def _moves(pairs) -> dict[int, int]:
+    """{offset: mask} steps moving bit src of one lane to bit dst, for the
+    (src, dst) `pairs`: one per offset."""
     groups: dict[int, int] = {}
     for src, dst in pairs:
         groups[dst - src] = groups.get(dst - src, 0) | 1 << src
-    return tuple((k, m * lanes) for k, m in groups.items())
+    return groups
 
 
 def _move(x: int, moves) -> int:
@@ -369,29 +372,34 @@ def _packing(n: int, model: str):
     move the arcs out of and into each vertex to a field of `stride` bits
     whose lowest bit `fields` marks; a count plus 2^guard - t, t clamped to
     [0, 2^guard], has bit `guard` set iff it is at least t (TAOCP 4A,
-    7.1.3). `marks` sets the free bit n * stride < width of every lane."""
+    7.1.3). `marks` sets the free bit n * stride < width of every lane.
+    `per` is the most lanes, at most SAMPLE_CHUNK, for which these
+    block-wide constants, one of `width * per` bits per move and one each
+    for `fields` and `marks`, fit in _BUDGET bytes."""
     bits = mask_bits(n)
     words = -(-bits // 32)
     width = 32 * max(words, 1) << (model == "dense")
-    per = max(1, _BLOCK_BITS // width)
-    lanes = sum(1 << width * i for i in range(per))
     top = 32 * (words - 1)
     starts = [(p + (-bits % 32) * (p >= top), p) for p in range(bits)]  # in getrandbits' lane
     halves = (0, width // 2) if model == "dense" else (0,)
-    draw = _moves([(h + src, dst) for h in halves for src, dst in starts], lanes)
     span = n - 1
     guard = span.bit_length()
     stride = max(span, guard + 1)
     arcs = [(u, v) for u in range(n) for v in range(n) if v != u]  # in mask bit order
-    rows = _moves([(p, p + u * (stride - span)) for p, (u, v) in enumerate(arcs)], lanes)
-    cols = _moves([(p, v * stride + u - (u > v)) for p, (u, v) in enumerate(arcs)], lanes)
+    draw = _moves([(h + src, dst) for h in halves for src, dst in starts])
+    rows = _moves([(p, p + u * (stride - span)) for p, (u, v) in enumerate(arcs)])
+    cols = _moves([(p, v * stride + u - (u > v)) for p, (u, v) in enumerate(arcs)])
+    per = min(SAMPLE_CHUNK, 8 * _BUDGET // ((len(draw) + len(rows) + len(cols) + 2) * width))
+    lanes = ((1 << width * per) - 1) // ((1 << width) - 1)  # bit 0 of every lane
+    draw, rows, cols = (tuple((k, m * lanes) for k, m in ms.items()) for ms in (draw, rows, cols))
     fields = sum(1 << v * stride for v in range(n)) * lanes
     return width, per, draw, rows, cols, fields, span, guard, (1 << n * stride) * lanes
 
 
 def _chunk_blocks(task: EnumerationTask, chunk_index: int):
     """Yield the draws of chunk `chunk_index` as (block, lanes) pairs, packed
-    as _packing says: lane for lane the masks of _chunk_masks."""
+    as _packing says (a full uniform chunk is two blocks at n = 6, 41 at
+    n = 16): lane for lane the masks of _chunk_masks."""
     width, per, draw = _packing(task.n, task.model)[:3]
     count = min(SAMPLE_CHUNK, task.sample_count - chunk_index * SAMPLE_CHUNK)
     rng = Random(_mix(task.seed, chunk_index))
@@ -429,8 +437,8 @@ def _scan_chunk(task: EnumerationTask, floors, decode, filters, flag, chunk_inde
     with a degree floor (out, in) > 0, _screen drops the draws below it in
     packed blocks before any is decoded. A floor-free chunk is drawn by
     _chunk_masks, as _screen at floors (0, 0) would slow its scan by about
-    40% (n = 5, 4096 uniform draws, 2-CPU Xeon, Python 3.11: 0.10 ms against
-    1.28 ms to draw, 2.56 ms to decode)."""
+    45% (n = 5, 4096 uniform draws in two blocks, 2-CPU Xeon, Python 3.11:
+    0.10 ms against 1.25 ms to draw, 2.5 ms to decode)."""
     n = task.n
     count = min(SAMPLE_CHUNK, task.sample_count - chunk_index * SAMPLE_CHUNK)
     if any(floors):

@@ -254,7 +254,7 @@ def test_chunk_scan_matches_the_per_draw_floor_loop():
         assert verify._scan_chunk(*ctx, i) == (len(masks), len(survivors), hits)
 
 
-@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("n", range(1, 17))
 @pytest.mark.parametrize("model", ["uniform", "dense"])
 def test_packed_screen_constants_stay_small(n, model):
     """Every sampled scan with a floor caches its order's _packing, the
@@ -264,3 +264,13 @@ def test_packed_screen_constants_stay_small(n, model):
     width, per, draw, rows, cols, *rest = verify._packing(n, model)
     ints = [m for moves in (draw, rows, cols) for _, m in moves] + rest[:1]
     assert sum(map(sys.getsizeof, ints)) < budget
+
+
+@pytest.mark.parametrize("model", ["uniform", "dense"])
+def test_packed_blocks_fill_the_budget_up_to_a_chunk(model):
+    """Every order packs at least one lane and at most a chunk per block,
+    and n = 6 uniform, the thm16 sample, packs more lanes than the fixed
+    2^14-bit blocks did (512)."""
+    for n in range(1, 17):
+        assert 1 <= verify._packing(n, model)[1] <= verify.SAMPLE_CHUNK, n
+    assert verify._packing(6, "uniform")[1] > 512

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -72,6 +73,14 @@ def test_digraph_from_mask_refuses_a_mask_out_of_range(n, mask):
         digraph_from_mask(n, mask)
     assert digraph_from_mask(n, 0).m == 0
     assert digraph_from_mask(n, (1 << mask_bits(n)) - 1).m == mask_bits(n)
+
+
+@pytest.mark.parametrize("mask", [True, False, 1.0, "1", None])
+def test_digraph_from_mask_refuses_a_mask_that_is_not_an_integer(mask):
+    """The mask is read by the one integer rule (digraph._check_int): a bool
+    is not decoded as 0 or 1, and a float does not fail inside a shift."""
+    with pytest.raises(ValueError, match=f"mask must be an integer, got {re.escape(repr(mask))}"):
+        digraph_from_mask(5, mask)
 
 
 def _decoder_masks(n):
@@ -368,6 +377,16 @@ def test_task_takes_no_evaluator_arg():
     """The evaluator id carries its parameter; the old keyword is gone."""
     with pytest.raises(TypeError, match="evaluator_arg"):
         EnumerationTask(n=5, evaluator="no_dnk", evaluator_arg=3)
+
+
+def test_a_seed_outside_64_bits_is_refused():
+    """_mix keeps 64 bits, so seeds that differ by 2^64 would draw the same
+    masks: a seed must lie in [-2^63, 2^63), where each draws its own."""
+    for seed in (5 + 2**64, 5 - 2**64, 2**63, -(2**63) - 1):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[-2\^63, 2\^63\), got {seed}$"):
+            verify.run_claim("thm12", 7, sample=20000, seed=seed)
+    for seed in (-(2**63), 2**63 - 1):
+        assert EnumerationTask(7, "sample", sample_count=1, seed=seed).seed == seed
 
 
 def test_non_integer_sample_count_is_a_value_error():
