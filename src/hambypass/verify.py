@@ -30,10 +30,10 @@ n!/|Aut| labelings. These scans run on one process whatever the worker
 count and print no progress lines. run_claim dedupes the flagged class
 representatives directly; enumerate_digraphs expands each flagged class, or
 with a visitor each passing class, to all of its labelings in ascending
-mask order. Sampled scans split their seeded draws into fixed-size chunks
-processed by a worker pool, which takes them in batches; chunk boundaries
-never depend on the worker count and partial results are merged in chunk
-order, so reports are bit-identical whatever the parallelism.
+mask order. Sampled scans split their seeded draws into fixed-size chunks,
+chunk i scanned by process i % workers: the caller or a forked child. Chunk
+boundaries never depend on the worker count and results are absorbed in
+chunk order, so reports are bit-identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -326,7 +326,6 @@ _EVALUATORS = {
 # Sampled scanning
 # ---------------------------------------------------------------------------
 
-_CTX: tuple | None = None  # the _scan_chunk arguments pool workers inherit
 _BUDGET = 112 * 1024  # bytes of the block-wide constants of one _packing
 
 
@@ -459,11 +458,6 @@ def _scan_chunk(task: EnumerationTask, floors, decode, filters, flag, chunk_inde
     return count, passed, hits
 
 
-def _pool_chunk(chunk_index: int):
-    """_scan_chunk in a pool worker, on the arguments it inherited."""
-    return _scan_chunk(*_CTX, chunk_index)
-
-
 @dataclass(frozen=True)
 class ScanResult:
     scanned: int
@@ -472,8 +466,8 @@ class ScanResult:
 
 
 def _worker_count(explicit: int | None) -> int:
-    """`explicit`, else HAMBYPASS_THREADS, else min(4, CPUs); a given count
-    must be an int >= 1 (_check_int)."""
+    """`explicit`, else HAMBYPASS_THREADS, else min(4, CPUs): the processes
+    that scan, the caller included; a given count must be an int >= 1."""
     if explicit is not None:
         return _check_int(explicit, "workers", 1)
     env = os.environ.get("HAMBYPASS_THREADS")
@@ -499,8 +493,8 @@ def enumerate_digraphs(
     expands each flagged class, or with a visitor each passing class, to
     all of its labelings: one process whatever `workers` says, no progress
     lines, and a visitor's masks are all held before the first is visited.
-    A sampled scan is _scan_sampled, which prints a progress line to stderr
-    every 2^20 digraphs.
+    A sampled scan is _scan_sampled, split over the caller and forked
+    children, with a progress line on stderr every 2^20 digraphs.
     """
     if visitor is not None and task.evaluator is not None:
         raise ValueError("visitor and evaluator are mutually exclusive")
@@ -521,11 +515,10 @@ def _scan_sampled(
     visitor: Callable[[int], None] | None = None,
     workers: int | None = None,
 ) -> ScanResult:
-    """enumerate_digraphs on a sampled task: fixed-size chunks on a fork
-    pool of `workers` processes, merged in chunk order. The one-process
-    path passes its arguments on, so a scan started from a visitor cannot
-    swap them under the outer one."""
-    global _CTX
+    """enumerate_digraphs on a sampled task: process i % `workers` scans
+    chunk i. Process 0 is the caller; each other is a forked child that
+    pickles its chunks' results, or its exception, down a pipe. Results are
+    absorbed in chunk order, and no child outlives the scan."""
     nchunks = (task.sample_count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     nworkers = min(_worker_count(workers), nchunks)
     scanned = 0
@@ -548,17 +541,39 @@ def _scan_sampled(
 
     floors, filters, flag = _plan(task, visitor is not None)
     ctx = task, floors, _decoder(task.n), [f for f, _ in filters], flag
-    if nworkers == 1:
+    procs = [None]  # (pid, pipe) of child k at index k
+    if nworkers > 1:
+        import pickle, signal  # loaded only by a scan that forks: 1.3 ms of a cold start
+    try:
+        for k in range(1, nworkers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # child k: chunks k, k + nworkers, ...
+                try:
+                    out = open(w, "wb")
+                    for i in range(k, nchunks, nworkers):
+                        pickle.dump(_scan_chunk(*ctx, i), out)
+                        out.flush()
+                except BaseException as exc:
+                    pickle.dump(exc, out)
+                    out.flush()
+                finally:
+                    os._exit(0)
+            os.close(w)
+            procs.append((pid, open(r, "rb")))
         for i in range(nchunks):
-            absorb(_scan_chunk(*ctx, i))
-    else:
-        import multiprocessing
-
-        _CTX = ctx  # set in the parent, so every worker inherits the decoder
-        batch = max(1, nchunks // (8 * nworkers))  # cuts pool traffic, keeps the tail short
-        with multiprocessing.get_context("fork").Pool(nworkers) as pool:
-            for part in pool.imap(_pool_chunk, range(nchunks), batch):
-                absorb(part)
+            k = i % nworkers
+            part = pickle.load(procs[k][1]) if k else _scan_chunk(*ctx, i)
+            if isinstance(part, BaseException):
+                raise part
+            absorb(part)
+    except BaseException:
+        for pid, _ in procs[1:]:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in procs[1:]:
+            pipe.close()
+            os.waitpid(pid, 0)
     return ScanResult(scanned, passed, tuple(flagged))
 
 

@@ -134,7 +134,6 @@ def test_exhaustive_claims_always_run_on_the_generator(monkeypatch):
     sampled scan reaches the generator."""
     with monkeypatch.context() as m:
         m.setattr(verify, "_scan_chunk", _refuse)
-        m.setattr(verify, "_pool_chunk", _refuse)
         assert run_claim("thm12", 5, workers=2).passed_filters == 97524
         run_claim("explore", 4, "thm13")
     with monkeypatch.context() as m:
@@ -151,7 +150,6 @@ def test_exhaustive_scans_without_a_visitor_run_on_the_generator(monkeypatch):
     closed = EnumerationTask(4, filters=("a_k:0", "strong"))
     with monkeypatch.context() as m:
         m.setattr(verify, "_scan_chunk", _refuse)
-        m.setattr(verify, "_pool_chunk", _refuse)
         assert enumerate_digraphs(closed, workers=2).passed_filters == 660
         flagged = enumerate_digraphs(EnumerationTask(4, evaluator="no_hc"), workers=1).flagged
         assert len(flagged) == 2902
@@ -176,7 +174,6 @@ def test_exhaustive_visitor_scans_run_on_the_generator(monkeypatch, workers):
     mask order, from the generator's passing classes: the reference scan's
     masks, and no chunk is scanned."""
     monkeypatch.setattr(verify, "_scan_chunk", _refuse)
-    monkeypatch.setattr(verify, "_pool_chunk", _refuse)
     for task in (
         EnumerationTask(4, filters=("a_k:0", "strong")),
         EnumerationTask(4, filters=("min_out:2", "thm13")),

@@ -1,6 +1,7 @@
 """Enumeration engine and theorem scans at n <= 4 (n=5 runs live in acceptance)."""
 
 import json
+import os
 import random
 import re
 from itertools import chain
@@ -666,15 +667,69 @@ def test_packed_chunk_draws_are_the_chunk_masks(n, model):
         assert lanes == verify._chunk_masks(task, i)
 
 
-def test_sampled_reports_identical_across_worker_counts_and_batches():
-    """53 chunks: the pool takes batches of 3 chunks on 2 workers and of 2
-    on 3, neither dividing the chunk count, and the report is unchanged."""
+def test_sampled_reports_identical_whichever_process_scans_each_chunk(monkeypatch):
+    """Chunk i is scanned by process i % workers: 53 chunks on 2, 3 and 4
+    processes, none dividing the chunk count, give one report. A worker
+    count above the chunk count clamps to it: 3 chunks on 5 workers fork
+    2 children."""
     reps = [
         check_theorem16_conjecture(6, 3, sample=52 * SAMPLE_CHUNK + 1000, seed=5, workers=w)
-        for w in (1, 2, 3)
+        for w in (1, 2, 3, 4)
     ]
     assert len({report_fingerprint(r) for r in reps}) == 1
     assert reps[0].scanned == 52 * SAMPLE_CHUNK + 1000 and reps[0].passed_filters > 0
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    small = [
+        check_theorem16_conjecture(6, 3, sample=2 * SAMPLE_CHUNK + 10, seed=5, workers=w)
+        for w in (1, 5)
+    ]
+    assert report_fingerprint(small[0]) == report_fingerprint(small[1])
+    assert len(forks) == 2
+
+
+def test_sampled_visits_and_progress_lines_are_the_same_at_any_worker_count(capsys):
+    """Results are absorbed in chunk order, so a visitor sees the same masks
+    in the same order, and stderr carries the same progress lines, on 1, 2
+    and 3 processes."""
+    task = EnumerationTask(3, "sample", sample_count=(1 << 20) + 5000, seed=4, filters=("strong",))
+    runs = []
+    for workers in (1, 2, 3):
+        seen = []
+        enumerate_digraphs(task, visitor=seen.append, workers=workers)
+        runs.append((seen, capsys.readouterr().err))
+    assert runs[0][0] and runs[0][1] == "scanned 1048576\n"
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_no_process_outlives_a_failed_sampled_scan(monkeypatch):
+    """On 3 processes, a visitor that fails on its first mask (in the
+    caller) and a chunk that fails in a child both reach the caller with
+    their type and message, and every child has been reaped."""
+    task = EnumerationTask(5, "sample", sample_count=20 * SAMPLE_CHUNK, seed=1)
+
+    def refuse(mask):
+        raise ValueError(f"visitor refuses {mask}")
+
+    with pytest.raises(ValueError, match=r"^visitor refuses \d+$"):
+        enumerate_digraphs(task, visitor=refuse, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    real = verify._scan_chunk
+
+    def fail_in_child(*args):
+        if args[-1] == 7:  # 7 % 3 == 1: the first child's third chunk
+            raise KeyError("chunk 7")
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_scan_chunk", fail_in_child)
+    with pytest.raises(KeyError) as caught:
+        enumerate_digraphs(task, workers=3)
+    assert type(caught.value) is KeyError and str(caught.value) == "'chunk 7'"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1.5, "2", 0, -1, True])
