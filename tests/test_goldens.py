@@ -59,6 +59,13 @@ CLAIM_CASES = {
         6, 2, sample=2000, seed=5, model="dense", workers=1
     ),
     "explore_thm14_n4": lambda: verify.explore_no_bypass(4, "thm14", workers=1),
+    "thm6_n5": lambda: verify.check_theorem6(5, workers=1),
+    "thm8_n5": lambda: verify.check_theorem8(5, workers=1),
+    "thm9_n5": lambda: verify.check_theorem9(5, workers=1),
+    "thm11_n5": lambda: verify.check_theorem11(5, workers=1),
+    "thm12_n5": lambda: verify.check_theorem12(5, workers=1),
+    "explore_a_k-1_n5": lambda: verify.explore_no_bypass(5, "a_k:-1", workers=1),
+    "explore_degree_sum-3_n5": lambda: verify.explore_no_bypass(5, "degree_sum:-3", workers=1),
 }
 
 CONDITION_IDS = (
