@@ -59,9 +59,9 @@ def _report(hit) -> ConditionReport:
     )
 
 
-def _checker(core, *extra) -> Callable[..., ConditionReport]:
-    """check(g, *params) reporting core(*_arrays(g), *params, *extra)."""
-    return lambda g, *params: _report(core(*_arrays(g), *params, *extra))
+def _checker(core, *extra) -> Callable[[Digraph], ConditionReport]:
+    """check(g) reporting core(*_arrays(g), *extra)."""
+    return lambda g: _report(core(*_arrays(g), *extra))
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +76,33 @@ def _a_k_violation(n, rows, cols, dout, din, k, inclusive=False):
     missing arc x->z forces d(x)+d(y)+d_out(x)+d_in(z) >= 3n-2+k, and
     missing arc z->x forces d(x)+d(y)+d_in(x)+d_out(z) >= 3n-2+k.
     z ranges over vertices distinct from x and y unless `inclusive`.
+    Walk: x ascending, its non-neighbours y ascending, then the z missing an
+    arc to or from x ascending, the x->z clause before the z->x clause.
     """
     bound = 3 * n - 2 + k
+    full = (1 << n) - 1
     for x in range(n):
-        rx = rows[x]
-        cx = cols[x]
-        adj = rx | cx
+        rx, cx = rows[x], cols[x]
+        non = full & ~(rx | cx | 1 << x)
+        if not non:
+            continue
+        gaps = full & ~(rx & cx | 1 << x)  # the z missing an arc to or from x
         dx = dout[x] + din[x]
-        for y in range(n):
-            if y == x or (adj >> y) & 1:
-                continue
-            s = dx + dout[y] + din[y]
-            for z in range(n):
-                if z == x or (z == y and not inclusive):
-                    continue
-                if not (rx >> z) & 1 and s + dout[x] + din[z] < bound:
-                    return (x, y, z), s + dout[x] + din[z], bound, "missing arc x->z"
-                if not (cx >> z) & 1 and s + din[x] + dout[z] < bound:
-                    return (x, y, z), s + din[x] + dout[z], bound, "missing arc z->x"
+        out_need = bound - dx - dout[x]  # x->z: d(y) + d_in(z) >= out_need
+        in_need = bound - dx - din[x]  # z->x: d(y) + d_out(z) >= in_need
+        while non:
+            y = (non & -non).bit_length() - 1
+            non &= non - 1
+            dy = dout[y] + din[y]
+            a, b = out_need - dy, in_need - dy
+            zs = gaps if inclusive else gaps ^ 1 << y
+            while zs:
+                z = (zs & -zs).bit_length() - 1
+                zs &= zs - 1
+                if din[z] < a and not (rx >> z) & 1:
+                    return (x, y, z), bound - a + din[z], bound, "missing arc x->z"
+                if dout[z] < b and not (cx >> z) & 1:
+                    return (x, y, z), bound - b + dout[z], bound, "missing arc z->x"
     return None
 
 
@@ -114,22 +123,27 @@ def check_a_k(g: Digraph, k: int, *, inclusive: bool = False) -> ConditionReport
 
 
 def _pair_sum_violation(n, rows, cols, dout, din, offset):
-    """d(x) + d(y) >= 2n + offset for every non-adjacent pair."""
+    """d(x) + d(y) >= 2n + offset for every non-adjacent pair. Walk: x
+    ascending, then its non-neighbours y > x ascending."""
     bound = 2 * n + offset
     for x in range(n):
-        adj = rows[x] | cols[x]
-        dx = dout[x] + din[x]
-        for y in range(x + 1, n):
-            if (adj >> y) & 1:
-                continue
-            s = dx + dout[y] + din[y]
-            if s < bound:
-                return (x, y), s, bound, ""
+        rest = (1 << n) - (2 << x) & ~(rows[x] | cols[x])  # the non-neighbours y > x
+        if not rest:
+            continue
+        need = bound - dout[x] - din[x]
+        while rest:
+            y = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if dout[y] + din[y] < need:
+                return (x, y), bound - need + dout[y] + din[y], bound, ""
     return None
 
 
-check_degree_sum = _checker(_pair_sum_violation)  # (g, offset)
 check_meyniel = _checker(_pair_sum_violation, -1)  # offset -1: d(x) + d(y) >= 2n - 1
+
+
+def check_degree_sum(g: Digraph, offset: int) -> ConditionReport:
+    return _report(_pair_sum_violation(*_arrays(g), _check_int(offset, "offset")))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +163,15 @@ check_ghouila_houri = _checker(_ghouila_violation)
 
 
 def _woodall_violation(n, rows, cols, dout, din):
-    """d_out(x) + d_in(y) >= n whenever the arc x->y is missing."""
+    """d_out(x) + d_in(y) >= n whenever the arc x->y is missing. Walk: x
+    ascending, then each y with no arc x->y ascending."""
     for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            if y == x or (rx >> y) & 1:
-                continue
-            s = dout[x] + din[y]
-            if s < n:
-                return (x, y), s, n, "missing arc x->y"
+        miss = (1 << n) - 1 - (1 << x) & ~rows[x]
+        while miss:
+            y = (miss & -miss).bit_length() - 1
+            miss &= miss - 1
+            if dout[x] + din[y] < n:
+                return (x, y), dout[x] + din[y], n, "missing arc x->y"
     return None
 
 

@@ -148,11 +148,13 @@ def naive_thm13_violation(g):
     return None
 
 
-def naive_a_k(g, k: int, inclusive: bool = False) -> bool:
-    """Triple-loop evaluation of the A_k degree condition.
+def naive_a_k(g, k: int, inclusive: bool = False):
+    """The first triple breaking the A_k degree condition, reported as
+    conditions._a_k_violation reports it; None if there is none.
 
-    Checks both orderings of every non-adjacent pair {x, y}. With
-    ``inclusive`` the third vertex may coincide with y (never with x).
+    Checks both orderings of every non-adjacent pair {x, y}, x then y then z
+    ascending over all of range(n), the x->z clause before the z->x clause.
+    With ``inclusive`` the third vertex may coincide with y (never with x).
     """
     n = g.n
     bound = 3 * n - 2 + k
@@ -160,15 +162,42 @@ def naive_a_k(g, k: int, inclusive: bool = False) -> bool:
         for y in range(n):
             if x == y or g.has_arc(x, y) or g.has_arc(y, x):
                 continue
-            zs = (z for z in range(n) if z != x and (inclusive or z != y))
-            for z in zs:
-                if not g.has_arc(x, z):
-                    if g.degree(x) + g.degree(y) + g.out_degree(x) + g.in_degree(z) < bound:
-                        return False
-                if not g.has_arc(z, x):
-                    if g.degree(x) + g.degree(y) + g.in_degree(x) + g.out_degree(z) < bound:
-                        return False
-    return True
+            s = g.degree(x) + g.degree(y)
+            for z in range(n):
+                if z == x or (z == y and not inclusive):
+                    continue
+                value = s + g.out_degree(x) + g.in_degree(z)
+                if not g.has_arc(x, z) and value < bound:
+                    return (x, y, z), value, bound, "missing arc x->z"
+                value = s + g.in_degree(x) + g.out_degree(z)
+                if not g.has_arc(z, x) and value < bound:
+                    return (x, y, z), value, bound, "missing arc z->x"
+    return None
+
+
+def naive_pair_sum_violation(g, offset: int):
+    """The first pair x < y, non-adjacent, with d(x) + d(y) < 2n + offset,
+    reported as conditions._pair_sum_violation reports it; None if there is
+    none."""
+    bound = 2 * g.n + offset
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if g.has_arc(x, y) or g.has_arc(y, x):
+                continue
+            if g.degree(x) + g.degree(y) < bound:
+                return (x, y), g.degree(x) + g.degree(y), bound, ""
+    return None
+
+
+def naive_woodall_violation(g):
+    """The first missing arc x->y, x then y ascending, with
+    d_out(x) + d_in(y) < n, reported as conditions._woodall_violation
+    reports it; None if there is none."""
+    for x in range(g.n):
+        for y in range(g.n):
+            if x != y and not g.has_arc(x, y) and g.out_degree(x) + g.in_degree(y) < g.n:
+                return (x, y), g.out_degree(x) + g.in_degree(y), g.n, "missing arc x->y"
+    return None
 
 
 def naive_good_cycle_exists(g) -> bool:

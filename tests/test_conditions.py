@@ -1,10 +1,17 @@
 """Degree-condition predicates: hand examples, witnesses, and invariants."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 from conftest import digraphs, seeded_corpus, tournaments
-from naive_oracles import naive_a_k, naive_thm13_violation
+from naive_oracles import (
+    naive_a_k,
+    naive_pair_sum_violation,
+    naive_thm13_violation,
+    naive_woodall_violation,
+)
 
 from hambypass.digraph import converse, degrees, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
@@ -42,7 +49,7 @@ def test_a_k_on_d0():
     g = fam.d0(5, EMPTY)
     assert cond.check_a_k(g, -1).holds
     assert not cond.check_a_k(g, 0).holds
-    assert naive_a_k(g, -1) and not naive_a_k(g, 0)
+    assert naive_a_k(g, -1) is None and naive_a_k(g, 0) is not None
 
 
 def test_a_k_order_bound(kstar12):
@@ -62,14 +69,17 @@ def test_a_k_inclusive_diverges_exactly_on_degenerate_triples(kstar12):
     assert w.roles == {"x": 1, "y": 2, "z": 2}
     assert (w.value, w.bound) == (6, 7)
     assert w.detail == "missing arc x->z"
-    assert naive_a_k(kstar12, 0) and not naive_a_k(kstar12, 0, inclusive=True)
+    assert naive_a_k(kstar12, 0) is None
+    assert naive_a_k(kstar12, 0, inclusive=True) == ((1, 2, 2), 6, 7, "missing arc x->z")
 
 
 @given(digraphs(min_n=3, max_n=6))
 def test_a_k_matches_naive_triple_loop(g):
     for k in (-1, 0):
-        assert cond.check_a_k(g, k).holds == naive_a_k(g, k)
-        assert cond.check_a_k(g, k, inclusive=True).holds == naive_a_k(g, k, inclusive=True)
+        assert cond.check_a_k(g, k).holds == (naive_a_k(g, k) is None)
+        assert cond.check_a_k(g, k, inclusive=True).holds == (
+            naive_a_k(g, k, inclusive=True) is None
+        )
 
 
 @given(digraphs(min_n=3, max_n=6))
@@ -105,6 +115,21 @@ def test_meyniel_examples(c4, kb22):
     assert rep.witness.roles == {"x": 0, "y": 2}
     assert (rep.witness.value, rep.witness.bound) == (4, 7)
     assert cond.check_meyniel(kb22).holds
+
+
+@pytest.mark.parametrize("offset", [1.5, True, "1", 1.0])
+def test_degree_sum_offset_is_an_integer(offset):
+    with pytest.raises(ValueError, match=f"offset must be an integer, got {offset!r}"):
+        cond.check_degree_sum(fam.d1(5, 1), offset)
+
+
+@pytest.mark.parametrize("name", [name for name, row in cond._CONDITIONS.items() if row[0] is None])
+def test_parameterless_checkers_take_only_the_digraph(name):
+    check = cond._CONDITIONS[name][1]
+    g = fam.complete_digraph(6)
+    assert check(g).holds
+    with pytest.raises(TypeError):
+        check(g, 5)
 
 
 def test_degree_sum_examples(c3, c5, kb22):
@@ -353,13 +378,47 @@ def test_public_checkers_agree_with_the_registry(name, checker_corpus):
             assert rep.holds == entry.raw(*cond._arrays(g)), (entry.cond_id, g.arcs())
 
 
-def test_thm13_core_agrees_with_the_naive_checker(checker_corpus):
-    """The bit-loop core finds the same first violation, or none, as the
-    pair-by-pair checker over Digraph methods; both verdicts and both kinds
-    of witness occur in the corpus."""
+# Each bit-walk core: the naive first-violation checker over Digraph methods
+# it must agree with, the trailing arguments to try it at, and every detail
+# string its witnesses carry.
+WALK_CORES = {
+    "a_k": (
+        cond._a_k_violation,
+        naive_a_k,
+        [(-1,), (0,), (1,), (0, True)],
+        {"missing arc x->z", "missing arc z->x"},
+    ),
+    "pair_sum": (cond._pair_sum_violation, naive_pair_sum_violation, [(-3,), (-1,), (0,)], {""}),
+    "thm13": (cond._thm13_violation, naive_thm13_violation, [()], {"min degree", "degree sum"}),
+    "woodall": (cond._woodall_violation, naive_woodall_violation, [()], {"missing arc x->y"}),
+}
+
+
+@pytest.fixture(scope="module")
+def large_corpus():
+    """40 uniform and 40 dense seeded draws at each of n = 8..12."""
+    rng = random.Random(2026)
+    graphs = []
+    for n in range(8, 13):
+        bits = mask_bits(n)
+        graphs += [digraph_from_mask(n, rng.getrandbits(bits)) for _ in range(40)]
+        graphs += [
+            digraph_from_mask(n, rng.getrandbits(bits) | rng.getrandbits(bits)) for _ in range(40)
+        ]
+    return graphs
+
+
+@pytest.mark.parametrize("name", list(WALK_CORES))
+def test_walk_core_agrees_with_the_naive_checker(name, checker_corpus, large_corpus):
+    """The bit-walk core finds the same first violation, or none, as the
+    naive checker, on every n = 4 digraph, seeded draws at n = 5..7 and
+    seeded draws at n = 8..12; both verdicts and every detail string
+    occur."""
+    core, naive, params, details = WALK_CORES[name]
     seen = set()
-    for g in checker_corpus:
-        hit = cond._thm13_violation(*cond._arrays(g))
-        assert hit == naive_thm13_violation(g), g.arcs()
-        seen.add(hit and hit[3])
-    assert seen == {None, "min degree", "degree sum"}
+    for g in checker_corpus + large_corpus:
+        for args in params:
+            hit = core(*cond._arrays(g), *args)
+            assert hit == naive(g, *args), (args, g.n, g.arcs())
+            seen.add(hit and hit[3])
+    assert seen == {None} | details

@@ -170,7 +170,7 @@ def test_enumerate_filters_match_direct_evaluation():
     expected = []
     for mask in range(64):
         g = digraph_from_mask(3, mask)
-        if naive_is_strong(g) and naive_a_k(g, 0):
+        if naive_is_strong(g) and naive_a_k(g, 0) is None:
             expected.append(mask)
     assert survivors == expected
 
