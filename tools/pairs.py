@@ -6,9 +6,10 @@
 Each revision is extracted with `git archive` into its own directory under
 DIR: DIR/par and DIR/chg, names of equal length so that paths cost the
 same on both sides. Both directories are removed and made again on every
-call. Pair i runs COMMAND in both trees, the parent first in odd pairs
-and the change first in even ones, with PYTHONPATH=src. The default
-COMMAND is `python3 perfbench/run.py --workload all --trace 0 --seed 1`;
+call. Both get this checkout's tools/, so that a parent that predates a
+measuring script runs the same one. Pair i runs COMMAND in both trees,
+the parent first in odd pairs and the change first in even ones, with
+PYTHONPATH=src. The default COMMAND is `python3 perfbench/run.py --workload all --trace 0 --seed 1`;
 tools/scan_times.py is the other command this reads.
 
 The last stdout line of every run must be one JSON object with a
@@ -43,7 +44,8 @@ DEFAULT_COMMAND = [
 
 
 def extract(rev: str, dest: Path) -> str:
-    """Extract `rev` into a fresh `dest`; return its full commit id."""
+    """Extract `rev` into a fresh `dest`, with this checkout's tools/ over
+    its own; return its full commit id."""
     if dest.exists():
         shutil.rmtree(dest)
     dest.mkdir(parents=True)
@@ -53,6 +55,7 @@ def extract(rev: str, dest: Path) -> str:
     ).stdout.strip()
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    shutil.copytree(ROOT / "tools", dest / "tools", dirs_exist_ok=True)
     return sha
 
 
