@@ -128,8 +128,6 @@ def _pair_sum_violation(n, rows, cols, dout, din, offset):
     bound = 2 * n + offset
     for x in range(n):
         rest = (1 << n) - (2 << x) & ~(rows[x] | cols[x])  # the non-neighbours y > x
-        if not rest:
-            continue
         need = bound - dout[x] - din[x]
         while rest:
             y = (rest & -rest).bit_length() - 1

@@ -1,9 +1,8 @@
 """Alternating before/after pairs of a benchmark command on two git revisions.
 
-    python3 tools/pairs.py PARENT --workdir DIR [--change REV] [--pairs 10] \
-        [--out FILE] [-- COMMAND ...]
+    python3 tools/pairs.py PARENT --workdir DIR [--pairs 10] [-- COMMAND ...] > record.json
 
-Each revision is extracted with `git archive` into its own directory under
+The change side is HEAD. Each revision is extracted with `git archive` into its own directory under
 DIR: DIR/par and DIR/chg, names of equal length so that paths cost the
 same on both sides. Both directories are removed and made again on every
 call. Both get this checkout's tools/, so that a parent that predates a
@@ -22,8 +21,8 @@ metric the summary gives both sides' runs, medians and quartiles
 (statistics.quantiles, n=4, inclusive), the ratio of medians, the pairs
 the change won, and whether the change clears the gain rule: better in at
 least nine of ten pairs, and by more than the parent's quartile spread in
-the median. A metric is better when higher if BENCHMARK.json says so, or
-if its name ends in per_s; otherwise when lower.
+the median. A metric is better when higher if BENCHMARK.json says so,
+otherwise when lower. The JSON record goes to stdout, progress to stderr.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def summarize(runs: list[dict], higher: set[str]) -> dict:
         chg = [r["metrics"][name] for r in runs if r["side"] == "change" and name in r["metrics"]]
         if not par or not chg:
             continue
-        up = name.rsplit(".", 1)[-1] in higher or name.endswith("per_s")
+        up = name.rsplit(".", 1)[-1] in higher
         pairs = list(zip(par, chg))
         won = sum((c > p) if up else (c < p) for p, c in pairs)
         pq = statistics.quantiles(par, n=4, method="inclusive") if len(par) > 1 else [par[0]] * 3
@@ -145,17 +144,15 @@ def summarize(runs: list[dict], higher: set[str]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="git revision of the parent side")
-    parser.add_argument("--change", default="HEAD", help="git revision of the change side")
     parser.add_argument("--workdir", required=True, type=Path, help="where par/ and chg/ go")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, help="write the JSON record here too")
     argv = sys.argv[1:]
     cut = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:cut])
     command = argv[cut + 1 :] or DEFAULT_COMMAND
     script = next((c for c in command if c.endswith(".py")), command[0])
     trees = {"parent": args.workdir / "par", "change": args.workdir / "chg"}
-    revs = {"parent": args.parent, "change": args.change}
+    revs = {"parent": args.parent, "change": "HEAD"}
     commits = {side: extract(revs[side], trees[side]) for side in trees}
     runs = []
     for pair in range(1, args.pairs + 1):
@@ -184,10 +181,7 @@ def main() -> None:
         "summary": summarize(runs, higher_is_better(trees["change"])),
         "runs": runs,
     }
-    text = json.dumps(doc, indent=1)
-    if args.out:
-        args.out.write_text(text + "\n")
-    print(text)
+    print(json.dumps(doc, indent=1))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Run from the root of a tree, with its package on the path:
     PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11 at n = 6
 
 Each timed scan runs once untimed, to build the per-order caches, then
---repeats times; its figure is the median wall time. The --n6 scans are
+REPEATS times; its figure is the median wall time. The --n6 scans are
 exhaustive (about 5-16 s each) and run once. Human-readable lines go to
 stdout, and the last line is one JSON object:
 {"metrics": {"<case>.wall_s": seconds}, "reports": {"<case>": sha256}},
@@ -32,6 +32,7 @@ TIMED = {
     "thm9_n8_dense2e4": ("thm9", 8, dict(sample=20_000, seed=1, model="dense")),
     "thm12_n6_exhaustive": ("thm12", 6, {}),
 }
+REPEATS = 3
 ONCE_N6 = {f"{claim}_n6_exhaustive": (claim, 6, {}) for claim in ("thm6", "thm8", "thm9", "thm11")}
 
 
@@ -45,14 +46,13 @@ def run(claim: str, n: int, kw: dict) -> tuple[float, str]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11 at n = 6 once")
     args = parser.parse_args()
     metrics, reports = {}, {}
     for case, (claim, n, kw) in TIMED.items():
         run(claim, n, kw)
         times = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             elapsed, reports[case] = run(claim, n, kw)
             times.append(elapsed)
         metrics[f"{case}.wall_s"] = statistics.median(times)
