@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import conditions, families, search, verify
-from .digraph import Digraph, Path, format_digraph, id_int, make_path, parse_digraph
+from .digraph import Digraph, Path, format_digraph, id_int, make_path, parse_digraph, split_id
 from .insertion import _splice_collection, extend_as_much_as_possible, find_collection_of_partners
 
 _FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
@@ -183,10 +183,10 @@ def _explain_hc(g: Digraph) -> dict | None:
     }
 
 
-def _explain_bypass(g: Digraph, order) -> dict:
+def _explain_bypass(g: Digraph, hit) -> dict:
     """Replay from the chord: the two endpoints form the seed path and the
     interior vertices get inserted between them."""
-    u, w = order[0], order[-1]
+    u, w = hit.order[0], hit.order[-1]
     path = make_path(g, (u, w))
     extra = set(range(g.n)) - {u, w}
     path, steps, todo = _insertion_replay(g, path, extra)
@@ -199,49 +199,37 @@ def _explain_bypass(g: Digraph, order) -> dict:
     }
 
 
+def _witness(field: str):
+    return lambda g, hit: {field: list(getattr(hit, field))}
+
+
+def _good_cycle(g: Digraph, hit) -> dict:
+    off = g.n * (g.n - 1) // 2 - sum(hit.vertices)  # the one vertex the cycle misses
+    return {"vertices": list(hit.vertices), "off_vertex": off}
+
+
+# structure: (parameter unit or None, finder, witness of a hit, --explain replay of a hit)
+_STRUCTURES = {
+    "hc": (None, search.find_hamiltonian_cycle, _witness("vertices"), lambda g, _: _explain_hc(g)),
+    "prehc": (None, search.find_pre_hamiltonian_cycle, _witness("vertices"), None),
+    "cycle": ("length", search.find_cycle_of_length, _witness("vertices"), None),
+    "bypass": (None, search.find_hamiltonian_bypass, _witness("order"), _explain_bypass),
+    "dnk": ("k", search.find_bypass_pattern, _witness("mapping"), None),
+    "goodcycle": (None, search.find_good_cycle, _good_cycle, None),
+}
+
+
 def cmd_find(args) -> int:
     g = _load_digraph(args.input)
-    structure = args.structure
-    name, _, param = structure.partition(":")
-    explain = None
-    if name == "hc":
-        hit = search.find_hamiltonian_cycle(g)
-        witness = None if hit is None else {"vertices": list(hit.vertices)}
-        if args.explain and hit is not None:
-            explain = _explain_hc(g)
-    elif name == "prehc":
-        hit = search.find_pre_hamiltonian_cycle(g)
-        witness = None if hit is None else {"vertices": list(hit.vertices)}
-    elif name == "cycle":
-        if not param:
-            raise ValueError("structure 'cycle' needs a length, e.g. cycle:4")
-        hit = search.find_cycle_of_length(g, id_int(param))
-        witness = None if hit is None else {"vertices": list(hit.vertices)}
-    elif name == "bypass":
-        hit = search.find_hamiltonian_bypass(g)
-        witness = None if hit is None else {"order": list(hit.order)}
-        if args.explain and hit is not None:
-            explain = _explain_bypass(g, hit.order)
-    elif name == "dnk":
-        if not param:
-            raise ValueError("structure 'dnk' needs a parameter, e.g. dnk:3")
-        hit = search.find_bypass_pattern(g, id_int(param))
-        witness = None if hit is None else {"mapping": list(hit.mapping)}
-    elif name == "goodcycle":
-        hit = search.find_good_cycle(g)
-        if hit is None:
-            witness = None
-        else:
-            (off,) = set(range(g.n)) - set(hit.vertices)
-            witness = {"vertices": list(hit.vertices), "off_vertex": off}
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
-
-    doc: dict = {"structure": structure, "found": hit is not None}
-    if witness is not None:
-        doc["witness"] = witness
+    units = {name: row[0] for name, row in _STRUCTURES.items()}
+    name, param = split_id(args.structure, units, "structure")
+    _, find, witness, replay = _STRUCTURES[name]
+    hit = find(g) if param is None else find(g, param)
+    doc: dict = {"structure": args.structure, "found": hit is not None}
+    if hit is not None:
+        doc["witness"] = witness(g, hit)
     if args.explain:
-        doc["explain"] = explain
+        doc["explain"] = None if hit is None or replay is None else replay(g, hit)
     _emit(doc)
     return 0
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
-from .digraph import Digraph, _check_int, id_int
+from .digraph import Digraph, _check_int, split_id
 
 
 @dataclass(frozen=True)
@@ -357,31 +357,20 @@ _CONDITIONS = {
     "thm16relaxed": (None, check_thm16_relaxed, _thm16_violation, (2,), False),
     "lemma5": (None, lemma5_consequence_holds, _lemma5_violation, (), True),
 }
+UNITS = {name: row[0] for name, row in _CONDITIONS.items()}
 
 
 def resolve(cond_id: str) -> Condition:
     """Map a stable identifier string to its checker and raw predicate.
 
     Parameterized forms: "a_k:<k>", "a_k_inc:<k>", "degree_sum:<offset>".
-    Unknown ids raise ValueError.
+    A bad id is a ValueError (digraph.split_id).
     """
-    name, _, param = cond_id.partition(":")
-    unit, check, core, extra, upward = _CONDITIONS.get(name, (None, None, None, (), False))
-    if unit is not None:
-        try:
-            args = (id_int(param),)
-        except ValueError:
-            raise ValueError(f"bad condition id {cond_id!r}: integer {unit} required")
-    elif param:
-        raise ValueError(f"condition {name!r} takes no parameter")
-    elif check is None:
-        raise ValueError(f"unknown condition id {cond_id!r}")
-    else:
-        args = ()
+    name, param = split_id(cond_id, UNITS, "condition")
+    _, check, core, extra, upward = _CONDITIONS[name]
+    args = () if param is None else (param,)
     return Condition(cond_id, lambda g: check(g, *args), _simple(core, *args, *extra), upward)
 
 
 def known_condition_ids() -> list[str]:
-    return [
-        name if unit is None else f"{name}:<{unit}>" for name, (unit, *_) in _CONDITIONS.items()
-    ]
+    return [name if unit is None else f"{name}:<{unit}>" for name, unit in UNITS.items()]

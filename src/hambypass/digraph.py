@@ -303,6 +303,25 @@ def id_int(text: str) -> int:
     return value
 
 
+def split_id(text: str, units: dict, kind: str) -> tuple[str, int | None]:
+    """(name, integer or None) of an id of `kind`: name is a key of units,
+    and it is followed by ":<integer>" in id_int's spelling exactly when
+    units[name] names the integer ("k", "offset", ...), by nothing when it
+    is None. Condition, filter, evaluator and structure ids all read so."""
+    name, colon, param = text.partition(":")
+    if name not in units:
+        raise ValueError(f"unknown {kind} {text!r}")
+    if units[name] is None:
+        if colon:
+            raise ValueError(f"{kind} {name!r} takes no parameter, got {text!r}")
+        return name, None
+    try:
+        return name, id_int(param)
+    except ValueError as exc:
+        got = param if colon else None
+        raise ValueError(f"{kind} {name!r} needs an integer {units[name]}, got {got!r}: {exc}")
+
+
 def parse_digraph(text: str) -> Digraph:
     """Parse the "n m" / "u v" plain-text format. '#' starts a comment."""
     tokens: list[tuple[int, list[str]]] = []

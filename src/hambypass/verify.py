@@ -49,7 +49,7 @@ from random import Random
 from typing import Callable, Iterable
 
 from . import conditions, families
-from .digraph import Digraph, _check_int, _check_order, _strong_raw
+from .digraph import Digraph, _check_int, _check_order, _strong_raw, split_id
 from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
@@ -87,7 +87,7 @@ def mask_of(g: Digraph) -> int:
     return mask
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)  # a scan decodes one order, and n = 16 holds 52 MB
 def _decoder(n: int):
     """decode(mask) -> (rows, cols, dout, din) for order n, as fresh lists.
 
@@ -210,6 +210,9 @@ class EnumerationTask:
         return f"sample:{self.model}:{self.sample_count}"
 
 
+_FILTER_UNITS = {"min_out": "threshold", "min_in": "threshold", "strong": None, **conditions.UNITS}
+
+
 def _plan(task: EnumerationTask, visitor: bool = False):
     """(floors, filters, flag), what both scan engines run for `task`; a
     bad id is a ValueError. Every predicate is f(n, rows, cols, dout, din).
@@ -230,34 +233,24 @@ def _plan(task: EnumerationTask, visitor: bool = False):
     strong = (lambda n, rows, cols, dout, din: _strong_raw(n, rows, cols), True)
     filters = []
     for fid in task.filters:
-        name, _, param = fid.partition(":")
+        name, t = split_id(fid, _FILTER_UNITS, "filter")
         if name in floors:
-            try:
-                floors[name] = max(floors[name], conditions.id_int(param))
-            except ValueError:
-                raise ValueError(f"bad filter id {fid!r}: integer threshold required")
+            floors[name] = max(floors[name], t)
         elif name == "strong":
-            if param:
-                raise ValueError("filter 'strong' takes no parameter")
             filters.append(strong)
         else:
             cond = conditions.resolve(fid)
             filters.append((cond.raw, cond.upward_closed))
     if floors["min_out"] + floors["min_in"] >= n - 1:  # the floors force strong
         filters = [f for f in filters if f is not strong]
-    name, _, param = (task.evaluator or "").partition(":")
-    flag = _EVALUATORS.get(name)
-    if task.evaluator is not None and flag is None:
-        raise ValueError(f"unknown evaluator {task.evaluator!r}")
-    if name == "no_dnk":
-        try:
-            k = conditions.id_int(param)
-        except ValueError:
-            raise ValueError(f"evaluator 'no_dnk' needs an integer k, got {param or None!r}")
-        families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
-        flag = partial(flag, k)
-    elif param:
-        raise ValueError(f"evaluator {name!r} takes no argument, got {param!r}")
+    flag = None
+    if task.evaluator is not None:
+        units = {e: "k" if e == "no_dnk" else None for e in _EVALUATORS}  # rows may be added
+        name, k = split_id(task.evaluator, units, "evaluator")
+        flag = _EVALUATORS[name]
+        if k is not None:
+            families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
+            flag = partial(flag, k)
     if visitor:
         flag = lambda n, rows, cols, dout, din: True
     return (floors["min_out"], floors["min_in"]), filters, flag

@@ -362,6 +362,20 @@ def test_exit_codes(argv, stdin_text, expected):
     assert run_cli(argv, stdin_text)[0] == expected
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["find", "-", "hc:5"], "structure 'hc' takes no parameter, got 'hc:5'"),
+        (["find", "-", "goodcycle:x"], "structure 'goodcycle' takes no parameter"),
+        (["explore", "--cond", "meyniel:", "--n", "4"], "filter 'meyniel' takes no parameter"),
+    ],
+)
+def test_an_id_without_a_parameter_takes_no_colon(argv, message):
+    code, out, err = run_cli(argv, T5_TEXT)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("spelling", ["+3", " 3", "3 ", "0_3", "03", "-0"])
 @pytest.mark.parametrize("structure", ["cycle", "dnk"])
 def test_find_parameter_has_one_spelling(structure, spelling):

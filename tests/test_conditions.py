@@ -13,7 +13,7 @@ from naive_oracles import (
     naive_woodall_violation,
 )
 
-from hambypass.digraph import converse, degrees, new_digraph, non_adjacent_pairs
+from hambypass.digraph import converse, degrees, id_int, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
 from hambypass import conditions as cond
 from hambypass.verify import EnumerationTask, digraph_from_mask, mask_bits
@@ -310,7 +310,7 @@ def test_registry_round_trip(c4, t5):
 # Each site that reads an integer from an id, with the message it refuses a
 # bad one with: a parameter has one spelling, so one scan has one label.
 ID_INT_SITES = {
-    "resolve": (lambda p: cond.resolve(f"a_k:{p}"), "integer k required"),
+    "resolve": (lambda p: cond.resolve(f"a_k:{p}"), "condition 'a_k' needs an integer k"),
     "floor": (lambda p: EnumerationTask(4, filters=(f"min_in:{p}",)), "integer threshold"),
     "no_dnk": (lambda p: EnumerationTask(4, evaluator=f"no_dnk:{p}"), "needs an integer k"),
 }
@@ -326,10 +326,10 @@ def test_integer_id_parameters_have_one_spelling(site, spelling):
 
 
 def test_id_int_keeps_canonical_negatives():
-    assert cond.id_int("-2") == -2
+    assert id_int("-2") == -2
     assert cond.resolve("degree_sum:-2").cond_id == "degree_sum:-2"
     with pytest.raises(ValueError, match="not in canonical form"):
-        cond.id_int("-02")
+        id_int("-02")
 
 
 def test_resolve_inclusive_variant(kstar12):

@@ -11,7 +11,7 @@ from naive_oracles import naive_canonical_bits
 
 from hambypass.digraph import converse, new_digraph
 from hambypass import families as fam
-from hambypass import iso
+from hambypass import iso, verify
 from hambypass.verify import digraph_from_mask, mask_bits
 
 
@@ -168,3 +168,17 @@ def test_d0_inner_kind_ignores_labels(kb22):
     assert iso.d0_inner_kind(fam.complete_bipartite_digraph(1, 4)) is None  # A too small
     assert iso.d0_inner_kind(fam.complete_digraph(5)) is None
     assert iso.d0_inner_kind(kb22) is None
+
+
+# A000273: isomorphism classes of digraphs on n vertices.
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 3), (3, 16), (4, 218), (5, 9608)])
+def test_orbit_least_masks_are_canonical_forms(n, classes):
+    """The two isomorphism engines agree: the orbit-least mask of each class
+    the generator yields, read as its rows from n - 1 down, is the class's
+    canonical form."""
+    seen = 0
+    for mask, _, rows, *_ in verify._classes(n, (0, 0), []):
+        bits = sum(rows[w] << n * w for w in range(n))
+        assert iso.canonical_form(digraph_from_mask(n, mask)).bits == bits, hex(mask)
+        seen += 1
+    assert seen == classes

@@ -335,7 +335,7 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
         (dict(n=5, mode="sample", sample_count=10), "sample mode needs an explicit seed"),
         (dict(n=5, mode="sample", sample_count=10, seed=1, model="weird"), "unknown sample model"),
         (dict(n=5, evaluator="not_a_thing"), "unknown evaluator"),
-        (dict(n=5, filters=("bogus",)), "unknown condition id"),
+        (dict(n=5, filters=("bogus",)), "unknown filter 'bogus'"),
         (
             dict(n=17, mode="sample", sample_count=5, seed=1),
             r"order must be an integer in \[1, 16\], got 17",
@@ -344,7 +344,7 @@ def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
         (dict(n=5, evaluator="no_dnk:99"), r"k must lie in \[2, 5\], got 99"),
         (dict(n=5, evaluator="no_dnk:1"), r"k must lie in \[2, 5\], got 1"),
         (dict(n=2, evaluator="no_dnk:2"), "bypass pattern needs n >= 3"),
-        (dict(n=5, evaluator="no_hc:3"), "evaluator 'no_hc' takes no argument"),
+        (dict(n=5, evaluator="no_hc:3"), "evaluator 'no_hc' takes no parameter, got 'no_hc:3'"),
         (dict(n=4, seed=5, sample_count=10, model="dense", filters=("strong",)), "sampled scan"),
         (dict(n=4, seed=5), "seed, model and sample_count apply only to a sampled scan"),
         (dict(n=4, model="dense"), "sampled scan"),

@@ -4,12 +4,14 @@ each report so that two trees can be shown to answer alike.
 Run from the root of a tree, with its package on the path:
 
     PYTHONPATH=src python3 tools/scan_times.py              # the timed scans
-    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11 at n = 6
+    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
-exhaustive (about 5-16 s each) and run once. Human-readable lines go to
-stdout, and the last line is one JSON object:
+exhaustive (about 1-16 s each) and run once. Every n = 6 report is checked
+against its frozen answer in FROZEN_N6 (passed_filters, exception classes,
+verdict); on any difference the script says which and exits 1.
+Human-readable lines go to stdout, and the last line is one JSON object:
 {"metrics": {"<case>.wall_s": seconds}, "reports": {"<case>": sha256}},
 where the digest covers the report's JSON without elapsed_ms. This is the
 format tools/pairs.py reads.
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import json
 import statistics
+import sys
 import time
 
 from hambypass import verify
@@ -34,34 +37,58 @@ TIMED = {
 }
 REPEATS = 3
 ONCE_N6 = {f"{claim}_n6_exhaustive": (claim, 6, {}) for claim in ("thm6", "thm8", "thm9", "thm11")}
+ONCE_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
+# case: (passed_filters, exception canonical hexes, verdict), each scan's
+# answer on one process, which every tree must reproduce
+FROZEN_N6 = {
+    "thm6_n6_exhaustive": (50_562_466, [], "confirmed"),
+    "thm8_n6_exhaustive": (188_963_896, ["04f5db77e", "0cd55987e"], "confirmed"),
+    "thm9_n6_exhaustive": (95_894_806, [], "confirmed"),
+    "thm11_n6_exhaustive": (50_562_466, ["1c71f8e38"], "confirmed"),
+    "thm12_n6_exhaustive": (50_562_466, [], "confirmed"),
+    "thm16_n6_exhaustive": (12_365_746, [], "confirmed"),
+}
 
 
-def run(claim: str, n: int, kw: dict) -> tuple[float, str]:
+def run(claim: str, n: int, kw: dict) -> tuple[float, dict]:
     t = time.perf_counter()
     report = verify.run_claim(claim, n, workers=1, **kw)
-    elapsed = time.perf_counter() - t
-    doc = json.dumps(report.to_json_dict(include_elapsed=False), sort_keys=True)
-    return elapsed, hashlib.sha256(doc.encode()).hexdigest()
+    return time.perf_counter() - t, report.to_json_dict(include_elapsed=False)
+
+
+def digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def answer(doc: dict) -> tuple:
+    hexes = [e["canonical_hex"] for e in doc["exceptions"]]
+    return doc["passed_filters"], hexes, doc["verdict"]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11 at n = 6 once")
+    parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11/16 at n = 6 once")
     args = parser.parse_args()
-    metrics, reports = {}, {}
+    metrics, docs = {}, {}
     for case, (claim, n, kw) in TIMED.items():
         run(claim, n, kw)
         times = []
         for _ in range(REPEATS):
-            elapsed, reports[case] = run(claim, n, kw)
+            elapsed, docs[case] = run(claim, n, kw)
             times.append(elapsed)
         metrics[f"{case}.wall_s"] = statistics.median(times)
         print(f"{case}: median {metrics[f'{case}.wall_s']:.4f} s of {len(times)}", flush=True)
     if args.n6:
         for case, (claim, n, kw) in ONCE_N6.items():
-            metrics[f"{case}.wall_s"], reports[case] = run(claim, n, kw)
+            metrics[f"{case}.wall_s"], docs[case] = run(claim, n, kw)
             print(f"{case}: {metrics[f'{case}.wall_s']:.3f} s", flush=True)
+    wrong = [case for case in docs if case in FROZEN_N6 and answer(docs[case]) != FROZEN_N6[case]]
+    for case in wrong:
+        print(f"{case}: answer {answer(docs[case])}, frozen {FROZEN_N6[case]}", flush=True)
+    reports = {case: digest(doc) for case, doc in docs.items()}
     print(json.dumps({"metrics": metrics, "reports": reports}), flush=True)
+    if wrong:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
