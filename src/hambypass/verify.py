@@ -245,7 +245,7 @@ def _plan(task: EnumerationTask, visitor: bool = False):
         filters = [f for f in filters if f is not strong]
     flag = None
     if task.evaluator is not None:
-        units = {e: "k" if e == "no_dnk" else None for e in _EVALUATORS}  # per call: rows may be added
+        units = {e: "k" if e == "no_dnk" else None for e in _EVALUATORS}  # _EVALUATORS may grow
         name, k = split_id(task.evaluator, units, "evaluator")
         flag = _EVALUATORS[name]
         if k is not None:
