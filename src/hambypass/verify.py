@@ -26,14 +26,17 @@ downward from K*_n, pruned by the degree floors and the filters that are
 closed upward. A child is its parent less one arc, so the generator checks
 the floors from the parent's degrees (_classes). The other filters and the
 flag run once per generated class, and each class that passes counts its
-n!/|Aut| labelings. These scans run on one process whatever the worker
-count and print no progress lines. run_claim dedupes the flagged class
-representatives directly; enumerate_digraphs expands each flagged class, or
-with a visitor each passing class, to all of its labelings in ascending
-mask order. Sampled scans split their seeded draws into fixed-size chunks,
-chunk i scanned by process i % workers: the caller or a forked child. Chunk
-boundaries never depend on the worker count and results are absorbed in
-chunk order, so reports are bit-identical whatever the parallelism.
+n!/|Aut| labelings. The lemma-7 sweep passes a class's certificate down (a
+bypass, to the children that keep its arcs; no (n-1)-cycle, to all), and a
+class that gets one is cleared unswept. These scans run on one process
+whatever the worker count and print no progress lines. run_claim dedupes
+the flagged class representatives directly; enumerate_digraphs expands each
+flagged class, or with a visitor each passing class, to all of its
+labelings in ascending mask order. Sampled scans split their seeded draws
+into fixed-size chunks, chunk i scanned by process i % workers: the caller
+or a forked child. Chunk boundaries never depend on the worker count and
+results are absorbed in chunk order, so reports are bit-identical whatever
+the parallelism.
 """
 
 from __future__ import annotations
@@ -281,10 +284,12 @@ def _eval_lemma5(n, rows, cols, dout, din) -> bool:
     return conditions._lemma5_violation(n, rows, cols, dout, din) is not None
 
 
-def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
-    """Flag any bypass-free digraph that breaks a bypass-free consequence:
-    an (n-1)-cycle failing a lemma7 clause, or a good cycle (which would
-    force a bypass).
+def _lemma7_keep(n, rows, cols, dout, din):
+    """The lemma-7 sweep. True flags a bypass-free digraph that breaks a
+    bypass-free consequence: an (n-1)-cycle failing a lemma7 clause, or a
+    good cycle (which would force a bypass). A cleared digraph returns the
+    keep that _classes passes down: its bypass's n arcs as a mask, 0 if it
+    has no (n-1)-cycle, None if every cycle passes.
 
     Each (n-1)-cycle is settled on its own: a cycle that is not good and
     passes every clause moves on to the next. For a cycle that fails,
@@ -293,16 +298,20 @@ def _eval_lemma7_sweep(n, rows, cols, dout, din) -> bool:
     full bypass search decide. So a digraph is cleared by a bypass built
     from its arcs or by every cycle passing, and Lemma 7 is never assumed."""
     if n < 4:
-        return False
+        return None
     total = n * (n - 1) // 2
+    keep = 0
     for cyc in _cycles_raw(rows, cols, (1 << n) - 1, n - 1):
         y = total - sum(cyc)  # the one vertex the cycle misses
         if dout[y] + din[y] < n and all(_lemma7_raw(n, rows, cols, cyc, y)):
+            keep = None
             continue
-        if _cycle_bypass_raw(rows, cols, cyc, y) is not None:
-            return False
-        return _bypass_raw(n, rows, cols) is None
-    return False
+        order = _cycle_bypass_raw(rows, cols, cyc, y) or _bypass_raw(n, rows, cols)
+        if order is None:
+            return True
+        arcs = (*zip(order, order[1:]), (order[0], order[-1]))  # the path, then the chord
+        return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
+    return keep
 
 
 _EVALUATORS = {
@@ -311,7 +320,7 @@ _EVALUATORS = {
     "no_bypass": _eval_no_bypass,
     "no_dnk": _eval_no_dnk,
     "lemma5": _eval_lemma5,
-    "lemma7_sweep": _eval_lemma7_sweep,
+    "lemma7_sweep": lambda *args: _lemma7_keep(*args) is True,
 }
 
 
@@ -695,10 +704,10 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 
 
 def _classes(n: int, floors: tuple[int, int], filters: list[Callable]):
-    """Yield (mask, aut, rows, cols, dout, din) for the orbit-least mask of
-    every isomorphism class with every out-degree at least floors[0] and
-    every in-degree at least floors[1] that passes `filters`, which must all
-    be closed upward. aut is the order of the class's automorphism group.
+    """Yield [mask, aut, rows, cols, dout, din, keep] for the orbit-least
+    mask of every isomorphism class with every out-degree at least floors[0]
+    and every in-degree at least floors[1] that passes `filters`, which must
+    all be closed upward. aut is the order of the class's automorphism group.
 
     Read's orderly generation, run downward from K*_n: the parent of an
     orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again
@@ -707,27 +716,34 @@ def _classes(n: int, floors: tuple[int, int], filters: list[Callable]):
     below p's lowest zero bit that pass and are orbit-least, every class is
     reached once, and no seen-set is needed. A child lacks only the arc
     (u, v) of bit b, so it meets the floors iff p's dout[u] and din[v]
-    exceed them; K*_n, every degree n - 1, is tested once.
+    exceed them; K*_n, every degree n - 1, is tested once. keep is the
+    class's certificate or None: an arc mask whose property every
+    subdigraph holding its arcs shares, as _lemma7_keep's keeps do. The
+    consumer may set node[6] before it resumes the walk, and a child p ^ b
+    inherits p's keep unless bit b is in it.
     """
     if n - 1 < max(floors):
         return
     out_floor, in_floor = floors
     decode = _decoder(n)
     arcs = [(u, v) for u in range(n) for v in range(n) if v != u]  # in mask bit order
-    stack = [(1 << mask_bits(n)) - 1]
+    stack = [((1 << mask_bits(n)) - 1, None)]
     while stack:
-        mask = stack.pop()
+        mask, keep = stack.pop()
         rows, cols, dout, din = decode(mask)
-        if not all(f(n, rows, cols, dout, din) for f in filters):
-            continue
-        aut = _orbit_least(n, rows)
-        if not aut:
-            continue
-        yield mask, aut, rows, cols, dout, din
-        low = ~mask & (mask + 1)
-        for i, (u, v) in enumerate(arcs[: low.bit_length() - 1]):
-            if dout[u] > out_floor and din[v] > in_floor:
-                stack.append(mask ^ 1 << i)
+        for f in filters:
+            if not f(n, rows, cols, dout, din):
+                break
+        else:
+            aut = _orbit_least(n, rows)
+            if not aut:
+                continue
+            yield (node := [mask, aut, rows, cols, dout, din, keep])
+            keep = node[6]
+            for i in range((~mask & (mask + 1)).bit_length() - 1):
+                u, v = arcs[i]
+                if dout[u] > out_floor and din[v] > in_floor:
+                    stack.append((mask ^ 1 << i, None if keep is None or keep >> i & 1 else keep))
 
 
 def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
@@ -739,17 +755,25 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
     least mask; on a visitor scan every passing class is flagged."""
     n = task.n
     floors, filters, flag = _plan(task, visitor)
+    flag = _lemma7_keep if task.evaluator == "lemma7_sweep" else flag  # the sweep with its keeps
     pruning = [f for f, closed in filters if closed]
     checks = [f for f, closed in filters if not closed]
     labelings = factorial(n)
     passed = 0
     flagged = []
-    for mask, aut, rows, cols, dout, din in _classes(n, floors, pruning):
-        if not all(f(n, rows, cols, dout, din) for f in checks):
-            continue
-        passed += labelings // aut
-        if flag is not None and flag(n, rows, cols, dout, din):
-            flagged.append(mask)
+    for node in _classes(n, floors, pruning):
+        mask, aut, rows, cols, dout, din, keep = node
+        for f in checks:
+            if not f(n, rows, cols, dout, din):
+                break
+        else:
+            passed += labelings // aut
+            if flag is None or keep is not None:
+                continue
+            if (hit := flag(n, rows, cols, dout, din)) is True:
+                flagged.append(mask)
+            elif hit is not False:  # a keep
+                node[6] = hit
     return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from hambypass import families as fam
 from hambypass.digraph import Digraph, new_digraph
 from hambypass.search import iter_cycles_of_length
-from hambypass.verify import digraph_from_mask
+from hambypass.verify import _classes, digraph_from_mask
 
 settings.register_profile(
     "suite",
@@ -99,8 +99,10 @@ def seeded_corpus(seed: int, count: int, n_lo: int, n_hi: int, p: float = 0.5):
 @pytest.fixture(scope="session")
 def pre_hamiltonian_cycles():
     """(g, cycle, off vertex) for every (n-1)-cycle of every digraph with
-    n <= 4, and of seeded n = 5, 6, 7 draws, uniform and dense (the union of
-    two uniform draws), as the enumeration engine samples them."""
+    n <= 4, of every class representative at n = 5 (the digraphs the
+    exhaustive lemma-7 sweep reads bypasses off), and of seeded n = 5, 6, 7
+    draws, uniform and dense (the union of two uniform draws), as the
+    enumeration engine samples them."""
     out = []
 
     def add(g):
@@ -111,6 +113,8 @@ def pre_hamiltonian_cycles():
     for n in (3, 4):
         for mask in range(1 << (n * (n - 1))):
             add(digraph_from_mask(n, mask))
+    for mask, *_ in _classes(5, (0, 0), []):
+        add(digraph_from_mask(5, mask))
     rng = random.Random(707)
     for n in (5, 6, 7):
         bits = n * (n - 1)

@@ -47,7 +47,7 @@ def test_floored_generator_keeps_exactly_the_classes_that_meet_the_floors(n):
     generator yields the (mask, aut) pairs of the floor-free one whose
     least out- and in-degree meet the floors, in the same order. A floor
     of n yields nothing."""
-    plain = [(m, aut, min(dout), min(din)) for m, aut, *_, dout, din in _classes(n, (0, 0), [])]
+    plain = [(m, aut, min(dout), min(din)) for m, aut, *_, dout, din, _ in _classes(n, (0, 0), [])]
     if n <= 4:
         pairs = [(a, b) for a in range(n + 1) for b in range(n + 1)]
     else:

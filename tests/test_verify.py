@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naive_oracles import naive_a_k, naive_has_bypass, naive_is_strong, reference_scan
+from naive_oracles import (
+    naive_a_k,
+    naive_has_bypass,
+    naive_has_pre_hamiltonian_cycle,
+    naive_is_strong,
+    reference_scan,
+)
 
 from hambypass.digraph import Digraph, OrderError, is_strong, make_cycle, new_digraph
 from hambypass import families as fam
@@ -262,6 +268,49 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
     res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
     assert (res.scanned, res.flagged) == (1 << mask_bits(n), ())
     assert calls == []  # every failing cycle is read off as a bypass
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch):
+    """Every class that arrives with a keep lies inside it: a keep of 0
+    means no (n-1)-cycle, any other keep is the n arcs of a bypass."""
+    arrived = []
+    walk = verify._classes
+
+    def recorded(*args):
+        for node in walk(*args):
+            if node[6] is not None:
+                arrived.append((node[0], node[6]))
+            yield node
+
+    monkeypatch.setattr(verify, "_classes", recorded)
+    res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
+    assert (res.passed_filters, res.flagged) == (1 << mask_bits(n), ())
+    assert (n >= 4) == bool(arrived)  # below n = 4 the sweep hands nothing down
+    for mask, keep in arrived:
+        g = digraph_from_mask(n, mask)
+        assert keep & ~mask == 0, (mask, keep)
+        if keep:
+            bypass = digraph_from_mask(n, keep)
+            assert bypass.m == n and naive_has_bypass(bypass), (mask, keep)
+            assert naive_has_bypass(g), mask
+        else:
+            assert not naive_has_pre_hamiltonian_cycle(g), mask
+
+
+def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
+    calls = []
+    sweep = verify._lemma7_keep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(verify, "_lemma7_keep", counted)
+    for n, classes, swept in ((4, 218, 92), (5, 9608, 2878)):
+        calls.clear()
+        enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
+        assert (len(list(verify._classes(n, (0, 0), []))), len(calls)) == (classes, swept)
 
 
 _SWEEP_SAMPLE_N5 = dict(n=5, mode="sample", sample_count=20000, seed=11)

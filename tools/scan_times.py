@@ -4,7 +4,8 @@ each report so that two trees can be shown to answer alike.
 Run from the root of a tree, with its package on the path:
 
     PYTHONPATH=src python3 tools/scan_times.py              # the timed scans
-    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6
+    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6,
+                                                            # thm16 also at in-degree 2
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
@@ -38,6 +39,7 @@ TIMED = {
 REPEATS = 3
 ONCE_N6 = {f"{claim}_n6_exhaustive": (claim, 6, {}) for claim in ("thm6", "thm8", "thm9", "thm11")}
 ONCE_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
+ONCE_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
 # case: (passed_filters, exception canonical hexes, verdict), each scan's
 # answer on one process, which every tree must reproduce
 FROZEN_N6 = {
@@ -47,6 +49,7 @@ FROZEN_N6 = {
     "thm11_n6_exhaustive": (50_562_466, ["1c71f8e38"], "confirmed"),
     "thm12_n6_exhaustive": (50_562_466, [], "confirmed"),
     "thm16_n6_exhaustive": (12_365_746, [], "confirmed"),
+    "thm16_in2_n6_exhaustive": (61_422_406, [], "report-only"),
 }
 
 
@@ -67,7 +70,9 @@ def answer(doc: dict) -> tuple:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11/16 at n = 6 once")
+    parser.add_argument(
+        "--n6", action="store_true", help="also run the ONCE_N6 scans (n = 6, exhaustive) once"
+    )
     args = parser.parse_args()
     metrics, docs = {}, {}
     for case, (claim, n, kw) in TIMED.items():
