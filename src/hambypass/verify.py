@@ -772,7 +772,7 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
                 continue
             if (hit := flag(n, rows, cols, dout, din)) is True:
                 flagged.append(mask)
-            elif hit is not False:  # a keep
+            elif hit is not False:  # the sweep's keep, or None
                 node[6] = hit
     return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
 

@@ -272,7 +272,7 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch):
-    """Every class that arrives with a keep lies inside it: a keep of 0
+    """Every keep a class arrives with lies inside the class: a keep of 0
     means no (n-1)-cycle, any other keep is the n arcs of a bypass."""
     arrived = []
     walk = verify._classes
@@ -307,10 +307,10 @@ def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(verify, "_lemma7_keep", counted)
-    for n, classes, swept in ((4, 218, 92), (5, 9608, 2878)):
+    for n, swept in ((4, 92), (5, 2878)):  # of 218 and 9,608 classes
         calls.clear()
         enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
-        assert (len(list(verify._classes(n, (0, 0), []))), len(calls)) == (classes, swept)
+        assert len(calls) == swept
 
 
 _SWEEP_SAMPLE_N5 = dict(n=5, mode="sample", sample_count=20000, seed=11)

@@ -4,8 +4,7 @@ each report so that two trees can be shown to answer alike.
 Run from the root of a tree, with its package on the path:
 
     PYTHONPATH=src python3 tools/scan_times.py              # the timed scans
-    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6,
-                                                            # thm16 also at in-degree 2
+    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
@@ -70,9 +69,7 @@ def answer(doc: dict) -> tuple:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--n6", action="store_true", help="also run the ONCE_N6 scans (n = 6, exhaustive) once"
-    )
+    parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11/16 at n = 6 once")
     args = parser.parse_args()
     metrics, docs = {}, {}
     for case, (claim, n, kw) in TIMED.items():
