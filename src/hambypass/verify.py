@@ -28,15 +28,16 @@ the floors from the parent's degrees (_classes). The other filters and the
 flag run once per generated class, and each class that passes counts its
 n!/|Aut| labelings. The lemma-7 sweep passes a class's certificate down (a
 bypass, to the children that keep its arcs; no (n-1)-cycle, to all), and a
-class that gets one is cleared unswept. These scans run on one process
-whatever the worker count and print no progress lines. run_claim dedupes
-the flagged class representatives directly; enumerate_digraphs expands each
-flagged class, or with a visitor each passing class, to all of its
-labelings in ascending mask order. Sampled scans split their seeded draws
-into fixed-size chunks, chunk i scanned by process i % workers: the caller
-or a forked child. Chunk boundaries never depend on the worker count and
-results are absorbed in chunk order, so reports are bit-identical whatever
-the parallelism.
+class that gets one is cleared unswept. With no filter, where every
+digraph passes, the walk drops each subtree that keeps its root's
+certificate whole. These scans run on one process whatever the worker
+count and print no progress lines. run_claim dedupes the flagged class
+representatives directly; enumerate_digraphs expands each flagged class,
+or with a visitor each passing class, to all of its labelings in ascending
+mask order. Sampled scans split their seeded draws into fixed-size chunks,
+chunk i scanned by process i % workers: the caller or a forked child.
+Chunk boundaries never depend on the worker count and results are absorbed
+in chunk order, so reports are bit-identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -703,7 +704,7 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _classes(n: int, floors: tuple[int, int], filters: list[Callable]):
+def _classes(n: int, floors: tuple[int, int], filters: list[Callable], prune: bool = False):
     """Yield [mask, aut, rows, cols, dout, din, keep] for the orbit-least
     mask of every isomorphism class with every out-degree at least floors[0]
     and every in-degree at least floors[1] that passes `filters`, which must
@@ -720,7 +721,10 @@ def _classes(n: int, floors: tuple[int, int], filters: list[Callable]):
     class's certificate or None: an arc mask whose property every
     subdigraph holding its arcs shares, as _lemma7_keep's keeps do. The
     consumer may set node[6] before it resumes the walk, and a child p ^ b
-    inherits p's keep unless bit b is in it.
+    inherits p's keep unless bit b is in it. p's descendants differ from p
+    only below its lowest zero bit, so with `prune` a keep with no bit there
+    drops p's subtree: _scan_classes asks for it on a lemma-7 sweep with no
+    filter, which counts no class, as every digraph passes.
     """
     if n - 1 < max(floors):
         return
@@ -740,7 +744,10 @@ def _classes(n: int, floors: tuple[int, int], filters: list[Callable]):
                 continue
             yield (node := [mask, aut, rows, cols, dout, din, keep])
             keep = node[6]
-            for i in range((~mask & (mask + 1)).bit_length() - 1):
+            low = (~mask & (mask + 1)).bit_length() - 1
+            if prune and keep is not None and not keep & ((1 << low) - 1):
+                continue  # every descendant holds keep's arcs
+            for i in range(low):
                 u, v = arcs[i]
                 if dout[u] > out_floor and din[v] > in_floor:
                     stack.append((mask ^ 1 << i, None if keep is None or keep >> i & 1 else keep))
@@ -756,12 +763,13 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
     n = task.n
     floors, filters, flag = _plan(task, visitor)
     flag = _lemma7_keep if task.evaluator == "lemma7_sweep" else flag  # the sweep with its keeps
+    prune = flag is _lemma7_keep and not task.filters  # every digraph passes
     pruning = [f for f, closed in filters if closed]
     checks = [f for f, closed in filters if not closed]
     labelings = factorial(n)
     passed = 0
     flagged = []
-    for node in _classes(n, floors, pruning):
+    for node in _classes(n, floors, pruning, prune):
         mask, aut, rows, cols, dout, din, keep = node
         for f in checks:
             if not f(n, rows, cols, dout, din):
@@ -774,7 +782,8 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
                 flagged.append(mask)
             elif hit is not False:  # the sweep's keep, or None
                 node[6] = hit
-    return ScanResult(1 << mask_bits(n), passed, tuple(flagged))
+    scanned = 1 << mask_bits(n)
+    return ScanResult(scanned, scanned if prune else passed, tuple(flagged))
 
 
 # ---------------------------------------------------------------------------

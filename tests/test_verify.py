@@ -272,22 +272,34 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch):
-    """Every keep a class arrives with lies inside the class: a keep of 0
-    means no (n-1)-cycle, any other keep is the n arcs of a bypass."""
-    arrived = []
+    """Every keep a class arrives with, or that drops the subtree the class
+    lies in, lies inside the class: a keep of 0 means no (n-1)-cycle, any
+    other keep is the n arcs of a bypass. A subtree is dropped only under a
+    keep with no bit below its root's lowest zero bit. The sweep flags
+    nothing at these orders, so a wrong prune would not show in the result."""
+    walked = {}
     walk = verify._classes
 
     def recorded(*args):
         for node in walk(*args):
-            if node[6] is not None:
-                arrived.append((node[0], node[6]))
+            walked[node[0]] = node
             yield node
 
     monkeypatch.setattr(verify, "_classes", recorded)
     res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
     assert (res.passed_filters, res.flagged) == (1 << mask_bits(n), ())
-    assert (n >= 4) == bool(arrived)  # below n = 4 the sweep hands nothing down
-    for mask, keep in arrived:
+    held = [(mask, node[6]) for mask, node in walked.items() if node[6] is not None]
+    assert (n >= 4) == bool(held)  # below n = 4 the sweep hands nothing down
+    skipped = [mask for mask, *_ in walk(n, (0, 0), []) if mask not in walked]
+    assert (n >= 4) == bool(skipped)
+    for mask in skipped:
+        root = mask
+        while root not in walked:
+            root |= ~root & (root + 1)  # Read's parent: set the lowest zero bit
+        keep = walked[root][6]
+        assert keep is not None and keep & (~root & (root + 1)) - 1 == 0, (root, keep)
+        held.append((mask, keep))
+    for mask, keep in held:
         g = digraph_from_mask(n, mask)
         assert keep & ~mask == 0, (mask, keep)
         if keep:
@@ -298,19 +310,50 @@ def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch)
             assert not naive_has_pre_hamiltonian_cycle(g), mask
 
 
+def _count_walk(monkeypatch, names):
+    """Count the calls of each of verify's `names` and, under "_classes",
+    the classes its walk yields."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        def walk(*args):
+            for node in real(*args):
+                counts[name] += 1
+                yield node
+
+        return walk if name == "_classes" else call
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    return counts
+
+
 def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
-    calls = []
-    sweep = verify._lemma7_keep
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(verify, "_lemma7_keep", counted)
-    for n, swept in ((4, 92), (5, 2878)):  # of 218 and 9,608 classes
-        calls.clear()
+    """A class that arrives with a keep is not swept, and a subtree whose
+    keep every descendant holds is not walked: no decode, no orbit test."""
+    counts = _count_walk(monkeypatch, ("_lemma7_keep", "_classes", "_orbit_least"))
+    # of 218 and 9,608 classes, reached with 410 and 13,966 orbit tests
+    for n, expected in ((4, (92, 151, 288)), (5, (2878, 5865, 8380))):
+        counts.update(dict.fromkeys(counts, 0))
         enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
-        assert len(calls) == swept
+        assert tuple(counts.values()) == expected
+
+
+@pytest.mark.parametrize("filters", [("strong",), ("thm13",)])
+def test_a_filtered_lemma7_sweep_walks_every_class(filters, monkeypatch):
+    """With a filter the sweep sums n!/|Aut| per class, so it drops no
+    subtree: it walks the classes a scan with no evaluator walks."""
+    counts = _count_walk(monkeypatch, ("_classes", "_orbit_least"))
+    walks = []
+    for evaluator in (None, "lemma7_sweep"):
+        counts.update(dict.fromkeys(counts, 0))
+        res = enumerate_digraphs(EnumerationTask(5, filters=filters, evaluator=evaluator))
+        walks.append((res.passed_filters, tuple(counts.values())))
+    assert walks[0] == walks[1]
 
 
 _SWEEP_SAMPLE_N5 = dict(n=5, mode="sample", sample_count=20000, seed=11)

@@ -4,13 +4,15 @@ each report so that two trees can be shown to answer alike.
 Run from the root of a tree, with its package on the path:
 
     PYTHONPATH=src python3 tools/scan_times.py              # the timed scans
-    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus thm6/8/9/11/16 at n = 6
+    PYTHONPATH=src python3 tools/scan_times.py --n6         # plus n = 6 claims and lemma-7 sweep
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
-exhaustive (about 1-16 s each) and run once. Every n = 6 report is checked
-against its frozen answer in FROZEN_N6 (passed_filters, exception classes,
-verdict); on any difference the script says which and exits 1.
+exhaustive and run once: the claims about 1-16 s each, and the lemma-7
+sweep over every digraph (enumerate_digraphs, no filter) about 40 s. Every
+n = 6 answer is checked against FROZEN_N6 (a claim's passed_filters,
+exception classes and verdict; the sweep's scanned, passed_filters and
+flagged masks); on any difference the script says which and exits 1.
 Human-readable lines go to stdout, and the last line is one JSON object:
 {"metrics": {"<case>.wall_s": seconds}, "reports": {"<case>": sha256}},
 where the digest covers the report's JSON without elapsed_ms. This is the
@@ -39,8 +41,10 @@ REPEATS = 3
 ONCE_N6 = {f"{claim}_n6_exhaustive": (claim, 6, {}) for claim in ("thm6", "thm8", "thm9", "thm11")}
 ONCE_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
 ONCE_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
-# case: (passed_filters, exception canonical hexes, verdict), each scan's
-# answer on one process, which every tree must reproduce
+SWEEP_N6 = "lemma7_sweep_n6_exhaustive"
+# case: (passed_filters, exception canonical hexes, verdict), or for the
+# sweep (scanned, passed_filters, flagged masks): each scan's answer on one
+# process, which every tree must reproduce
 FROZEN_N6 = {
     "thm6_n6_exhaustive": (50_562_466, [], "confirmed"),
     "thm8_n6_exhaustive": (188_963_896, ["04f5db77e", "0cd55987e"], "confirmed"),
@@ -49,6 +53,7 @@ FROZEN_N6 = {
     "thm12_n6_exhaustive": (50_562_466, [], "confirmed"),
     "thm16_n6_exhaustive": (12_365_746, [], "confirmed"),
     "thm16_in2_n6_exhaustive": (61_422_406, [], "report-only"),
+    SWEEP_N6: (1_073_741_824, 1_073_741_824, []),
 }
 
 
@@ -58,18 +63,28 @@ def run(claim: str, n: int, kw: dict) -> tuple[float, dict]:
     return time.perf_counter() - t, report.to_json_dict(include_elapsed=False)
 
 
+def run_sweep(n: int) -> tuple[float, dict]:
+    t = time.perf_counter()
+    res = verify.enumerate_digraphs(verify.EnumerationTask(n, evaluator="lemma7_sweep"), workers=1)
+    elapsed = time.perf_counter() - t
+    return elapsed, dict(scanned=res.scanned, passed_filters=res.passed_filters,
+                         flagged=list(res.flagged))
+
+
 def digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def answer(doc: dict) -> tuple:
+    if "flagged" in doc:  # the sweep
+        return doc["scanned"], doc["passed_filters"], doc["flagged"]
     hexes = [e["canonical_hex"] for e in doc["exceptions"]]
     return doc["passed_filters"], hexes, doc["verdict"]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--n6", action="store_true", help="also run thm6/8/9/11/16 at n = 6 once")
+    parser.add_argument("--n6", action="store_true", help="also run the n = 6 scans once")
     args = parser.parse_args()
     metrics, docs = {}, {}
     for case, (claim, n, kw) in TIMED.items():
@@ -84,6 +99,8 @@ def main() -> None:
         for case, (claim, n, kw) in ONCE_N6.items():
             metrics[f"{case}.wall_s"], docs[case] = run(claim, n, kw)
             print(f"{case}: {metrics[f'{case}.wall_s']:.3f} s", flush=True)
+        metrics[f"{SWEEP_N6}.wall_s"], docs[SWEEP_N6] = run_sweep(6)
+        print(f"{SWEEP_N6}: {metrics[f'{SWEEP_N6}.wall_s']:.3f} s", flush=True)
     wrong = [case for case in docs if case in FROZEN_N6 and answer(docs[case]) != FROZEN_N6[case]]
     for case in wrong:
         print(f"{case}: answer {answer(docs[case])}, frozen {FROZEN_N6[case]}", flush=True)
