@@ -272,9 +272,9 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch):
-    """Every keep a class arrives with, or that drops the subtree the class
-    lies in, lies inside the class: a keep of 0 means no (n-1)-cycle, any
-    other keep is the n arcs of a bypass. A subtree is dropped only under a
+    """Every keep a walked class holds, and the keep that dropped the subtree
+    of each class not walked, lies inside the class: a keep of 0 means no
+    (n-1)-cycle, any other keep is the n arcs of a bypass. A subtree is dropped only under a
     keep with no bit below its root's lowest zero bit. The sweep flags
     nothing at these orders, so a wrong prune would not show in the result."""
     walked = {}
@@ -351,7 +351,8 @@ def test_a_filtered_lemma7_sweep_walks_every_class(filters, monkeypatch):
     walks = []
     for evaluator in (None, "lemma7_sweep"):
         counts.update(dict.fromkeys(counts, 0))
-        res = enumerate_digraphs(EnumerationTask(5, filters=filters, evaluator=evaluator))
+        task = EnumerationTask(5, filters=filters, evaluator=evaluator)
+        res = enumerate_digraphs(task, workers=1)
         walks.append((res.passed_filters, tuple(counts.values())))
     assert walks[0] == walks[1]
 
