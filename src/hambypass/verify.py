@@ -9,9 +9,12 @@ scan's costliest step.
 
 Filters are condition identifiers (see conditions.resolve) plus the scan
 extras "strong", "min_out:<t>" and "min_in:<t>"; they short-circuit in the
-order given. An optional evaluator runs on filter survivors and flags
-exceptions: "no_hc", "no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and
-"lemma7_sweep". Ids rather than callables cross the process boundary.
+order given. An optional evaluator runs on filter survivors: "no_hc",
+"no_prehc", "no_bypass", "no_dnk:<k>", "lemma5" and "lemma7_sweep". It
+flags a digraph by returning True, and any other result clears it; an int
+other than False is also a certificate: every subdigraph of the class that
+holds its arcs is cleared too. Ids rather than callables cross the process
+boundary.
 
 Both scan engines run what _plan makes of a task's ids: min_out and min_in
 become degree floors; strong adds floors of 1 from n = 2 on and runs only
@@ -21,23 +24,22 @@ and one flag predicate picks the masks a scan reports. A sampled scan with
 a floor draws each chunk as packed blocks of draws and tests the floors of
 every draw in a block at once (_screen), so only the survivors are decoded.
 
-Exhaustive scans generate one orbit-least mask per isomorphism class,
-downward from K*_n, pruned by the degree floors and the filters that are
-closed upward. A child is its parent less one arc, so the generator checks
-the floors from the parent's degrees (_classes). The other filters and the
-flag run once per generated class, and each class that passes counts its
-n!/|Aut| labelings. The lemma-7 sweep passes a class's certificate down (a
-bypass, to the children that keep its arcs; no (n-1)-cycle, to all), and a
-class that gets one is cleared unswept. With no filter, where every
-digraph passes, the walk drops each subtree that keeps its root's
-certificate whole. These scans run on one process whatever the worker
-count and print no progress lines. run_claim dedupes the flagged class
-representatives directly; enumerate_digraphs expands each flagged class,
-or with a visitor each passing class, to all of its labelings in ascending
-mask order. Sampled scans split their seeded draws into fixed-size chunks,
-chunk i scanned by process i % workers: the caller or a forked child.
-Chunk boundaries never depend on the worker count and results are absorbed
-in chunk order, so reports are bit-identical whatever the parallelism.
+Exhaustive scans walk one orbit-least mask per isomorphism class, downward
+from K*_n, pruned by the degree floors and the filters that are closed
+upward (_scan_classes). The other filters and the flag run once per walked
+class, and each class that passes counts its n!/|Aut| labelings. A class
+hands its certificate to the children that keep its arcs, and one that
+holds a certificate is cleared without the evaluator. With no filter,
+where every digraph passes, the walk drops each subtree that keeps its
+root's certificate whole. These scans run on one process whatever the
+worker count and print no progress lines. run_claim dedupes the flagged
+class representatives directly; enumerate_digraphs expands each flagged
+class, or with a visitor each passing class, to all of its labelings in
+ascending mask order. Sampled scans split their seeded draws into
+fixed-size chunks, chunk i scanned by process i % workers: the caller or a
+forked child. Chunk boundaries never depend on the worker count and
+results are absorbed in chunk order, so reports are bit-identical whatever
+the parallelism.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def _plan(task: EnumerationTask, visitor: bool = False):
     """(floors, filters, flag), what both scan engines run for `task`; a
     bad id is a ValueError. Every predicate is f(n, rows, cols, dout, din).
 
-    floors is (out, in), both >= 0, which the class generator checks from a
+    floors is (out, in), both >= 0, which the class walk checks from a
     parent's degrees and a sampled scan with _screen. min_out:<t> and
     min_in:<t> are floors only; the largest t wins. A strong digraph of
     order n >= 2 has every degree at least 1, so strong adds floors of 1. It
@@ -288,9 +290,9 @@ def _eval_lemma5(n, rows, cols, dout, din) -> bool:
 def _lemma7_keep(n, rows, cols, dout, din):
     """The lemma-7 sweep. True flags a bypass-free digraph that breaks a
     bypass-free consequence: an (n-1)-cycle failing a lemma7 clause, or a
-    good cycle (which would force a bypass). A cleared digraph returns the
-    keep that _classes passes down: its bypass's n arcs as a mask, 0 if it
-    has no (n-1)-cycle, None if every cycle passes.
+    good cycle (which would force a bypass). A cleared digraph returns its
+    certificate, its bypass's n arcs as a mask or 0 if it has no
+    (n-1)-cycle, or None if every cycle passes.
 
     Each (n-1)-cycle is settled on its own: a cycle that is not good and
     passes every clause moves on to the next. For a cycle that fails,
@@ -315,13 +317,15 @@ def _lemma7_keep(n, rows, cols, dout, din):
     return keep
 
 
+# Raw evaluators f(n, rows, cols, dout, din): True flags, and an int other
+# than False also certifies the subdigraphs that hold its arcs.
 _EVALUATORS = {
     "no_hc": _eval_no_hc,
     "no_prehc": _eval_no_prehc,
     "no_bypass": _eval_no_bypass,
     "no_dnk": _eval_no_dnk,
     "lemma5": _eval_lemma5,
-    "lemma7_sweep": lambda *args: _lemma7_keep(*args) is True,
+    "lemma7_sweep": _lemma7_keep,
 }
 
 
@@ -456,7 +460,7 @@ def _scan_chunk(task: EnumerationTask, floors, decode, filters, flag, chunk_inde
                 break
         else:
             passed += 1
-            if flag is not None and flag(n, rows, cols, dout, din):
+            if flag is not None and flag(n, rows, cols, dout, din) is True:
                 hits.append(mask)
     return count, passed, hits
 
@@ -492,7 +496,7 @@ def enumerate_digraphs(
     evaluator and flagged masks come back in the result. Masks come in
     ascending order on an exhaustive scan, in draw order on a sampled one.
 
-    An exhaustive scan runs on the class generator (_scan_classes) and
+    An exhaustive scan runs on the class walk (_scan_classes) and
     expands each flagged class, or with a visitor each passing class, to
     all of its labelings: one process whatever `workers` says, no progress
     lines, and a visitor's masks are all held before the first is visited.
@@ -704,11 +708,14 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _classes(n: int, floors: tuple[int, int], filters: list[Callable], prune: bool = False):
-    """Yield [mask, aut, rows, cols, dout, din, keep] for the orbit-least
-    mask of every isomorphism class with every out-degree at least floors[0]
-    and every in-degree at least floors[1] that passes `filters`, which must
-    all be closed upward. aut is the order of the class's automorphism group.
+def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
+    """The exhaustive scan of a task: one walk over the orbit-least mask of
+    every isomorphism class that meets the plan's degree floors and passes
+    its filters closed upward. The others, which ignore labels as every
+    filter does, are checked on each walked class. Each class that passes
+    counts n!/|Aut| passed digraphs, |Aut| from _orbit_least, and the
+    plan's flag runs once on it and flags the class's least mask; on a
+    visitor scan every passing class is flagged.
 
     Read's orderly generation, run downward from K*_n: the parent of an
     orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again
@@ -717,73 +724,53 @@ def _classes(n: int, floors: tuple[int, int], filters: list[Callable], prune: bo
     below p's lowest zero bit that pass and are orbit-least, every class is
     reached once, and no seen-set is needed. A child lacks only the arc
     (u, v) of bit b, so it meets the floors iff p's dout[u] and din[v]
-    exceed them; K*_n, every degree n - 1, is tested once. keep is the
-    class's certificate or None: an arc mask whose property every
-    subdigraph holding its arcs shares, as _lemma7_keep's keeps do. The
-    consumer may set node[6] before it resumes the walk, and a child p ^ b
-    inherits p's keep unless bit b is in it. p's descendants differ from p
-    only below its lowest zero bit, so with `prune` a keep with no bit there
-    drops p's subtree: _scan_classes asks for it on a lemma-7 sweep with no
-    filter, which counts no class, as every digraph passes.
+    exceed them; K*_n, every degree n - 1, is tested once. A child p ^ b
+    inherits p's certificate unless bit b is in it, and a class that holds
+    none takes the one its flag returns, if any. p's descendants differ
+    from p only below its lowest zero bit, so with no filter, which counts
+    no class as every digraph passes, a certificate with no bit there drops
+    p's subtree.
     """
-    if n - 1 < max(floors):
-        return
+    n = task.n
+    floors, filters, flag = _plan(task, visitor)
     out_floor, in_floor = floors
+    pruning = [f for f, closed in filters if closed]
+    checks = [f for f, closed in filters if not closed]
     decode = _decoder(n)
     arcs = [(u, v) for u in range(n) for v in range(n) if v != u]  # in mask bit order
-    stack = [((1 << mask_bits(n)) - 1, None)]
+    labelings = factorial(n)
+    passed = 0
+    flagged = []
+    stack = [((1 << mask_bits(n)) - 1, None)] if max(floors) < n else []
     while stack:
         mask, keep = stack.pop()
         rows, cols, dout, din = decode(mask)
-        for f in filters:
+        for f in pruning:
             if not f(n, rows, cols, dout, din):
                 break
         else:
             aut = _orbit_least(n, rows)
             if not aut:
                 continue
-            yield (node := [mask, aut, rows, cols, dout, din, keep])
-            keep = node[6]
+            for f in checks:
+                if not f(n, rows, cols, dout, din):
+                    break
+            else:
+                passed += labelings // aut
+                if flag is not None and keep is None:
+                    if (hit := flag(n, rows, cols, dout, din)) is True:
+                        flagged.append(mask)
+                    elif hit is not False:  # a certificate, or None
+                        keep = hit
             low = (~mask & (mask + 1)).bit_length() - 1
-            if prune and keep is not None and not keep & ((1 << low) - 1):
+            if not task.filters and keep is not None and not keep & ((1 << low) - 1):
                 continue  # every descendant holds keep's arcs
             for i in range(low):
                 u, v = arcs[i]
                 if dout[u] > out_floor and din[v] > in_floor:
                     stack.append((mask ^ 1 << i, None if keep is None or keep >> i & 1 else keep))
-
-
-def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
-    """The exhaustive scan of a task, one digraph per class. The plan's
-    degree floors and its filters closed upward prune the generator; the
-    others, which ignore labels as every filter does, are checked on each
-    generated class. Each class that passes counts n!/|Aut| passed
-    digraphs, and the plan's flag runs once on it and flags the class's
-    least mask; on a visitor scan every passing class is flagged."""
-    n = task.n
-    floors, filters, flag = _plan(task, visitor)
-    flag = _lemma7_keep if task.evaluator == "lemma7_sweep" else flag  # the sweep with its keeps
-    prune = flag is _lemma7_keep and not task.filters  # every digraph passes
-    pruning = [f for f, closed in filters if closed]
-    checks = [f for f, closed in filters if not closed]
-    labelings = factorial(n)
-    passed = 0
-    flagged = []
-    for node in _classes(n, floors, pruning, prune):
-        mask, aut, rows, cols, dout, din, keep = node
-        for f in checks:
-            if not f(n, rows, cols, dout, din):
-                break
-        else:
-            passed += labelings // aut
-            if flag is None or keep is not None:
-                continue
-            if (hit := flag(n, rows, cols, dout, din)) is True:
-                flagged.append(mask)
-            elif hit is not False:  # the sweep's keep, or None
-                node[6] = hit
     scanned = 1 << mask_bits(n)
-    return ScanResult(scanned, scanned if prune else passed, tuple(flagged))
+    return ScanResult(scanned, passed if task.filters else scanned, tuple(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +844,7 @@ def run_claim(
     over `sample` seeded draws, and judge the deduplicated exceptions.
     `param` is the claim's per-call parameter.
 
-    An exhaustive scan runs on the class generator: one process whatever
+    An exhaustive scan runs on the class walk: one process whatever
     `workers` says, and no progress lines. It dedupes the flagged class
     representatives as they are, without enumerate_digraphs' expansion to
     every labeling. A sampled scan runs on _scan_sampled. ValueError for an

@@ -15,7 +15,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from hambypass import families as fam
 from hambypass.digraph import Digraph, new_digraph
 from hambypass.search import iter_cycles_of_length
-from hambypass.verify import _classes, digraph_from_mask
+from hambypass.verify import (
+    EnumerationTask,
+    _decoder,
+    _orbit_least,
+    _scan_classes,
+    digraph_from_mask,
+)
 
 settings.register_profile(
     "suite",
@@ -78,6 +84,22 @@ def kstar12() -> Digraph:
 
 
 # --------------------------------------------------------------------------
+# isomorphism classes, as the exhaustive scan walks them
+# --------------------------------------------------------------------------
+
+def classes(n: int, filters: tuple[str, ...] = ()) -> list[tuple]:
+    """(mask, aut, rows, cols, dout, din) for the orbit-least mask of every
+    class of order n that passes `filters`, in walk order: the classes an
+    exhaustive visitor scan flags, aut the order of each automorphism group."""
+    decode = _decoder(n)
+    out = []
+    for mask in _scan_classes(EnumerationTask(n, filters=filters), True).flagged:
+        rows, cols, dout, din = decode(mask)
+        out.append((mask, _orbit_least(n, rows), rows, cols, dout, din))
+    return out
+
+
+# --------------------------------------------------------------------------
 # seeded random digraphs (plain RNG corpus) and hypothesis strategies
 # --------------------------------------------------------------------------
 
@@ -113,7 +135,7 @@ def pre_hamiltonian_cycles():
     for n in (3, 4):
         for mask in range(1 << (n * (n - 1))):
             add(digraph_from_mask(n, mask))
-    for mask, *_ in _classes(5, (0, 0), []):
+    for mask, *_ in classes(5):
         add(digraph_from_mask(5, mask))
     rng = random.Random(707)
     for n in (5, 6, 7):

@@ -298,7 +298,7 @@ def reference_scan(task, visitor=None):
         if all(f(*args) for f in filters):
             passed += 1
             visitor(mask)
-            if evaluator and evaluator(*args):
+            if evaluator and evaluator(*args) is True:
                 flagged.append(mask)
     return verify.ScanResult(len(masks), passed, tuple(flagged))
 

@@ -132,7 +132,7 @@ def _predicates(n):
 def _answers(preds, g):
     rows, cols = list(g.rows), list(g.cols)
     args = (g.n, rows, cols, [r.bit_count() for r in rows], [c.bit_count() for c in cols])
-    return {name: bool(f(*args)) for name, f in preds}
+    return {name: f(*args) is True for name, f in preds}
 
 
 def test_filters_and_evaluators_ignore_labels():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import classes
 from naive_oracles import (
     naive_a_k,
     naive_has_bypass,
@@ -272,31 +273,44 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch):
-    """Every keep a walked class holds, and the keep that dropped the subtree
-    of each class not walked, lies inside the class: a keep of 0 means no
-    (n-1)-cycle, any other keep is the n arcs of a bypass. A subtree is dropped only under a
-    keep with no bit below its root's lowest zero bit. The sweep flags
-    nothing at these orders, so a wrong prune would not show in the result."""
-    walked = {}
-    walk = verify._classes
+    """Every certificate a walked class holds, and the one that dropped the
+    subtree of each class not walked, lies inside the class: 0 means no
+    (n-1)-cycle, any other certificate is the n arcs of a bypass. A walked
+    class holds what its nearest swept ancestor, itself included, returned.
+    A subtree is dropped only under a certificate with no bit below its
+    root's lowest zero bit. The sweep flags nothing at these orders, so a
+    wrong prune would not show in the result."""
+    every = [mask for mask, *_ in classes(n)]
+    walked, swept = set(), {}
+    orbit_least, sweep = verify._orbit_least, verify._EVALUATORS["lemma7_sweep"]
 
-    def recorded(*args):
-        for node in walk(*args):
-            walked[node[0]] = node
-            yield node
+    def orbit_test(n, rows):
+        if aut := orbit_least(n, rows):
+            walked.add(mask_of(Digraph._from_rows(n, rows)))
+        return aut
 
-    monkeypatch.setattr(verify, "_classes", recorded)
+    def recorded(n, rows, *args):
+        swept[mask_of(Digraph._from_rows(n, rows))] = keep = sweep(n, rows, *args)
+        return keep
+
+    monkeypatch.setattr(verify, "_orbit_least", orbit_test)
+    monkeypatch.setitem(verify._EVALUATORS, "lemma7_sweep", recorded)
     res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
     assert (res.passed_filters, res.flagged) == (1 << mask_bits(n), ())
-    held = [(mask, node[6]) for mask, node in walked.items() if node[6] is not None]
+
+    def ancestor(mask, among):  # the nearest of `among` up Read's parents
+        while mask not in among:
+            mask |= ~mask & (mask + 1)  # Read's parent: set the lowest zero bit
+        return mask
+
+    keeps = {mask: swept[ancestor(mask, swept)] for mask in walked}
+    held = [(mask, keep) for mask, keep in keeps.items() if keep is not None]
     assert (n >= 4) == bool(held)  # below n = 4 the sweep hands nothing down
-    skipped = [mask for mask, *_ in walk(n, (0, 0), []) if mask not in walked]
+    skipped = [mask for mask in every if mask not in walked]
     assert (n >= 4) == bool(skipped)
     for mask in skipped:
-        root = mask
-        while root not in walked:
-            root |= ~root & (root + 1)  # Read's parent: set the lowest zero bit
-        keep = walked[root][6]
+        root = ancestor(mask, walked)
+        keep = keeps[root]
         assert keep is not None and keep & (~root & (root + 1)) - 1 == 0, (root, keep)
         held.append((mask, keep))
     for mask, keep in held:
@@ -310,32 +324,31 @@ def test_lemma7_sweep_keeps_handed_down_the_class_tree_are_sound(n, monkeypatch)
             assert not naive_has_pre_hamiltonian_cycle(g), mask
 
 
-def _count_walk(monkeypatch, names):
-    """Count the calls of each of verify's `names` and, under "_classes",
-    the classes its walk yields."""
-    counts = dict.fromkeys(names, 0)
+def _count_walk(monkeypatch):
+    """Count the lemma-7 sweep's calls, the classes the walk visits (the
+    orbit tests that pass) and all its orbit tests."""
+    counts = {"sweeps": 0, "classes": 0, "orbit tests": 0}
+    orbit_least, sweep = verify._orbit_least, verify._EVALUATORS["lemma7_sweep"]
 
-    def counted(name, real):
-        def call(*args):
-            counts[name] += 1
-            return real(*args)
+    def orbit_test(n, rows):
+        aut = orbit_least(n, rows)
+        counts["classes"] += aut > 0
+        counts["orbit tests"] += 1
+        return aut
 
-        def walk(*args):
-            for node in real(*args):
-                counts[name] += 1
-                yield node
+    def counted(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
 
-        return walk if name == "_classes" else call
-
-    for name in names:
-        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    monkeypatch.setattr(verify, "_orbit_least", orbit_test)
+    monkeypatch.setitem(verify._EVALUATORS, "lemma7_sweep", counted)
     return counts
 
 
 def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
     """A class that arrives with a keep is not swept, and a subtree whose
     keep every descendant holds is not walked: no decode, no orbit test."""
-    counts = _count_walk(monkeypatch, ("_lemma7_keep", "_classes", "_orbit_least"))
+    counts = _count_walk(monkeypatch)
     # of 218 and 9,608 classes, reached with 410 and 13,966 orbit tests
     for n, expected in ((4, (92, 151, 288)), (5, (2878, 5865, 8380))):
         counts.update(dict.fromkeys(counts, 0))
@@ -347,13 +360,13 @@ def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
 def test_a_filtered_lemma7_sweep_walks_every_class(filters, monkeypatch):
     """With a filter the sweep sums n!/|Aut| per class, so it drops no
     subtree: it walks the classes a scan with no evaluator walks."""
-    counts = _count_walk(monkeypatch, ("_classes", "_orbit_least"))
+    counts = _count_walk(monkeypatch)
     walks = []
     for evaluator in (None, "lemma7_sweep"):
         counts.update(dict.fromkeys(counts, 0))
         task = EnumerationTask(5, filters=filters, evaluator=evaluator)
         res = enumerate_digraphs(task, workers=1)
-        walks.append((res.passed_filters, tuple(counts.values())))
+        walks.append((res.passed_filters, counts["classes"], counts["orbit tests"]))
     assert walks[0] == walks[1]
 
 
