@@ -16,6 +16,7 @@ from hambypass import families as fam
 from hambypass.digraph import Digraph, new_digraph
 from hambypass.search import iter_cycles_of_length
 from hambypass.verify import (
+    EXHAUSTIVE_MAX_N,
     EnumerationTask,
     _decoder,
     _orbit_least,
@@ -90,10 +91,14 @@ def kstar12() -> Digraph:
 def classes(n: int, filters: tuple[str, ...] = ()) -> list[tuple]:
     """(mask, aut, rows, cols, dout, din) for the orbit-least mask of every
     class of order n that passes `filters`, in walk order: the classes an
-    exhaustive visitor scan flags, aut the order of each automorphism group."""
+    exhaustive visitor scan flags, aut the order of each automorphism group.
+    Past EXHAUSTIVE_MAX_N, which a task refuses, the walk still runs: there
+    only floors that keep it to a few classes are usable."""
+    task = EnumerationTask(min(n, EXHAUSTIVE_MAX_N), filters=filters)
+    object.__setattr__(task, "n", n)
     decode = _decoder(n)
     out = []
-    for mask in _scan_classes(EnumerationTask(n, filters=filters), True).flagged:
+    for mask in _scan_classes(task, True).flagged:
         rows, cols, dout, din = decode(mask)
         out.append((mask, _orbit_least(n, rows), rows, cols, dout, din))
     return out
