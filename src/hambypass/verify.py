@@ -30,8 +30,8 @@ upward (_scan_classes). The other filters and the flag run once per walked
 class, and each class that passes counts its n!/|Aut| labelings. A class
 hands its certificate to the children that keep its arcs, and one that
 holds a certificate is cleared without the evaluator. With no filter,
-where every digraph passes, the walk drops each subtree that keeps its
-root's certificate whole. These scans run on one process whatever the
+where every digraph passes, the walk pushes no child whose subtree all
+keeps the certificate. These scans run on one process whatever the
 worker count and print no progress lines. run_claim dedupes the flagged
 class representatives directly; enumerate_digraphs expands each flagged
 class, or with a visitor each passing class, to all of its labelings in
@@ -291,30 +291,29 @@ def _lemma7_keep(n, rows, cols, dout, din):
     """The lemma-7 sweep. True flags a bypass-free digraph that breaks a
     bypass-free consequence: an (n-1)-cycle failing a lemma7 clause, or a
     good cycle (which would force a bypass). A cleared digraph returns its
-    certificate, its bypass's n arcs as a mask or 0 if it has no
-    (n-1)-cycle, or None if every cycle passes.
+    certificate: its bypass's n arcs as a mask, or 0 if no (n-1)-cycle
+    fails. None only below n = 4.
 
     Each (n-1)-cycle is settled on its own: a cycle that is not good and
     passes every clause moves on to the next. For a cycle that fails,
     search._cycle_bypass_raw reads a bypass off the cycle and its off vertex
     where it can, which clears the digraph; only if it finds none does the
     full bypass search decide. So a digraph is cleared by a bypass built
-    from its arcs or by every cycle passing, and Lemma 7 is never assumed."""
+    from its arcs or by every cycle passing, and Lemma 7 is never assumed.
+    A cycle that passes still does once an arc is deleted, so 0 is sound."""
     if n < 4:
         return None
     total = n * (n - 1) // 2
-    keep = 0
     for cyc in _cycles_raw(rows, cols, (1 << n) - 1, n - 1):
         y = total - sum(cyc)  # the one vertex the cycle misses
         if dout[y] + din[y] < n and all(_lemma7_raw(n, rows, cols, cyc, y)):
-            keep = None
             continue
         order = _cycle_bypass_raw(rows, cols, cyc, y) or _bypass_raw(n, rows, cols)
         if order is None:
             return True
         arcs = (*zip(order, order[1:]), (order[0], order[-1]))  # the path, then the chord
         return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
-    return keep
+    return 0
 
 
 # Raw evaluators f(n, rows, cols, dout, din): True flags, and an int other
@@ -726,10 +725,10 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
     (u, v) of bit b, so it meets the floors iff p's dout[u] and din[v]
     exceed them; K*_n, every degree n - 1, is tested once. A child p ^ b
     inherits p's certificate unless bit b is in it, and a class that holds
-    none takes the one its flag returns, if any. p's descendants differ
-    from p only below its lowest zero bit, so with no filter, which counts
-    no class as every digraph passes, a certificate with no bit there drops
-    p's subtree.
+    none takes the one its flag returns, if any. The child's descendants
+    differ from it only below b, so with no filter, which counts no class
+    as every digraph passes, it is pushed unless it inherits a certificate
+    with no bit below b.
     """
     n = task.n
     floors, filters, flag = _plan(task, visitor)
@@ -762,13 +761,13 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
                         flagged.append(mask)
                     elif hit is not False:  # a certificate, or None
                         keep = hit
-            low = (~mask & (mask + 1)).bit_length() - 1
-            if not task.filters and keep is not None and not keep & ((1 << low) - 1):
-                continue  # every descendant holds keep's arcs
-            for i in range(low):
+            for i in range((~mask & (mask + 1)).bit_length() - 1):
                 u, v = arcs[i]
                 if dout[u] > out_floor and din[v] > in_floor:
-                    stack.append((mask ^ 1 << i, None if keep is None or keep >> i & 1 else keep))
+                    if keep is None or keep >> i & 1:
+                        stack.append((mask ^ 1 << i, None))
+                    elif keep & ((1 << i) - 1) or task.filters:
+                        stack.append((mask ^ 1 << i, keep))
     scanned = 1 << mask_bits(n)
     return ScanResult(scanned, passed if task.filters else scanned, tuple(flagged))
 

@@ -21,13 +21,16 @@ def arc_set(g):
     return set(g.arcs())
 
 
-def naive_has_cycle_of_length(g, m: int) -> bool:
+def naive_cycles(g, m: int):
+    """Every m-cycle of g as a vertex tuple, once per rotation."""
     arcs = arc_set(g)
     for verts in permutations(range(g.n), m):
-        ok = all((verts[i], verts[(i + 1) % m]) in arcs for i in range(m))
-        if ok:
-            return True
-    return False
+        if all((verts[i], verts[(i + 1) % m]) in arcs for i in range(m)):
+            yield verts
+
+
+def naive_has_cycle_of_length(g, m: int) -> bool:
+    return next(naive_cycles(g, m), None) is not None
 
 
 def naive_has_hamiltonian_cycle(g) -> bool:
@@ -202,15 +205,10 @@ def naive_woodall_violation(g):
 
 def naive_good_cycle_exists(g) -> bool:
     """Some (n-1)-cycle whose off-cycle vertex has total degree >= n."""
-    from itertools import permutations
-
     n = g.n
     if n < 3:
         return False
-    arcs = arc_set(g)
-    for verts in permutations(range(n), n - 1):
-        if not all((verts[i], verts[(i + 1) % (n - 1)]) in arcs for i in range(n - 1)):
-            continue
+    for verts in naive_cycles(g, n - 1):
         off = next(v for v in range(n) if v not in verts)
         if g.degree(off) >= n:
             return True

@@ -8,8 +8,9 @@ Run from the root of a tree, with its package on the path:
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
-exhaustive and run once: the claims about 1-16 s each, and the lemma-7
-sweep over every digraph (enumerate_digraphs, no filter) about 40 s. Every
+exhaustive: the claims run once, about 1-16 s each, and the lemma-7 sweep
+over every digraph (enumerate_digraphs, no filter), about 50 s, runs
+REPEATS times after them, its figure the median. Every
 n = 6 answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
@@ -84,23 +85,26 @@ def answer(doc: dict) -> tuple:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--n6", action="store_true", help="also run the n = 6 scans once")
+    parser.add_argument("--n6", action="store_true", help="also run the n = 6 scans")
     args = parser.parse_args()
     metrics, docs = {}, {}
-    for case, (claim, n, kw) in TIMED.items():
-        run(claim, n, kw)
+
+    def repeated(case, scan, *args):
         times = []
         for _ in range(REPEATS):
-            elapsed, docs[case] = run(claim, n, kw)
+            elapsed, docs[case] = scan(*args)
             times.append(elapsed)
         metrics[f"{case}.wall_s"] = statistics.median(times)
         print(f"{case}: median {metrics[f'{case}.wall_s']:.4f} s of {len(times)}", flush=True)
+
+    for case, (claim, n, kw) in TIMED.items():
+        run(claim, n, kw)
+        repeated(case, run, claim, n, kw)
     if args.n6:
         for case, (claim, n, kw) in ONCE_N6.items():
             metrics[f"{case}.wall_s"], docs[case] = run(claim, n, kw)
             print(f"{case}: {metrics[f'{case}.wall_s']:.3f} s", flush=True)
-        metrics[f"{SWEEP_N6}.wall_s"], docs[SWEEP_N6] = run_sweep(6)
-        print(f"{SWEEP_N6}: {metrics[f'{SWEEP_N6}.wall_s']:.3f} s", flush=True)
+        repeated(SWEEP_N6, run_sweep, 6)
     wrong = [case for case in docs if case in FROZEN_N6 and answer(docs[case]) != FROZEN_N6[case]]
     for case in wrong:
         print(f"{case}: answer {answer(docs[case])}, frozen {FROZEN_N6[case]}", flush=True)
