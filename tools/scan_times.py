@@ -9,7 +9,7 @@ Run from the root of a tree, with its package on the path:
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
 exhaustive: the claims run once, about 1-16 s each, and the lemma-7 sweep
-over every digraph (enumerate_digraphs, no filter), about 50 s, runs
+over every digraph (enumerate_digraphs, no filter), about 40 s, runs
 REPEATS times after them, its figure the median. Every
 n = 6 answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
