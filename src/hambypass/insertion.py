@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .digraph import Cycle, Digraph, Path, make_path, vertex_mask
-
-_NODE_BUDGET = 250_000
+from .digraph import Cycle, Digraph, Path, _check_sequence, make_path, vertex_mask
 
 
 def _disjoint(g: Digraph, host, guest) -> int:
@@ -157,8 +155,8 @@ class PartnerCollection:
 
     cuts holds 1-indexed block boundaries (1 = i_1 < ... < i_m = |Q| + 1);
     block j covers Q[cuts[j]..cuts[j+1]-1]. partners[j] is that block's
-    position on P. Simultaneous insertion of all blocks was validated by
-    reconstruction when this object was produced.
+    position on P. find_collection_of_partners gives each block a position
+    of its own, so inserting all blocks at once yields a path.
     """
 
     cuts: tuple[int, ...]
@@ -166,14 +164,9 @@ class PartnerCollection:
 
 
 def _splice(pv, blocks, partners):
-    """Vertex sequence with every block inserted at its partner position.
-
-    Blocks sharing a position land in block order between the same two host
-    vertices.
-    """
-    at: dict[int, list[int]] = {}
-    for block, pos in zip(blocks, partners):
-        at.setdefault(pos, []).extend(block)
+    """Vertex sequence with every block inserted at its partner position,
+    one block per position."""
+    at = dict(zip(partners, blocks))
     out = []
     for idx, v in enumerate(pv):
         out.append(v)
@@ -182,55 +175,31 @@ def _splice(pv, blocks, partners):
 
 
 def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollection | None:
-    """Backtracking search for a partner collection of q on p, bounded by
-    _NODE_BUDGET search nodes.
+    """The partner collection of q on p with the fewest blocks, the first
+    such partition in combinations order, each block at its least partner;
+    None if no partition has a partner for every block. Raises PathError
+    unless p and q are paths of g.
 
-    Partitions with fewer blocks are preferred; for each partition,
-    assignments using pairwise distinct partner arcs are tried before ones
-    that share arcs; every complete assignment is validated by rebuilding
-    the spliced sequence, so anything returned is realizable.
+    No two blocks of that partition share a partner: if blocks j < k both
+    had partner i, the block from j's first vertex to k's last would have
+    partner i too, and merging blocks j..k would give fewer blocks. So each
+    block sits alone between its two host vertices, and they splice into a
+    path of g.
     """
     pv, qv = p.vertices, q.vertices
     _disjoint(g, pv, qv)
     if len(pv) < 2:
         raise ValueError("host path needs at least two vertices")
+    _check_sequence(g, pv, "path")
+    _check_sequence(g, qv, "path")
     s = len(qv)
-    budget = _NODE_BUDGET
-
     for nblocks in range(1, s + 1):
         for interior in combinations(range(2, s + 1), nblocks - 1):
             cuts = (1,) + interior + (s + 1,)
-            blocks = [qv[cuts[j] - 1 : cuts[j + 1] - 1] for j in range(nblocks)]
-            options = [_partners(g, pv, block[0], block[-1]) for block in blocks]
-            if not all(options):
-                continue
-
-            for allow_shared in (False, True):
-                chosen = [0] * nblocks
-
-                def assign(j):
-                    nonlocal budget
-                    budget -= 1
-                    if budget < 0:
-                        return False
-                    if j == nblocks:
-                        if allow_shared and len(set(chosen)) == nblocks:
-                            return False  # all-distinct ones ran in pass one
-                        # Distinct by construction: only the arcs need a check.
-                        seq = _splice(pv, blocks, chosen)
-                        return all(map(g.has_arc, seq, seq[1:]))
-                    for i in options[j]:
-                        if not allow_shared and i in chosen[:j]:
-                            continue
-                        chosen[j] = i
-                        if assign(j + 1):
-                            return True
-                    return False
-
-                if assign(0):
-                    return PartnerCollection(cuts, tuple(chosen))
-                if budget < 0:
-                    return None
+            blocks = [qv[a - 1 : b - 1] for a, b in zip(cuts, cuts[1:])]
+            least = [next(iter(_partners(g, pv, block[0], block[-1])), None) for block in blocks]
+            if None not in least:
+                return PartnerCollection(cuts, tuple(least))
     return None
 
 
@@ -278,7 +247,7 @@ def _ordered_cover_path(g: Digraph, pv, qset):
 def _splice_collection(g: Digraph, p: Path, q: Path, coll: PartnerCollection) -> Path:
     """The path p with q's blocks spliced in at the partner collection coll."""
     cuts, qv = coll.cuts, q.vertices
-    blocks = [qv[cuts[j] - 1 : cuts[j + 1] - 1] for j in range(len(coll.partners))]
+    blocks = [qv[a - 1 : b - 1] for a, b in zip(cuts, cuts[1:])]
     return make_path(g, _splice(p.vertices, blocks, coll.partners))
 
 

@@ -56,7 +56,6 @@ from typing import Callable, Iterable
 
 from . import conditions, families
 from .digraph import Digraph, _check_int, _check_order, _strong_raw, split_id
-from .insertion import _lemma7_raw
 from .iso import (
     CANON_MAX_N,
     are_isomorphic,
@@ -288,31 +287,23 @@ def _eval_lemma5(n, rows, cols, dout, din) -> bool:
 
 
 def _lemma7_keep(n, rows, cols, dout, din):
-    """The lemma-7 sweep. True flags a bypass-free digraph that breaks a
-    bypass-free consequence: an (n-1)-cycle failing a lemma7 clause, or a
-    good cycle (which would force a bypass). A cleared digraph returns its
-    certificate: its bypass's n arcs as a mask, or 0 if no (n-1)-cycle
-    fails. None only below n = 4.
+    """The lemma-7 sweep: the n arcs, as a mask, of the first bypass that
+    search._cycle_bypass_raw reads off an (n-1)-cycle and its off vertex
+    y, or 0 if it reads none. None only below n = 4; it never flags.
 
-    Each (n-1)-cycle is settled on its own: a cycle that is not good and
-    passes every clause moves on to the next. For a cycle that fails,
-    search._cycle_bypass_raw reads a bypass off the cycle and its off vertex
-    where it can, which clears the digraph; only if it finds none does the
-    full bypass search decide. So a digraph is cleared by a bypass built
-    from its arcs or by every cycle passing, and Lemma 7 is never assumed.
-    A cycle that passes still does once an arc is deleted, so 0 is sound."""
+    The read-off is None exactly where the windows and reversals clauses
+    hold, and then so does the degree clause: no two consecutive cycle
+    vertices are both out- (or both in-) neighbours of y, so d+(y) and
+    d-(y) are at most (n-1)/2 and the cycle is not good. So 0 says every
+    (n-1)-cycle passes, which stays true once an arc is deleted."""
     if n < 4:
         return None
     total = n * (n - 1) // 2
     for cyc in _cycles_raw(rows, cols, (1 << n) - 1, n - 1):
-        y = total - sum(cyc)  # the one vertex the cycle misses
-        if dout[y] + din[y] < n and all(_lemma7_raw(n, rows, cols, cyc, y)):
-            continue
-        order = _cycle_bypass_raw(rows, cols, cyc, y) or _bypass_raw(n, rows, cols)
-        if order is None:
-            return True
-        arcs = (*zip(order, order[1:]), (order[0], order[-1]))  # the path, then the chord
-        return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
+        order = _cycle_bypass_raw(rows, cols, cyc, total - sum(cyc))  # y is the vertex cyc misses
+        if order is not None:
+            arcs = (*zip(order, order[1:]), (order[0], order[-1]))  # the path, then the chord
+            return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
     return 0
 
 

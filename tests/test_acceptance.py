@@ -32,7 +32,6 @@ from hambypass.digraph import (
     induced_subdigraph,
     is_strong,
     make_path,
-    new_digraph,
     parse_digraph,
 )
 from hambypass.search import (

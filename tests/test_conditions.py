@@ -13,7 +13,7 @@ from naive_oracles import (
     naive_woodall_violation,
 )
 
-from hambypass.digraph import converse, degrees, id_int, new_digraph, non_adjacent_pairs
+from hambypass.digraph import converse, id_int, new_digraph, non_adjacent_pairs
 from hambypass import families as fam
 from hambypass import conditions as cond
 from hambypass.verify import EnumerationTask, digraph_from_mask, mask_bits

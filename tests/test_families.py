@@ -7,7 +7,7 @@ import pytest
 
 from naive_oracles import naive_has_bypass
 
-from hambypass.digraph import MAX_N, DigraphError, OrderError, induced_subdigraph, is_strong, new_digraph
+from hambypass.digraph import MAX_N, DigraphError, OrderError, induced_subdigraph, is_strong
 from hambypass import families as fam
 from hambypass.conditions import check_a_k
 from hambypass.search import find_cycle_of_length, find_hamiltonian_bypass

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name the package defines is read somewhere in it.
+"""Every name a package module, test module or tools/ script imports is
+used in that file, and every private module-level name the package
+defines is read somewhere in it.
 
 `__init__.py` is left out of the import check: its imports are the
 re-exported public surface, frozen in test_api.py.
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hambypass"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hambypass"
+# id -> file: package modules by name, test modules and scripts by their path
+IMPORTERS = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+IMPORTERS.update({f"{d}/{p.name}": p for d in ("tests", "tools") for p in (ROOT / d).glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,9 +33,9 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(IMPORTERS))
 def test_module_imports_are_used(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(IMPORTERS[module].read_text()) == []
 
 
 def test_unused_import_check_flags_a_leftover():

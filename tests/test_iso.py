@@ -11,7 +11,7 @@ from naive_oracles import naive_canonical_bits
 
 from hambypass.digraph import converse, new_digraph
 from hambypass import families as fam
-from hambypass import iso, verify
+from hambypass import iso
 from hambypass.verify import digraph_from_mask, mask_bits
 
 

@@ -4,7 +4,6 @@ import json
 import os
 import random
 import re
-from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -22,9 +21,8 @@ from naive_oracles import (
 
 from hambypass.digraph import Digraph, OrderError, is_strong, make_cycle, new_digraph
 from hambypass import families as fam
-from hambypass import insertion, iso, verify
+from hambypass import iso, verify
 from hambypass.conditions import check_a_k, resolve
-from hambypass.insertion import lemma7_consequences
 from hambypass.search import (
     _bypass_raw,
     _cycles_raw,
@@ -396,63 +394,6 @@ def test_a_filtered_lemma7_sweep_walks_every_class(filters, monkeypatch):
         res = enumerate_digraphs(task, workers=1)
         walks.append((res.passed_filters, counts["classes"], counts["orbit tests"]))
     assert walks[0] == walks[1]
-
-
-_SWEEP_SAMPLE_N5 = dict(n=5, mode="sample", sample_count=20000, seed=11)
-
-
-def test_lemma7_sweep_fallback_search_clears_every_failing_cycle(monkeypatch):
-    monkeypatch.setattr(verify, "_cycle_bypass_raw", lambda rows, cols, cyc, y: None)
-    for n in (1, 2, 3, 4):
-        res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
-        assert res.flagged == ()
-    task = EnumerationTask(**_SWEEP_SAMPLE_N5, evaluator="lemma7_sweep")
-    res = enumerate_digraphs(task, workers=1)
-    assert (res.scanned, res.flagged) == (20000, ())
-
-
-def _sweep_before_the_cycle_bypass(n, rows, cols, dout, din):
-    """The lemma-7 sweep as it was before it read bypasses off the cycles:
-    one full bypass search first, then the clauses of every (n-1)-cycle."""
-    if n < 4:
-        return False
-    full = (1 << n) - 1
-    cycles = _cycles_raw(rows, cols, full, n - 1)
-    first = next(cycles, None)
-    if first is None or _bypass_raw(n, rows, cols) is not None:
-        return False
-    g = Digraph._from_rows(n, rows)
-    for cyc in chain((first,), cycles):
-        used = 0
-        for v in cyc:
-            used |= 1 << v
-        off = (full ^ used).bit_length() - 1
-        if dout[off] + din[off] >= n:
-            return True
-        if not lemma7_consequences(g, make_cycle(g, cyc), off).all_ok:
-            return True
-    return False
-
-
-def _fail_every_clause(n, rows, cols, cv, y):
-    return False, False, False
-
-
-def test_lemma7_sweep_fallback_flags_what_the_earlier_sweep_flags(monkeypatch):
-    monkeypatch.setattr(verify, "_cycle_bypass_raw", lambda rows, cols, cyc, y: None)
-    monkeypatch.setattr(verify, "_lemma7_raw", _fail_every_clause)
-    monkeypatch.setattr(insertion, "_lemma7_raw", _fail_every_clause)
-    monkeypatch.setitem(verify._EVALUATORS, "earlier_sweep", _sweep_before_the_cycle_bypass)
-    for kwargs in (dict(n=4), _SWEEP_SAMPLE_N5):
-        res = enumerate_digraphs(EnumerationTask(**kwargs, evaluator="lemma7_sweep"), workers=1)
-        ref = enumerate_digraphs(EnumerationTask(**kwargs, evaluator="earlier_sweep"), workers=1)
-        assert res.flagged == ref.flagged
-        assert res.flagged  # the digraphs with an (n-1)-cycle and no bypass
-        n = kwargs["n"]
-        for mask in res.flagged[:50]:
-            g = digraph_from_mask(n, mask)
-            assert find_pre_hamiltonian_cycle(g) is not None
-            assert not naive_has_bypass(g)
 
 
 # --------------------------------------------------------------------------

@@ -12,9 +12,11 @@ PYTHONPATH=src. The default COMMAND is `python3 perfbench/run.py --workload all 
 tools/scan_times.py is the other command this reads.
 
 The last stdout line of every run must be one JSON object with a
-"metrics" mapping of name to a number or to {"value": number}; perfbench/run.py also gives correct,
-attempted and failed, and tools/scan_times.py a "reports" mapping of
-digests, which must agree between the two sides of a pair. After every
+"metrics" mapping of name to a number or to {"value": number}, which may
+carry "runs": [every repeat], kept in the record as the run's "repeats";
+perfbench/run.py also gives correct, attempted and failed, and
+tools/scan_times.py a "reports" mapping of digests, which must agree
+between the two sides of a pair. After every
 run the driver lists each live process whose command line names the
 command's script: a benchmark that leaves one behind is reported. Per
 metric the summary gives both sides' runs, medians and quartiles
@@ -91,6 +93,7 @@ def run_once(tree: Path, command: list[str]) -> dict:
         doc = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         doc = {}
+    metrics = doc.get("metrics", {})
     return {
         "exit": proc.returncode,
         "correct": doc.get("correct", proc.returncode == 0 and "metrics" in doc),
@@ -98,7 +101,12 @@ def run_once(tree: Path, command: list[str]) -> dict:
         "failed": doc.get("failed"),
         "metrics": {
             name: value["value"] if isinstance(value, dict) else value
-            for name, value in doc.get("metrics", {}).items()
+            for name, value in metrics.items()
+        },
+        "repeats": {
+            name: value["runs"]
+            for name, value in metrics.items()
+            if isinstance(value, dict) and "runs" in value
         },
         "reports": doc.get("reports"),
         "stderr_tail": proc.stderr.strip().splitlines()[-3:] if proc.returncode else [],

@@ -16,8 +16,9 @@ exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
 Human-readable lines go to stdout, and the last line is one JSON object:
 {"metrics": {"<case>.wall_s": seconds}, "reports": {"<case>": sha256}},
-where the digest covers the report's JSON without elapsed_ms. This is the
-format tools/pairs.py reads.
+where a repeated case's seconds are {"value": median, "runs": [each
+repeat]} and the digest covers the report's JSON without elapsed_ms. This
+is the format tools/pairs.py reads.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def main() -> None:
         for _ in range(REPEATS):
             elapsed, docs[case] = scan(*args)
             times.append(elapsed)
-        metrics[f"{case}.wall_s"] = statistics.median(times)
-        print(f"{case}: median {metrics[f'{case}.wall_s']:.4f} s of {len(times)}", flush=True)
+        metrics[f"{case}.wall_s"] = {"value": statistics.median(times), "runs": times}
+        print(f"{case}: median {statistics.median(times):.4f} s of {len(times)}", flush=True)
 
     for case, (claim, n, kw) in TIMED.items():
         run(claim, n, kw)
