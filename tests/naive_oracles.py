@@ -11,7 +11,7 @@ route, prune, floor and relabel, not the predicates themselves.
 """
 
 from functools import cache, partial
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from hambypass import conditions, verify
 from hambypass.digraph import Digraph, _strong_raw
@@ -248,6 +248,40 @@ def naive_lemma7_clauses(g, c, y):
                 break
 
     return windows_ok, degrees_ok, reversals_ok
+
+
+def naive_paths(g):
+    """Every path of g, one vertex or more, as a vertex tuple."""
+    arcs = arc_set(g)
+    for k in range(1, g.n + 1):
+        for verts in permutations(range(g.n), k):
+            if all((a, b) in arcs for a, b in zip(verts, verts[1:])):
+                yield verts
+
+
+def naive_collection(g, pv, qv):
+    """(cuts, partners) of insertion.find_collection_of_partners for the
+    host path pv and the insert path qv, or None, with nothing assumed:
+    partitions by block count, then in combinations order, and for each
+    every assignment of host positions 1..|pv|-1 in product order, shared
+    positions allowed (blocks at one position land in block order). The
+    first assignment that splices into a path of g wins."""
+    arcs = arc_set(g)
+    s = len(qv)
+    for nblocks in range(1, s + 1):
+        for interior in combinations(range(2, s + 1), nblocks - 1):
+            cuts = (1,) + interior + (s + 1,)
+            blocks = [qv[a - 1 : b - 1] for a, b in zip(cuts, cuts[1:])]
+            for partners in product(range(1, len(pv)), repeat=nblocks):
+                seq = []
+                for position, v in enumerate(pv, 1):
+                    seq.append(v)
+                    for block, i in zip(blocks, partners):
+                        if i == position:
+                            seq.extend(block)
+                if all((a, b) in arcs for a, b in zip(seq, seq[1:])):
+                    return cuts, partners
+    return None
 
 
 def reference_filter(fid):

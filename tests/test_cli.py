@@ -338,6 +338,9 @@ def test_explore_meyniel_n3_exact():
         (["verify", "thm16", "--n", "5", "--sample", "10", "--seed", "1"], "", 2),
         (["verify", "thm12", "--n", "7", "--sample", "10", "--seed", str(5 + 2**64)], "", 2),
         (["gen", "dnk", "--n", "4", "--k", "9"], "", 2),
+        (["gen", "kstar"], "", 2),
+        (["gen", "d0", "--n", "5", "--inner", "explicit", "--arcs", "0,1,2"], "", 2),
+        (["check", "no-such-dir/g.txt", "--cond", "a_k:0"], "", 2),
         (["check", "-", "--cond", "bogus"], T5_TEXT, 2),
         (["check", "-", "--cond", "a_k:0"], "not a digraph", 2),
         (["find", "-", "zigzag"], T5_TEXT, 2),

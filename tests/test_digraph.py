@@ -213,6 +213,11 @@ def test_make_cycle_requires_closing_arc(c3):
         make_cycle(c3, (0, 1))
 
 
+def test_make_cycle_rejects_a_single_vertex(c3):
+    with pytest.raises(PathError, match="cycle needs at least two vertices"):
+        make_cycle(c3, (0,))
+
+
 @given(digraphs(min_n=2, max_n=5))
 def test_path_constructor_agrees_with_adjacency(g):
     import itertools
@@ -251,7 +256,7 @@ def test_parse_accepts_comments_and_blank_lines():
 @pytest.mark.parametrize(
     "text",
     ["", "2\n", "abc\n", "2 1\n0 1\nextra line\n", "2 2\n0 1\n", "3 1\n0 3\n", "2 1\n0 0\n"]
-    + ["02 1\n0 1\n", "2 +1\n0 1\n", "2 1\n-0 1\n", "2 1\n0 0_1\n"],
+    + ["02 1\n0 1\n", "2 +1\n0 1\n", "2 1\n-0 1\n", "2 1\n0 0_1\n", "2 1\n0 1 5\n"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):

@@ -1,15 +1,18 @@
 """Partners, insertions, multi-insertion, maximal extension, lemma checkers."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 from conftest import digraphs, seeded_corpus
-from naive_oracles import naive_lemma7_clauses
+from naive_oracles import naive_collection, naive_lemma7_clauses, naive_paths
 
-from hambypass.digraph import Cycle, Path, make_cycle, make_path, new_digraph
+from hambypass.digraph import Cycle, Path, PathError, make_cycle, make_path, new_digraph
 from hambypass import families as fam
 from hambypass import insertion as ins
 from hambypass.search import find_cycle_of_length, find_hamiltonian_bypass
+from hambypass.verify import digraph_from_mask
 
 
 def greedy_path(g, rng, max_len=None):
@@ -265,6 +268,59 @@ def test_collection_trivial_and_absent(t5):
 
     g = new_digraph(4, [(0, 1), (1, 2)])
     assert ins.find_collection_of_partners(g, make_path(g, (0, 1, 2)), make_path(g, (3,))) is None
+
+
+def _collection_pairs():
+    """(g, host, insert) for every pair of disjoint paths, the host of two
+    vertices or more, of every digraph with n <= 4, then up to 2,000
+    seeded pairs at n = 5 and 6, where a collection can have several
+    blocks."""
+    for n in (3, 4):
+        for mask in range(1 << n * (n - 1)):
+            g = digraph_from_mask(n, mask)
+            paths = list(naive_paths(g))
+            for pv in paths:
+                for qv in paths:
+                    if len(pv) >= 2 and not set(pv) & set(qv):
+                        yield g, pv, qv
+    rng = random.Random(32)
+    for n in (5, 6):
+        for _ in range(100):
+            g = digraph_from_mask(n, rng.getrandbits(n * (n - 1)) | rng.getrandbits(n * (n - 1)))
+            paths = list(naive_paths(g))
+            hosts = [pv for pv in paths if 2 <= len(pv) < n]
+            for _ in range(10 if hosts else 0):
+                pv = rng.choice(hosts)
+                qv = rng.choice([qv for qv in paths if not set(pv) & set(qv)])
+                yield g, pv, qv
+
+
+def test_collection_is_the_first_one_the_naive_search_splices():
+    """The pick (fewest blocks, each at its least partner) is the first
+    collection the naive search splices, though that search tries every
+    position for every block, shared ones too."""
+    pairs, blocks = 0, set()
+    for g, pv, qv in _collection_pairs():
+        pairs += 1
+        col = ins.find_collection_of_partners(g, Path(pv), Path(qv))
+        got = col and (col.cuts, col.partners)
+        assert got == naive_collection(g, pv, qv), (g.arcs(), pv, qv)
+        blocks.add(col and len(col.partners))
+    assert pairs > 98_496
+    assert blocks == {None, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "host, insert, message",
+    [
+        ((1, 0), (4,), "path needs missing arc 1->0"),
+        ((0, 1), (3, 2), "path needs missing arc 3->2"),
+    ],
+)
+def test_collection_and_multi_insert_refuse_a_non_path(t5, host, insert, message):
+    for call in (ins.find_collection_of_partners, ins.multi_insert):
+        with pytest.raises(PathError, match=message):
+            call(t5, Path(host), Path(insert))
 
 
 def test_multi_insert_simple():

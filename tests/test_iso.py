@@ -74,6 +74,8 @@ def test_are_isomorphic_examples(c3, c4, kb22, t5):
     assert not iso.are_isomorphic(c4, kb22)
     assert iso.are_isomorphic(fam.d1(4, 1), fam.d1(4, 2))
     assert not iso.are_isomorphic(c3, c4)  # size mismatch is just False
+    transitive = new_digraph(3, [(0, 1), (0, 2), (1, 2)])
+    assert not iso.are_isomorphic(c3, transitive)  # same n and m, other degrees
     assert iso.are_isomorphic(t5, converse(t5))
 
 

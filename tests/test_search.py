@@ -174,15 +174,22 @@ def test_good_cycle_implies_bypass_seeded():
 
 
 def test_cycle_bypass_exactly_where_a_lemma7_clause_breaks(pre_hamiltonian_cycles):
-    found = 0
+    """Where nothing is read off, the degree clause holds too and the cycle
+    is not good: the windows clause bounds 2 d+(y) and 2 d-(y) by n - 1.
+    So the lemma-7 sweep needs nothing but the read-off."""
+    found = at_bound = 0
     for g, c, y in pre_hamiltonian_cycles:
-        windows_ok, _, reversals_ok = naive_lemma7_clauses(g, c, y)
+        windows_ok, degrees_ok, reversals_ok = naive_lemma7_clauses(g, c, y)
         order = srch._cycle_bypass_raw(g.rows, g.cols, c.vertices, y)
         assert (order is None) == (windows_ok and reversals_ok), (g.arcs(), c.vertices, y)
         if order is not None:
             found += 1
             assert srch.validate_bypass(g, srch.BypassWitness(order)), (g.arcs(), order)
+        else:
+            assert degrees_ok and g.degree(y) < g.n, (g.arcs(), c.vertices, y)
+            at_bound += g.n - 1 in (2 * g.out_degree(y), 2 * g.in_degree(y))
     assert 0 < found < len(pre_hamiltonian_cycles)
+    assert at_bound  # the bound is tight
 
 
 # --------------------------------------------------------------------------

@@ -409,6 +409,7 @@ def test_a_filtered_lemma7_sweep_walks_every_class(filters, monkeypatch):
         (dict(n=5, mode="sample", sample_count=0, seed=1), "sample mode needs sample_count >= 1"),
         (dict(n=5, mode="sample", sample_count=10), "sample mode needs an explicit seed"),
         (dict(n=5, mode="sample", sample_count=10, seed=1, model="weird"), "unknown sample model"),
+        (dict(n=3, mode="bogus"), "unknown mode 'bogus'"),
         (dict(n=5, evaluator="not_a_thing"), "unknown evaluator"),
         (dict(n=5, filters=("bogus",)), "unknown filter 'bogus'"),
         (
