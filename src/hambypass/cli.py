@@ -21,8 +21,6 @@ from . import conditions, families, search, verify
 from .digraph import Digraph, Path, format_digraph, id_int, make_path, parse_digraph, split_id
 from .insertion import _splice_collection, extend_as_much_as_possible, find_collection_of_partners
 
-_FAMILIES = ("kstar", "kbipartite", "cycle", "dnk", "t5", "d0", "d1")
-
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
@@ -65,36 +63,30 @@ def _parse_inner_arcs(text: str) -> list[tuple[int, int]]:
     return arcs
 
 
-def _inner_spec(args) -> families.InnerSpec:
-    kind = args.inner
-    if kind == "empty":
-        return families.InnerSpec.empty()
-    if kind == "complete":
-        return families.InnerSpec.complete()
-    if kind == "random":
-        return families.InnerSpec.random(_need(args.seed, "--seed"))
-    if kind == "explicit":
-        return families.InnerSpec.explicit(_parse_inner_arcs(_need(args.arcs, "--arcs")))
-    raise ValueError(f"unknown inner kind {kind!r}")
+_INNER = {
+    "empty": lambda args: families.InnerSpec.empty(),
+    "complete": lambda args: families.InnerSpec.complete(),
+    "random": lambda args: families.InnerSpec.random(_need(args.seed, "--seed")),
+    "explicit": lambda args: families.InnerSpec.explicit(
+        _parse_inner_arcs(_need(args.arcs, "--arcs"))
+    ),
+}
+
+_FAMILIES = {
+    "kstar": lambda args: families.complete_digraph(_need(args.n, "--n")),
+    "kbipartite": lambda args: families.complete_bipartite_digraph(
+        _need(args.p, "--p"), _need(args.q, "--q")
+    ),
+    "cycle": lambda args: families.directed_cycle(_need(args.n, "--n")),
+    "dnk": lambda args: families.bypass_pattern(_need(args.n, "--n"), _need(args.k, "--k")),
+    "t5": lambda args: families.t5(),
+    "d0": lambda args: families.d0(_need(args.n, "--n"), _INNER[args.inner](args)),
+    "d1": lambda args: families.d1(_need(args.n, "--n"), _need(args.k, "--k")),
+}
 
 
 def cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "kstar":
-        g = families.complete_digraph(_need(args.n, "--n"))
-    elif fam == "kbipartite":
-        g = families.complete_bipartite_digraph(_need(args.p, "--p"), _need(args.q, "--q"))
-    elif fam == "cycle":
-        g = families.directed_cycle(_need(args.n, "--n"))
-    elif fam == "dnk":
-        g = families.bypass_pattern(_need(args.n, "--n"), _need(args.k, "--k"))
-    elif fam == "t5":
-        g = families.t5()
-    elif fam == "d0":
-        g = families.d0(_need(args.n, "--n"), _inner_spec(args))
-    else:  # d1; argparse restricts the choices
-        g = families.d1(_need(args.n, "--n"), _need(args.k, "--k"))
-    sys.stdout.write(format_digraph(g))
+    sys.stdout.write(format_digraph(_FAMILIES[args.family](args)))
     return 0
 
 
@@ -118,7 +110,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _try_block_insert(g: Digraph, path: Path, todo: set[int]):
+def _try_block_insert(g: Digraph, path: Path, todo: frozenset[int]):
     """One multi-vertex insertion attempt: the leftover vertices are ordered
     into a path (endpoint pairs tried ascending) and spliced through a
     collection of partners. Returns (new path, block order, partners)."""
@@ -136,40 +128,28 @@ def _try_block_insert(g: Digraph, path: Path, todo: set[int]):
     return None
 
 
-def _insertion_replay(g: Digraph, path: Path, todo) -> tuple[Path, list[dict], set[int]]:
+def _insertion_replay(g: Digraph, path: Path, todo) -> tuple[Path, list[dict], frozenset[int]]:
     """Grow `path` over `todo` using the insertion engine only: single
-    vertices first, whole blocks when singles stall. The step log records
-    each move; leftovers that no insertion reaches are returned as-is."""
-    steps: list[dict] = []
-    todo = set(todo)
-    while todo:
-        out = extend_as_much_as_possible(g, path, sorted(todo))
-        steps.extend(
-            {"kind": "vertex", "vertex": v, "position": i} for v, i in out.steps
-        )
-        path = out.extended
-        todo = set(out.leftovers)
-        if not todo:
-            break
-        hit = _try_block_insert(g, path, todo)
-        if hit is None:
-            break
-        path, qv, partners = hit
-        steps.append({"kind": "path", "vertices": list(qv), "partners": list(partners)})
-        todo -= set(qv)
-    return path, steps, todo
+    vertices first, then, when singles stall, one block through every
+    leftover, so a block step leaves none. The step log records each move;
+    leftovers that no insertion reaches are returned as-is."""
+    out = extend_as_much_as_possible(g, path, sorted(todo))
+    steps = [{"kind": "vertex", "vertex": v, "position": i} for v, i in out.steps]
+    hit = _try_block_insert(g, out.extended, out.leftovers) if out.leftovers else None
+    if hit is None:
+        return out.extended, steps, out.leftovers
+    path, qv, partners = hit
+    steps.append({"kind": "path", "vertices": list(qv), "partners": list(partners)})
+    return path, steps, frozenset()
 
 
-def _explain_hc(g: Digraph) -> dict | None:
+def _explain_hc(g: Digraph) -> dict:
     """Replay the constructive route: seed with the shortest cycle, then
-    insert everything else."""
-    start = None
+    insert everything else. Run only where a Hamiltonian cycle was found."""
     for m in range(2, g.n + 1):
         start = search.find_cycle_of_length(g, m)
         if start is not None:
             break
-    if start is None:
-        return None
     path = make_path(g, start.vertices)
     extra = set(range(g.n)) - set(start.vertices)
     path, steps, todo = _insertion_replay(g, path, extra)
@@ -274,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int)
     gen.add_argument("--p", type=int)
     gen.add_argument("--q", type=int)
-    gen.add_argument("--inner", choices=("empty", "complete", "random", "explicit"), default="empty")
+    gen.add_argument("--inner", choices=_INNER, default="empty")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--arcs", help="explicit inner arcs as 'u,v;u,v' (indices local to B)")
     gen.set_defaults(func=cmd_gen)

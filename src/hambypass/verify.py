@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import permutations, repeat
 from math import factorial
@@ -522,20 +522,7 @@ def _scan_sampled(
     passed = 0
     flagged: list[int] = []
 
-    def absorb(part):
-        nonlocal scanned, passed
-        cscanned, cpassed, hits = part
-        before = scanned
-        scanned += cscanned
-        passed += cpassed
-        if visitor is not None:
-            for mask in hits:
-                visitor(mask)
-        else:
-            flagged.extend(hits)
-        if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
-            print(f"scanned {scanned}", file=sys.stderr, flush=True)
-
+    emit = flagged.append if visitor is None else visitor
     floors, filters, flag = _plan(task, visitor is not None)
     ctx = task, floors, _decoder(task.n), [f for f, _ in filters], flag
     procs = [None]  # (pid, pipe) of child k at index k
@@ -562,7 +549,14 @@ def _scan_sampled(
             part = pickle.load(procs[k][1]) if k else _scan_chunk(*ctx, i)
             if isinstance(part, BaseException):
                 raise part
-            absorb(part)
+            cscanned, cpassed, hits = part
+            before = scanned
+            scanned += cscanned
+            passed += cpassed
+            for mask in hits:
+                emit(mask)
+            if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
+                print(f"scanned {scanned}", file=sys.stderr, flush=True)
     except BaseException:
         for pid, _ in procs[1:]:
             os.kill(pid, signal.SIGKILL)
@@ -598,11 +592,11 @@ class TheoremReport:
     elapsed_ms: int
 
     def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        doc: dict = {"theorem": self.theorem, "n": self.n, "mode": self.mode}
-        if self.seed is not None:
-            doc["seed"] = self.seed
-        doc["scanned"] = self.scanned
-        doc["passed_filters"] = self.passed_filters
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.seed is None:
+            del doc["seed"]
+        if not include_elapsed:
+            del doc["elapsed_ms"]
         doc["exceptions"] = [
             {
                 "canonical_hex": rec.canonical_hex,
@@ -614,9 +608,6 @@ class TheoremReport:
             }
             for rec in self.exceptions
         ]
-        doc["verdict"] = self.verdict
-        if include_elapsed:
-            doc["elapsed_ms"] = self.elapsed_ms
         return doc
 
 

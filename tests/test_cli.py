@@ -213,6 +213,20 @@ def test_find_explain_bypass_kb22():
     }
 
 
+def test_find_explain_hc_stops_where_no_block_fits():
+    """The shortest cycle 0 1 takes no single vertex 2, and a lone leftover
+    is no block path, so the replay ends short of a Hamiltonian cycle."""
+    doc = json.loads(run_cli(["find", "-", "hc", "--explain"], "3 4\n0 1\n1 0\n1 2\n2 0\n")[1])
+    assert doc["found"] is True
+    assert doc["explain"] == {
+        "method": "cycle-insertion",
+        "start_cycle": [0, 1],
+        "steps": [],
+        "path": [0, 1],
+        "complete": False,
+    }
+
+
 @pytest.mark.parametrize("structure", ["hc", "bypass"])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_find_explain_searches_partners_once_per_block_step(monkeypatch, p, structure):
@@ -413,6 +427,13 @@ def test_inner_arcs_have_one_spelling(arcs):
     code, out, err = run_cli(argv + [f"--arcs={arcs}"])
     assert (code, out) == (2, "")
     assert "not in canonical form" in err
+
+
+@pytest.mark.parametrize("arcs, inner", [("0,1;;1,0", [(0, 1), (1, 0)]), ("", [])])
+def test_inner_arcs_skip_empty_parts(arcs, inner):
+    code, out, err = run_cli(["gen", "d0", "--n", "5", "--inner", "explicit", f"--arcs={arcs}"])
+    assert (code, err) == (0, "")
+    assert parse_digraph(out) == fam.d0(5, fam.InnerSpec.explicit(inner))
 
 
 def test_a_vertex_outside_the_digraph_exits_2(tmp_path):

@@ -110,6 +110,18 @@ def test_sampled_dedupe_keys_every_mask():
     assert _dedupe(5, [mask]) == _first_per_class(5, [mask])
 
 
+def test_dedupe_above_n8_keys_the_labelled_mask():
+    """Beyond the exact canonical form the key is the raw labelled mask, so
+    a relabelled copy is a second record of the same class (the known
+    limitation of sampled reports at n >= 9); a repeated mask is not."""
+    g = fam.d1(9, 1)
+    copy = _relabel(g, (8, 7, 6, 5, 4, 3, 2, 1, 0))
+    recs = _dedupe(9, [mask_of(g), mask_of(copy), mask_of(g)])
+    keys = sorted(["raw:80ff7f7f7f7f7f7f7f", "raw:" + format(mask_of(copy), "x")])
+    assert [r.canonical_hex for r in recs] == keys
+    assert {r.canonical_hex: r.witness for r in recs}["raw:80ff7f7f7f7f7f7f7f"] == g
+
+
 # --------------------------------------------------------------------------
 # label invariance of every filter and evaluator
 # --------------------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_insert_at_rejects_bad_partner_and_overlap(t5):
         ins.insert_at(t5, p, 1, make_path(t5, (3,)))  # no arc 0->3
     with pytest.raises(ValueError):
         ins.insert_at(t5, p, 1, make_path(t5, (2,)))  # overlapping vertex sets
+    for i in (0, 3):  # partner indices run from 1 to |P| - 1
+        with pytest.raises(ValueError, match=rf"partner index {i} outside \[1, 2\]"):
+            ins.insert_at(t5, p, i, make_path(t5, (4,)))
+
+
+@pytest.mark.parametrize(
+    "search", [ins.find_partner_for_path, ins.find_collection_of_partners, ins.multi_insert]
+)
+def test_partner_searches_refuse_a_one_vertex_host(t5, search):
+    with pytest.raises(ValueError, match="host path needs at least two vertices"):
+        search(t5, Path((0,)), Path((4,)))
 
 
 # --------------------------------------------------------------------------

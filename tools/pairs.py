@@ -8,7 +8,8 @@ same on both sides. Both directories are removed and made again on every
 call. Both get this checkout's tools/, so that a parent that predates a
 measuring script runs the same one. Pair i runs COMMAND in both trees,
 the parent first in odd pairs and the change first in even ones, with
-PYTHONPATH=src. The default COMMAND is `python3 perfbench/run.py --workload all --trace 0 --seed 1`;
+PYTHONPATH=src; --pairs must be even, so that each side goes first equally
+often. The default COMMAND is `python3 perfbench/run.py --workload all --trace 0 --seed 1`;
 tools/scan_times.py is the other command this reads.
 
 The last stdout line of every run must be one JSON object with a
@@ -157,6 +158,8 @@ def main() -> None:
     argv = sys.argv[1:]
     cut = argv.index("--") if "--" in argv else len(argv)
     args = parser.parse_args(argv[:cut])
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error("--pairs must be even and positive, so each side goes first equally often")
     command = argv[cut + 1 :] or DEFAULT_COMMAND
     script = next((c for c in command if c.endswith(".py")), command[0])
     trees = {"parent": args.workdir / "par", "change": args.workdir / "chg"}

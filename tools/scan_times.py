@@ -8,10 +8,10 @@ Run from the root of a tree, with its package on the path:
 
 Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
-exhaustive: the claims run once, about 1-16 s each, and the lemma-7 sweep
-over every digraph (enumerate_digraphs, no filter), about 40 s, runs
-REPEATS times after them, its figure the median. Every
-n = 6 answer is checked against FROZEN_N6 (a claim's passed_filters,
+exhaustive and run after them, each REPEATS times with the same median
+figure: the claims, about 1-16 s a run, then the lemma-7 sweep over every
+digraph (enumerate_digraphs, no filter), about 40 s a run. Every n = 6
+answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
 Human-readable lines go to stdout, and the last line is one JSON object:
@@ -40,9 +40,9 @@ TIMED = {
     "thm12_n6_exhaustive": ("thm12", 6, {}),
 }
 REPEATS = 3
-ONCE_N6 = {f"{claim}_n6_exhaustive": (claim, 6, {}) for claim in ("thm6", "thm8", "thm9", "thm11")}
-ONCE_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
-ONCE_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
+CLAIMS_N6 = {f"{c}_n6_exhaustive": (c, 6, {}) for c in ("thm6", "thm8", "thm9", "thm11")}
+CLAIMS_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
+CLAIMS_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
 SWEEP_N6 = "lemma7_sweep_n6_exhaustive"
 # case: (passed_filters, exception canonical hexes, verdict), or for the
 # sweep (scanned, passed_filters, flagged masks): each scan's answer on one
@@ -102,9 +102,8 @@ def main() -> None:
         run(claim, n, kw)
         repeated(case, run, claim, n, kw)
     if args.n6:
-        for case, (claim, n, kw) in ONCE_N6.items():
-            metrics[f"{case}.wall_s"], docs[case] = run(claim, n, kw)
-            print(f"{case}: {metrics[f'{case}.wall_s']:.3f} s", flush=True)
+        for case, (claim, n, kw) in CLAIMS_N6.items():
+            repeated(case, run, claim, n, kw)
         repeated(SWEEP_N6, run_sweep, 6)
     wrong = [case for case in docs if case in FROZEN_N6 and answer(docs[case]) != FROZEN_N6[case]]
     for case in wrong:
