@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Cycle, Digraph, Path, _check_sequence, make_path, vertex_mask
+from .search import _first_reversal, _first_window
 
 
 def _disjoint(g: Digraph, host, guest) -> int:
@@ -163,17 +164,6 @@ class PartnerCollection:
     partners: tuple[int, ...]
 
 
-def _splice(pv, blocks, partners):
-    """Vertex sequence with every block inserted at its partner position,
-    one block per position."""
-    at = dict(zip(partners, blocks))
-    out = []
-    for idx, v in enumerate(pv):
-        out.append(v)
-        out.extend(at.get(idx + 1, ()))
-    return out
-
-
 def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollection | None:
     """The partner collection of q on p with the fewest blocks, the first
     such partition in combinations order, each block at its least partner;
@@ -245,10 +235,14 @@ def _ordered_cover_path(g: Digraph, pv, qset):
 
 
 def _splice_collection(g: Digraph, p: Path, q: Path, coll: PartnerCollection) -> Path:
-    """The path p with q's blocks spliced in at the partner collection coll."""
+    """The path p with q's blocks spliced in at the partner collection coll,
+    each block alone after the host vertex at its partner position."""
     cuts, qv = coll.cuts, q.vertices
-    blocks = [qv[a - 1 : b - 1] for a, b in zip(cuts, cuts[1:])]
-    return make_path(g, _splice(p.vertices, blocks, coll.partners))
+    at = {i: qv[a - 1 : b - 1] for i, a, b in zip(coll.partners, cuts, cuts[1:])}
+    out = []
+    for i, v in enumerate(p.vertices, 1):
+        out += (v, *at.get(i, ()))
+    return make_path(g, out)
 
 
 def multi_insert(g: Digraph, p: Path, q: Path) -> Path | None:
@@ -322,33 +316,6 @@ class Lemma7Report:
         return self.windows_ok and self.degrees_ok and self.reversals_ok
 
 
-def _lemma7_raw(n, rows, cols, cv, y):
-    """(windows_ok, degrees_ok, reversals_ok) of Lemma7Report for the
-    (n-1)-cycle cv, a vertex tuple, and its off vertex y, on bitset rows
-    and columns."""
-    out, inn = rows[y], cols[y]
-    # Heads b of the cycle arcs a -> b with y -> a, with a -> y, and with
-    # the reverse arc b -> a.
-    after_out = after_in = flips = 0
-    a = cv[-1]
-    for b in cv:
-        if (out >> a) & 1:
-            after_out |= 1 << b
-        if (inn >> a) & 1:
-            after_in |= 1 << b
-        if (rows[b] >> a) & 1:
-            flips |= 1 << b
-        a = b
-    windows_ok = not (after_out & out or after_in & inn)
-    do, di = out.bit_count(), inn.bit_count()
-    degrees_ok = 2 * do <= n - 1 and 2 * di <= n - 1 and do + di <= n - 1
-    # Broken iff some splice a -> y -> b and some reversed arc at another
-    # cycle arc: both sets non-empty and not one and the same single arc.
-    splices = after_in & out
-    reversals_ok = not (splices and flips) or (splices == flips and not splices & (splices - 1))
-    return windows_ok, degrees_ok, reversals_ok
-
-
 def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
     """Evaluate the Lemma7Report clauses for the (n-1)-cycle c of g and its
     off vertex y. Raises ValueError unless c covers all vertices but one
@@ -356,7 +323,13 @@ def lemma7_consequences(g: Digraph, c: Cycle, y: int) -> Lemma7Report:
     _disjoint(g, c.vertices, (y,))
     if len(c) != g.n - 1:
         raise ValueError("cycle must cover all vertices but one")
-    return Lemma7Report(*_lemma7_raw(g.n, g.rows, g.cols, c.vertices, y))
+    n, rows, cols, cv = g.n, g.rows, g.cols, c.vertices
+    do, di = rows[y].bit_count(), cols[y].bit_count()
+    return Lemma7Report(
+        _first_window(rows, cols, cv, y) is None,
+        2 * do <= n - 1 and 2 * di <= n - 1 and do + di <= n - 1,
+        _first_reversal(rows, cols, cv, y) is None,
+    )
 
 
 def is_good_cycle(g: Digraph, c: Cycle) -> bool:

@@ -9,8 +9,10 @@ The `_raw` helpers work on bitset out-rows, so the enumeration engine can
 call them without building Digraph objects. One lazy path kernel,
 `_paths_raw(rows, start, free, m, ends)`, answers every search: cycles of
 any length, good cycles, Hamiltonian paths between fixed ends, bypasses and
-D(n, k) copies are each a short call into it. `_cycle_bypass_raw` needs no
-search: it reads a bypass off an (n-1)-cycle and the vertex it misses.
+D(n, k) copies are each a short call into it. The paper's route needs no
+search: at an (n-1)-cycle and the vertex it misses, `_first_window` and
+`_first_reversal` find the two moves Lemma 7 forbids, and
+`_cycle_bypass_raw` reads a bypass off the first one found.
 """
 
 from __future__ import annotations
@@ -176,24 +178,30 @@ def _bypass_raw(n, rows, cols):
     return None
 
 
-def _cycle_bypass_raw(rows, cols, cyc, y):
-    """A bypass order read off the (n-1)-cycle cyc and its off vertex y, or
-    None. For a cycle arc a -> b:
-      out-window  y -> a and y -> b give y b ... a, with chord y -> a;
-      in-window   a -> y and b -> y give b ... a y, with chord b -> y;
-      splice      a -> y -> b makes a Hamiltonian cycle, and the reverse
-                  q -> p of any other cycle arc p -> q gives q ... p around
-                  it, with chord q -> p.
-    Non-None exactly when insertion._lemma7_raw finds windows_ok and
-    reversals_ok not both true."""
+def _first_window(rows, cols, cyc, y):
+    """(i, True) for the first arc a -> b of the (n-1)-cycle cyc, i naming
+    cyc[i-1] -> cyc[i], whose ends both receive an arc from the off vertex
+    y (an out-window); (i, False) if they both send one to y instead (an
+    in-window); None if no arc has either. At one arc the out-window is
+    checked first."""
     out, inn = rows[y], cols[y]
-    splices, flips = [], []  # indices i of the arcs cyc[i-1] -> cyc[i]
     for i, b in enumerate(cyc):
         a = cyc[i - 1]
         if (out >> a) & (out >> b) & 1:
-            return (y, *cyc[i:], *cyc[:i])
+            return i, True
         if (inn >> a) & (inn >> b) & 1:
-            return (*cyc[i:], *cyc[:i], y)
+            return i, False
+    return None
+
+
+def _first_reversal(rows, cols, cyc, y):
+    """(i, j) for the first arc a -> b of cyc, named as in _first_window,
+    with a splice a -> y -> b and the reverse of another cycle arc j, and
+    the first such j; None if there is no such pair."""
+    out, inn = rows[y], cols[y]
+    splices, flips = [], []
+    for i, b in enumerate(cyc):
+        a = cyc[i - 1]
         if (inn >> a) & (out >> b) & 1:
             splices.append(i)
         if (rows[b] >> a) & 1:
@@ -201,10 +209,31 @@ def _cycle_bypass_raw(rows, cols, cyc, y):
     for i in splices:
         for j in flips:
             if j != i:
-                ham = (*cyc[:i], y, *cyc[i:])
-                s = j if j < i else j + 1  # where q = cyc[j] sits in ham
-                return ham[s:] + ham[:s]
+                return i, j
     return None
+
+
+def _cycle_bypass_raw(rows, cols, cyc, y):
+    """A bypass order read off the (n-1)-cycle cyc and its off vertex y, or
+    None: None exactly when neither kernel finds its move. For a cycle arc
+    a -> b:
+      out-window  y -> a and y -> b give y b ... a, with chord y -> a;
+      in-window   a -> y and b -> y give b ... a y, with chord b -> y;
+      reversal    a -> y -> b makes a Hamiltonian cycle, and the reverse
+                  q -> p of another cycle arc p -> q gives q ... p around
+                  it, with chord q -> p.
+    A window anywhere on the cycle comes before any reversal."""
+    hit = _first_window(rows, cols, cyc, y)
+    if hit is not None:
+        i, out = hit
+        return (y, *cyc[i:], *cyc[:i]) if out else (*cyc[i:], *cyc[:i], y)
+    hit = _first_reversal(rows, cols, cyc, y)
+    if hit is None:
+        return None
+    i, j = hit
+    ham = (*cyc[:i], y, *cyc[i:])
+    s = j if j < i else j + 1  # where q = cyc[j] sits in ham
+    return ham[s:] + ham[:s]
 
 
 def find_hamiltonian_bypass(g: Digraph) -> BypassWitness | None:

@@ -611,15 +611,6 @@ class TheoremReport:
         return doc
 
 
-def _canonical_key(g: Digraph) -> str:
-    # Beyond the exact-canonicalization bound the raw adjacency stands in, so
-    # exceptions there are deduped by labelled digraph only; the claims'
-    # allowed-exception predicates recognize structure, not keys.
-    if g.n <= CANON_MAX_N:
-        return canonical_form(g).hex
-    return "raw:" + format(mask_of(g), "x")
-
-
 @lru_cache(maxsize=8)
 def _relabelings(n: int):
     """Every non-identity relabeling p of n vertices as (order, image):
@@ -676,11 +667,15 @@ def _orbit_least(n: int, rows: list[int]) -> int:
 def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
     """One record per isomorphism class of the flagged masks, sorted by key,
     whose witness is the class's first flagged mask. Class generation flags
-    one mask per class, the least of its orbit."""
+    one mask per class, the least of its orbit. Beyond the exact canonical
+    form the key is the labelled mask, so exceptions there are deduped by
+    labelled digraph only; the claims' allowed-exception predicates
+    recognize structure, not keys."""
     seen: dict[str, Digraph] = {}
     for mask in flagged:
         g = digraph_from_mask(n, mask)
-        seen.setdefault(_canonical_key(g), g)
+        key = canonical_form(g).hex if n <= CANON_MAX_N else "raw:" + format(mask, "x")
+        seen.setdefault(key, g)
     return tuple(ExceptionRecord(key, seen[key]) for key in sorted(seen))
 
 

@@ -11,7 +11,12 @@ from naive_oracles import naive_collection, naive_lemma7_clauses, naive_paths
 from hambypass.digraph import Cycle, Path, PathError, make_cycle, make_path, new_digraph
 from hambypass import families as fam
 from hambypass import insertion as ins
-from hambypass.search import find_cycle_of_length, find_hamiltonian_bypass
+from hambypass.search import (
+    _first_reversal,
+    _first_window,
+    find_cycle_of_length,
+    find_hamiltonian_bypass,
+)
 from hambypass.verify import digraph_from_mask
 
 
@@ -478,13 +483,17 @@ def test_lemma7_rejects_vertex_outside_the_digraph(t5, y):
         ins.lemma7_consequences(t5, make_cycle(t5, (0, 1, 2, 3)), y)
 
 
-def test_lemma7_raw_matches_naive_clauses(pre_hamiltonian_cycles):
+def test_lemma7_kernels_match_naive_clauses(pre_hamiltonian_cycles):
+    """lemma7_consequences, and whether each search kernel finds its move,
+    clause by clause against the naive reading."""
     seen = set()
     for g, c, y in pre_hamiltonian_cycles:
-        got = ins._lemma7_raw(g.n, g.rows, g.cols, c.vertices, y)
-        assert got == naive_lemma7_clauses(g, c, y), (g.arcs(), c.vertices, y)
-        assert ins.lemma7_consequences(g, c, y) == ins.Lemma7Report(*got)
-        seen.add(got)
+        want = naive_lemma7_clauses(g, c, y)
+        assert ins.lemma7_consequences(g, c, y) == ins.Lemma7Report(*want)
+        windows_ok = _first_window(g.rows, g.cols, c.vertices, y) is None
+        reversals_ok = _first_reversal(g.rows, g.cols, c.vertices, y) is None
+        assert (windows_ok, reversals_ok) == want[::2], (g.arcs(), c.vertices, y)
+        seen.add(want)
     # every clause can fail alone or together; a reversal can fail alone
     assert {(True, True, True), (True, True, False), (False, False, False)} <= seen
 

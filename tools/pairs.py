@@ -17,7 +17,10 @@ The last stdout line of every run must be one JSON object with a
 carry "runs": [every repeat], kept in the record as the run's "repeats";
 perfbench/run.py also gives correct, attempted and failed, and
 tools/scan_times.py a "reports" mapping of digests, which must agree
-between the two sides of a pair. After every
+between the two sides of a pair. From perfbench/run.py's text lines the
+record also keeps, per run and workload, how many driver calls were timed
+(`timed_calls`); the harness keeps memory per call, so the summary shows
+those counts beside each `peak_rss_mb`. After every
 run the driver lists each live process whose command line names the
 command's script: a benchmark that leaves one behind is reported. Per
 metric the summary gives both sides' runs, medians and quartiles
@@ -86,6 +89,19 @@ def leftover_processes(needle: str) -> list[str]:
     return found
 
 
+def timed_calls(lines: list[str]) -> dict[str, int]:
+    """Workload name -> driver calls timed, from perfbench/run.py's
+    `workload NAME ...` line and the `graphs_per_s is the median over N
+    scans` line after it."""
+    calls, name = {}, None
+    for line in lines:
+        if line.startswith("workload "):
+            name = line.split()[1]
+        elif line.startswith("graphs_per_s is the median over ") and name:
+            calls[name] = int(line.split()[5])
+    return calls
+
+
 def run_once(tree: Path, command: list[str]) -> dict:
     env = {**os.environ, "PYTHONPATH": "src"}
     proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
@@ -110,6 +126,7 @@ def run_once(tree: Path, command: list[str]) -> dict:
             if isinstance(value, dict) and "runs" in value
         },
         "reports": doc.get("reports"),
+        "timed_calls": timed_calls(lines),
         "stderr_tail": proc.stderr.strip().splitlines()[-3:] if proc.returncode else [],
     }
 
@@ -147,6 +164,13 @@ def summarize(runs: list[dict], higher: set[str]) -> dict:
             "parent_runs": par,
             "change_runs": chg,
         }
+        if name.endswith("peak_rss_mb"):  # the harness keeps memory per timed call
+            workload = name.rpartition(".")[0]
+            for side in ("parent", "change"):
+                summary[name][f"{side}_timed_calls"] = [
+                    r["timed_calls"].get(workload) if workload else sum(r["timed_calls"].values())
+                    for r in runs if r["side"] == side and name in r["metrics"]
+                ]
     return summary
 
 
