@@ -483,7 +483,7 @@ def test_lemma7_rejects_vertex_outside_the_digraph(t5, y):
         ins.lemma7_consequences(t5, make_cycle(t5, (0, 1, 2, 3)), y)
 
 
-def test_lemma7_kernels_match_naive_clauses(pre_hamiltonian_cycles):
+def test_lemma7_raw_matches_naive_clauses(pre_hamiltonian_cycles):
     """lemma7_consequences, and whether each search kernel finds its move,
     clause by clause against the naive reading."""
     seen = set()
