@@ -83,13 +83,17 @@ def mask_bits(n: int) -> int:
 
 
 def mask_of(g: Digraph) -> int:
-    n = g.n
-    mask = 0
-    for u in range(n):
-        r = g.rows[u]
-        raw = ((r >> (u + 1)) << u) | (r & ((1 << u) - 1))
-        mask |= raw << (u * (n - 1))
-    return mask
+    return _rows_mask(g.n, g.rows)
+
+
+def _rows_mask(n: int, rows) -> int:
+    return sum((r >> u + 1 << u | r & (1 << u) - 1) << u * (n - 1) for u, r in enumerate(rows))
+
+
+def _arc_bits(n: int, order) -> int:
+    """The n arcs of the bypass `order` as mask bits: its path, then its chord."""
+    arcs = (*zip(order, order[1:]), (order[0], order[-1]))
+    return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
 
 
 @lru_cache(maxsize=1)  # a scan decodes one order, and n = 16 holds 52 MB
@@ -287,9 +291,10 @@ def _eval_lemma5(n, rows, cols, dout, din) -> bool:
 
 
 def _lemma7_keep(n, rows, cols, dout, din):
-    """The lemma-7 sweep: the n arcs, as a mask, of the first bypass that
-    search._cycle_bypass_raw reads off an (n-1)-cycle and its off vertex
-    y, or 0 if it reads none. None only below n = 4; it never flags.
+    """The lemma-7 sweep: 0 if search._cycle_bypass_raw reads no bypass off
+    an (n-1)-cycle and its off vertex y, else the n arcs (a mask) of the
+    bypass whose lowest bit is highest up to the lowest absent arc z, by
+    bisecting a floor t <= z for _bypass_raw. None below n = 4; never flags.
 
     The read-off is None exactly where the windows and reversals clauses
     hold, and then so does the degree clause: no two consecutive cycle
@@ -298,13 +303,22 @@ def _lemma7_keep(n, rows, cols, dout, din):
     (n-1)-cycle passes, which stays true once an arc is deleted."""
     if n < 4:
         return None
-    total = n * (n - 1) // 2
-    for cyc in _cycles_raw(rows, cols, (1 << n) - 1, n - 1):
-        order = _cycle_bypass_raw(rows, cols, cyc, total - sum(cyc))  # y is the vertex cyc misses
-        if order is not None:
-            arcs = (*zip(order, order[1:]), (order[0], order[-1]))  # the path, then the chord
-            return sum(1 << u * (n - 1) + v - (v > u) for u, v in arcs)
-    return 0
+    total = n * (n - 1) // 2  # y is the vertex a cycle misses
+    cycles = _cycles_raw(rows, cols, (1 << n) - 1, n - 1)
+    reads = (_cycle_bypass_raw(rows, cols, c, total - sum(c)) for c in cycles)
+    order = next(filter(None, reads), None)
+    if order is None:
+        return 0
+    keep, mask = _arc_bits(n, order), _rows_mask(n, rows)
+    hi = (~mask & mask + 1).bit_length() - 1
+    while (lo := (keep & -keep).bit_length() - 1) < hi:
+        t = (lo + hi + 1) // 2
+        order = _bypass_raw(n, *_decoder(n)(mask >> t << t)[:2])
+        if order is None:
+            hi = t - 1
+        else:
+            keep = _arc_bits(n, order)
+    return keep
 
 
 # Raw evaluators f(n, rows, cols, dout, din): True flags, and an int other

@@ -66,6 +66,18 @@ def naive_has_bypass(g) -> bool:
     return False
 
 
+def naive_highest_lowest_bypass_bit(g) -> int:
+    """The highest, over every bypass of g, of its lowest arc's mask bit
+    (arc (u, v) at u*(n-1) + v, less 1 if v > u); -1 if g has none."""
+    arcs, n = arc_set(g), g.n
+    best = -1
+    for order in permutations(range(n)):
+        bypass = [*zip(order, order[1:]), (order[0], order[-1])]
+        if all(arc in arcs for arc in bypass):
+            best = max(best, min(u * (n - 1) + v - (v > u) for u, v in bypass))
+    return best
+
+
 def naive_is_strong(g) -> bool:
     n = g.n
     reach = [[False] * n for _ in range(n)]

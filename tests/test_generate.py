@@ -1,8 +1,8 @@
 """Class generation for exhaustive claims and scans: the closure each
 pruning filter promises, which scans take the generator, parity of
 generated reports and scans with the mask-by-mask reference scan, and
-self-checks of the generator against known class counts, brute force and
-the canonical forms of iso."""
+self-checks of the generator against known class counts and brute force
+(test_iso checks it against the canonical forms)."""
 
 import json
 import random
@@ -16,7 +16,7 @@ from conftest import classes
 from naive_oracles import naive_automorphism_count, reference_filter, reference_scan
 from test_dedupe import _condition_ids, _relabel
 
-from hambypass import conditions, iso, verify
+from hambypass import conditions, verify
 from hambypass import families as fam
 from hambypass.digraph import new_digraph
 from hambypass.verify import (
@@ -320,17 +320,3 @@ def test_automorphism_count_matches_brute_force():
         assert _orbit_least(5, _least_relabeling_rows(g)) == naive_automorphism_count(g)
     for g in (fam.t5(), fam.d0(5, fam.InnerSpec.empty()), fam.complete_digraph(5)):
         assert _orbit_least(5, _least_relabeling_rows(g)) == naive_automorphism_count(g)
-
-
-def test_generator_and_canonical_form_pick_the_same_representative():
-    """The walk's orbit-least mask and iso.canonical_form, two independent
-    isomorphism engines, pick the same digraph of every class at n <= 5
-    (9,846 classes): the canonical bits are the orbit-least rows packed n
-    bits each, row 0 lowest."""
-    count = 0
-    for n in range(1, 6):
-        for mask, _, rows, *_ in classes(n):
-            rep = digraph_from_mask(n, mask)
-            assert iso.canonical_form(rep).bits == sum(r << (n * u) for u, r in enumerate(rows))
-            count += 1
-    assert count == 9846

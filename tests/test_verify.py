@@ -15,6 +15,7 @@ from naive_oracles import (
     naive_cycles,
     naive_has_bypass,
     naive_is_strong,
+    naive_highest_lowest_bypass_bit,
     naive_lemma7_clauses,
     reference_scan,
 )
@@ -24,11 +25,12 @@ from hambypass import families as fam
 from hambypass import iso, verify
 from hambypass.conditions import check_a_k, resolve
 from hambypass.search import (
-    _bypass_raw,
+    _cycle_bypass_raw,
     _cycles_raw,
     find_hamiltonian_bypass,
     find_hamiltonian_cycle,
     find_pre_hamiltonian_cycle,
+    validate_bypass,
 )
 from hambypass.verify import (
     CLAIMS,
@@ -257,17 +259,45 @@ def test_evaluator_flags_exactly_where_object_finder_fails(n, evaluator):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_lemma7_sweep_flags_nothing_at_small_orders(n, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _bypass_raw(*args)
-
-    monkeypatch.setattr(verify, "_bypass_raw", counted)
+def test_lemma7_sweep_flags_nothing_at_small_orders(n):
+    """The sweep flags nothing, and at every mask it returns 0 exactly
+    where no (n-1)-cycle yields a read-off (None below n = 4)."""
     res = enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
     assert (res.scanned, res.flagged) == (1 << mask_bits(n), ())
-    assert calls == []  # every failing cycle is read off as a bypass
+    decode = verify._decoder(n)
+    for mask in range(1 << mask_bits(n)):
+        rows, cols, dout, din = decode(mask)
+        keep = verify._lemma7_keep(n, rows, cols, dout, din)
+        if n < 4:
+            assert keep is None
+            continue
+        g = digraph_from_mask(n, mask)
+        read = any(
+            _cycle_bypass_raw(rows, cols, cyc, next(v for v in range(n) if v not in cyc)) is not None
+            for cyc in naive_cycles(g, n - 1)
+        )
+        assert (keep == 0) == (not read), mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lemma7_sweep_hands_down_the_bypass_that_avoids_the_most_low_arcs(n):
+    """On every class, a nonzero certificate is the n arcs of a bypass of
+    the class, and no bypass of the class has a higher lowest arc bit, up
+    to the class's lowest absent arc z: the walk clears only bits below z,
+    so a certificate with none below z already prunes all it can."""
+    for mask, _, rows, cols, dout, din in classes(n):
+        keep = verify._lemma7_keep(n, rows, cols, dout, din)
+        if n < 4:
+            assert keep is None
+            continue
+        if not keep:
+            continue
+        g = digraph_from_mask(n, mask)
+        witness = find_hamiltonian_bypass(digraph_from_mask(n, keep))
+        assert keep.bit_count() == n and validate_bypass(g, witness), (mask, keep)
+        z = (~mask & mask + 1).bit_length() - 1
+        low = (keep & -keep).bit_length() - 1
+        assert min(low, z) == min(naive_highest_lowest_bypass_bit(g), z), (mask, keep)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -376,7 +406,7 @@ def test_lemma7_sweep_skips_the_classes_that_inherit_a_keep(monkeypatch):
     keep every descendant holds is not pushed: no decode, no orbit test."""
     counts = _count_walk(monkeypatch)
     # of 218 and 9,608 classes, reached with 410 and 13,966 orbit tests
-    for n, expected in ((4, (52, 88, 187)), (5, (1569, 3028, 4752))):
+    for n, expected in ((4, (37, 56, 105)), (5, (792, 1197, 1853))):
         counts.update(dict.fromkeys(counts, 0))
         enumerate_digraphs(EnumerationTask(n=n, evaluator="lemma7_sweep"), workers=1)
         assert tuple(counts.values()) == expected

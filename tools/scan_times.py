@@ -10,15 +10,17 @@ Each timed scan runs once untimed, to build the per-order caches, then
 REPEATS times; its figure is the median wall time. The --n6 scans are
 exhaustive and run after them, each REPEATS times with the same median
 figure: the claims, about 1-16 s a run, then the lemma-7 sweep over every
-digraph (enumerate_digraphs, no filter), about 40 s a run. Every n = 6
+digraph (enumerate_digraphs, no filter), about 10 s a run. One more,
+untimed, sweep counts its walk: the sweep's calls, the classes visited
+(orbit tests passed) and every orbit test. Every n = 6
 answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
 Human-readable lines go to stdout, and the last line is one JSON object:
-{"metrics": {"<case>.wall_s": seconds}, "reports": {"<case>": sha256}},
-where a repeated case's seconds are {"value": median, "runs": [each
-repeat]} and the digest covers the report's JSON without elapsed_ms. This
-is the format tools/pairs.py reads.
+{"metrics": {"<case>.wall_s": seconds, "<sweep>.<count>": count},
+"reports": {"<case>": sha256}}, where a repeated case's seconds are
+{"value": median, "runs": [each repeat]} and the digest covers the
+report's JSON without elapsed_ms. This is the format tools/pairs.py reads.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ def run_sweep(n: int) -> tuple[float, dict]:
                          flagged=list(res.flagged))
 
 
+def walk_counts(n: int) -> dict:
+    """sweeps, classes and orbit_tests of one unfiltered sweep at order n,
+    counted by wrapping the sweep and the orbit test for that run."""
+    counts = dict(sweeps=0, classes=0, orbit_tests=0)
+    orbit_least, sweep = verify._orbit_least, verify._EVALUATORS["lemma7_sweep"]
+
+    def orbit_test(n, rows):
+        aut = orbit_least(n, rows)
+        counts["classes"] += aut > 0
+        counts["orbit_tests"] += 1
+        return aut
+
+    def counted(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
+
+    verify._orbit_least, verify._EVALUATORS["lemma7_sweep"] = orbit_test, counted
+    try:
+        run_sweep(n)
+    finally:
+        verify._orbit_least, verify._EVALUATORS["lemma7_sweep"] = orbit_least, sweep
+    return counts
+
+
 def digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -105,6 +131,9 @@ def main() -> None:
         for case, (claim, n, kw) in CLAIMS_N6.items():
             repeated(case, run, claim, n, kw)
         repeated(SWEEP_N6, run_sweep, 6)
+        for name, count in walk_counts(6).items():
+            metrics[f"{SWEEP_N6}.{name}"] = count
+            print(f"{SWEEP_N6}: {count:,} {name}", flush=True)
     wrong = [case for case in docs if case in FROZEN_N6 and answer(docs[case]) != FROZEN_N6[case]]
     for case in wrong:
         print(f"{case}: answer {answer(docs[case])}, frozen {FROZEN_N6[case]}", flush=True)
