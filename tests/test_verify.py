@@ -14,8 +14,8 @@ from naive_oracles import (
     naive_a_k,
     naive_cycles,
     naive_has_bypass,
-    naive_is_strong,
     naive_highest_lowest_bypass_bit,
+    naive_is_strong,
     naive_lemma7_clauses,
     reference_scan,
 )
@@ -271,10 +271,9 @@ def test_lemma7_sweep_flags_nothing_at_small_orders(n):
         if n < 4:
             assert keep is None
             continue
-        g = digraph_from_mask(n, mask)
         read = any(
-            _cycle_bypass_raw(rows, cols, cyc, next(v for v in range(n) if v not in cyc)) is not None
-            for cyc in naive_cycles(g, n - 1)
+            _cycle_bypass_raw(rows, cols, cyc, (set(range(n)) - set(cyc)).pop()) is not None
+            for cyc in naive_cycles(digraph_from_mask(n, mask), n - 1)
         )
         assert (keep == 0) == (not read), mask
 
@@ -294,7 +293,8 @@ def test_lemma7_sweep_hands_down_the_bypass_that_avoids_the_most_low_arcs(n):
             continue
         g = digraph_from_mask(n, mask)
         witness = find_hamiltonian_bypass(digraph_from_mask(n, keep))
-        assert keep.bit_count() == n and validate_bypass(g, witness), (mask, keep)
+        assert keep.bit_count() == n and witness is not None, (mask, keep)
+        assert validate_bypass(g, witness), (mask, keep)
         z = (~mask & mask + 1).bit_length() - 1
         low = (keep & -keep).bit_length() - 1
         assert min(low, z) == min(naive_highest_lowest_bypass_bit(g), z), (mask, keep)
