@@ -14,6 +14,7 @@ variable so that command lines stay reproducible verbatim.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -114,17 +115,13 @@ def _try_block_insert(g: Digraph, path: Path, todo: frozenset[int]):
     """One multi-vertex insertion attempt: the leftover vertices are ordered
     into a path (endpoint pairs tried ascending) and spliced through a
     collection of partners. Returns (new path, block order, partners)."""
-    order = sorted(todo)
-    for a in order:
-        for b in order:
-            if a == b:
-                continue
-            q = search.find_hamiltonian_path_between(g, a, b, todo)
-            if q is None:
-                continue
-            col = find_collection_of_partners(g, path, q)
-            if col is not None:
-                return _splice_collection(g, path, q, col), q.vertices, col.partners
+    for a, b in itertools.permutations(sorted(todo), 2):
+        q = search.find_hamiltonian_path_between(g, a, b, todo)
+        if q is None:
+            continue
+        col = find_collection_of_partners(g, path, q)
+        if col is not None:
+            return _splice_collection(g, path, q, col), q.vertices, col.partners
     return None
 
 

@@ -136,13 +136,8 @@ def d0(n: int, inner: InnerSpec) -> Digraph:
     if n < 5 or n % 2 == 0:
         raise DigraphError("this family needs odd n >= 5")
     a = (n + 1) // 2
-    b = n - a
-    arcs: list[tuple[int, int]] = []
-    for u in range(a):
-        for v in range(a, n):
-            arcs.append((u, v))
-            arcs.append((v, u))
-    arcs.extend((a + u, a + v) for u, v in inner.inner_arcs(b))
+    arcs = complete_bipartite_digraph(a, n - a).arcs()
+    arcs.extend((a + u, a + v) for u, v in inner.inner_arcs(n - a))
     return new_digraph(n, arcs)
 
 
@@ -167,14 +162,7 @@ def d1(n: int, k: int) -> Digraph:
     if not 1 <= _check_int(k, "k") <= n - 2:
         raise DigraphError(f"k must lie in [1, {n - 2}], got {k}")
     cut = n - k - 1
-    arcs = []
     # Blocks overlap only in the cut vertex, so their arc sets are disjoint.
-    for u in range(cut + 1):
-        for v in range(cut + 1):
-            if u != v:
-                arcs.append((u, v))
-    for u in range(cut, n):
-        for v in range(cut, n):
-            if u != v:
-                arcs.append((u, v))
+    arcs = complete_digraph(cut + 1).arcs()
+    arcs.extend((cut + u, cut + v) for u, v in complete_digraph(k + 1).arcs())
     return new_digraph(n, arcs)

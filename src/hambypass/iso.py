@@ -1,4 +1,6 @@
-"""Canonical forms and isomorphism tests for small digraphs (n <= 8).
+"""Canonical forms and isomorphism tests for small digraphs, and recognizers
+for the allowed-exception families. Canonical forms need n <= 8; the
+recognizers work at every order, since only T(5)'s computes one, at n = 5.
 
 The canonical form is the lexicographically minimal row-major adjacency
 bitstring over all vertex relabelings (row 0 first, column 0 the most
@@ -111,27 +113,8 @@ def is_isomorphic_to_t5(g: Digraph) -> bool:
 
 def is_balanced_complete_bipartite(g: Digraph) -> bool:
     """True iff g is K*_{n/2,n/2}: a balanced split with both arcs of every
-    cross pair and none inside either part.
-
-    The part containing vertex 0 is read off the adjacency complement; no
-    search involved.
-    """
-    n = g.n
-    if n < 2 or n % 2:
-        return False
-    adj0 = g.rows[0] | g.cols[0]
-    part = 1
-    for v in range(1, n):
-        if not (adj0 >> v) & 1:
-            part |= 1 << v
-    if part.bit_count() != n // 2:
-        return False
-    full = (1 << n) - 1
-    for v in range(n):
-        crossing = (full & ~part) if (part >> v) & 1 else part
-        if g.rows[v] != crossing or g.cols[v] != crossing:
-            return False
-    return True
+    cross pair and none inside either part."""
+    return g.n % 2 == 0 and _split_arcs(g, g.n // 2) == 0
 
 
 def is_glued_cliques(g: Digraph) -> bool:
@@ -156,23 +139,29 @@ def d0_inner_kind(g: Digraph) -> str | None:
     "empty" or "complete" if B carries no arc or every arc, else "explicit".
 
     d0 is an independent set A of (n+1)/2 vertices, n odd and at least 5,
-    with both arcs between A and every vertex of B = V - A. Every vertex of
-    A has exactly B as its out- and in-neighbourhood, so it gives A away.
+    with both arcs between A and every vertex of B = V - A.
     """
     n = g.n
-    if n < 5 or n % 2 == 0:
+    arcs = _split_arcs(g, (n + 1) // 2) if n >= 5 and n % 2 else None
+    if arcs is None:
         return None
+    size = n // 2
+    return {0: "empty", size * (size - 1): "complete"}.get(arcs, "explicit")
+
+
+def _split_arcs(g: Digraph, a: int) -> int | None:
+    """The number of arcs inside B if some set A of `a` vertices is
+    independent and joined both ways to every vertex of B = V - A, else None.
+    Every vertex of such an A has exactly B as its out- and in-neighbourhood,
+    so it gives A away; no search involved."""
+    n = g.n
     rows, cols = g.rows, g.cols
     full = (1 << n) - 1
     for v in range(n):
         b = rows[v]
-        a = full ^ b
-        if a.bit_count() != (n + 1) // 2:
+        part = full ^ b
+        if part.bit_count() != a:
             continue
-        if all(rows[u] == b == cols[u] for u in range(n) if (a >> u) & 1):
-            size = b.bit_count()
-            arcs = sum((rows[u] & b).bit_count() for u in range(n) if (b >> u) & 1)
-            if arcs == 0:
-                return "empty"
-            return "complete" if arcs == size * (size - 1) else "explicit"
+        if all(rows[u] == b == cols[u] for u in range(n) if (part >> u) & 1):
+            return sum((rows[u] & b).bit_count() for u in range(n) if (b >> u) & 1)
     return None

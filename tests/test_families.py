@@ -129,17 +129,20 @@ def test_t5_is_the_frozen_tournament(t5):
 # D_0
 # --------------------------------------------------------------------------
 
-def test_d0_empty_layout():
-    g = fam.d0(5, EMPTY)
-    assert g.n == 5 and g.m == 12
-    a, b = (0, 1, 2), (3, 4)
+@pytest.mark.parametrize("n", range(5, 16, 2))
+def test_d0_empty_layout(n):
+    g = fam.d0(n, EMPTY)
+    assert g.n == n and g.m == (n + 1) * (n - 1) // 2
+    a, b = range((n + 1) // 2), range((n + 1) // 2, n)
     for u in a:
         for v in a:
             assert not g.has_arc(u, v) or u == v
     for u in a:
         for v in b:
             assert g.has_arc(u, v) and g.has_arc(v, u)
-    assert not g.has_arc(3, 4) and not g.has_arc(4, 3)
+    for u in b:
+        for v in b:
+            assert not g.has_arc(u, v)
 
 
 def test_d0_inner_presets():
@@ -227,9 +230,10 @@ def test_d1_errors():
             fam.d1(n, k)
 
 
-def test_d1_blocks_are_complete():
-    n, k = 6, 2
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(4, MAX_N + 1) for k in range(1, n - 1)])
+def test_d1_blocks_are_complete(n, k):
     g = fam.d1(n, k)
+    assert g.m == (n - k) * (n - k - 1) + (k + 1) * k  # no arc outside the blocks
     glue = n - k - 1
     first = range(0, n - k)
     second = range(glue, n)

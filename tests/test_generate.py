@@ -305,6 +305,20 @@ def test_generator_visits_every_class_once(n, count):
     assert sum(sizes) == 1 << mask_bits(n)
 
 
+# A035512: strong digraph classes; A003030: labelled strong digraphs.
+@pytest.mark.parametrize(
+    "n,count,labelled", [(1, 1, 1), (2, 1, 1), (3, 5, 18), (4, 83, 1606), (5, 5048, 565080)]
+)
+def test_generator_counts_the_strong_digraphs(n, count, labelled):
+    """With the strong filter: the number of strong digraph classes, whose
+    sizes n!/|Aut| add up to the labelled strong digraphs and to the scan's
+    passed count."""
+    sizes = [factorial(n) // aut for _, aut, *_ in classes(n, ("strong",))]
+    assert len(sizes) == count
+    assert sum(sizes) == labelled
+    assert verify._scan_classes(EnumerationTask(n, filters=("strong",))).passed_filters == labelled
+
+
 def _least_relabeling_rows(g):
     least = min(mask_of(_relabel(g, perm)) for perm in permutations(range(g.n)))
     return list(digraph_from_mask(g.n, least).rows)

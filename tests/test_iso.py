@@ -1,5 +1,6 @@
 """Canonical forms and isomorphism checks for small digraphs."""
 
+import functools
 import random
 
 import pytest
@@ -122,7 +123,31 @@ def test_is_balanced_complete_bipartite(kb22, kb33, c4):
     assert not iso.is_balanced_complete_bipartite(fam.complete_digraph(5))  # odd order
 
 
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute(g, perm)
+
+
+@functools.cache
+def _recognizer_inputs():
+    """(digraph, canonical form) for every digraph at n <= 4, every class at
+    n = 5, and each d0(7, spec) over the 64 specs of B, shuffled, with each
+    of its one-arc changes."""
+    out = [digraph_from_mask(n, mask) for n in range(1, 5) for mask in range(1 << mask_bits(n))]
+    out += [digraph_from_mask(5, mask) for mask, *_ in classes(5)]
+    rng = random.Random(36)
+    for spec in fam.iter_inner_specs(3):
+        g = _shuffled(fam.d0(7, spec), rng)
+        out.append(g)
+        arcs = set(g.arcs())
+        toggles = [(u, v) for u in range(7) for v in range(7) if u != v]
+        out += [new_digraph(7, sorted(arcs ^ {uv})) for uv in toggles]
+    return [(g, iso.canonical_form(g)) for g in out]
+
+
 def test_balanced_bipartite_matches_generic_iso(kb22, kb33):
+    """The recognizer holds exactly where the canonical form is K*_{n/2,n/2}'s."""
     rng = random.Random(77)
     for base in (kb22, kb33):
         perm = list(range(base.n))
@@ -132,12 +157,15 @@ def test_balanced_bipartite_matches_generic_iso(kb22, kb33):
         assert iso.are_isomorphic(
             relabeled, fam.complete_bipartite_digraph(base.n // 2, base.n // 2)
         )
-
-
-def _shuffled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return permute(g, perm)
+    balanced = {
+        n: iso.canonical_form(fam.complete_bipartite_digraph(n // 2, n // 2)) for n in (2, 4)
+    }
+    hits = 0
+    for g, form in _recognizer_inputs():
+        expected = balanced.get(g.n) == form
+        assert iso.is_balanced_complete_bipartite(g) == expected, g.rows
+        hits += expected
+    assert hits == 4  # K*_{1,1} and the three labelings of K*_{2,2}
 
 
 def test_glued_cliques_recognizer_ignores_labels(kb33, c4, t5):
@@ -170,6 +198,19 @@ def test_d0_inner_kind_ignores_labels(kb22):
     assert iso.d0_inner_kind(fam.complete_bipartite_digraph(1, 4)) is None  # A too small
     assert iso.d0_inner_kind(fam.complete_digraph(5)) is None
     assert iso.d0_inner_kind(kb22) is None
+    # Every input gets the kind of the d0 member with its canonical form.
+    kinds = {}
+    for n in (5, 7):
+        size = n // 2
+        for spec in fam.iter_inner_specs(size):
+            full = len(spec.arcs) == size * (size - 1)
+            kind = "complete" if full else "explicit" if spec.arcs else "empty"
+            kinds[iso.canonical_form(fam.d0(n, spec))] = kind
+    hits = 0
+    for g, form in _recognizer_inputs():
+        assert iso.d0_inner_kind(g) == kinds.get(form), g.rows
+        hits += form in kinds
+    assert hits == 3 + 64 * 7  # 3 classes at n = 5; at n = 7, each spec and its 6 changes in B
 
 
 # A000273: isomorphism classes of digraphs on n vertices.
