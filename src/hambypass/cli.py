@@ -125,12 +125,13 @@ def _try_block_insert(g: Digraph, path: Path, todo: frozenset[int]):
     return None
 
 
-def _insertion_replay(g: Digraph, path: Path, todo) -> tuple[Path, list[dict], frozenset[int]]:
-    """Grow `path` over `todo` using the insertion engine only: single
-    vertices first, then, when singles stall, one block through every
-    leftover, so a block step leaves none. The step log records each move;
-    leftovers that no insertion reaches are returned as-is."""
-    out = extend_as_much_as_possible(g, path, sorted(todo))
+def _insertion_replay(g: Digraph, seed) -> tuple[Path, list[dict], frozenset[int]]:
+    """Grow the path `seed` over every other vertex using the insertion
+    engine only: single vertices first, then, when singles stall, one block
+    through every leftover, so a block step leaves none. The step log
+    records each move; leftovers that no insertion reaches are returned
+    as-is."""
+    out = extend_as_much_as_possible(g, make_path(g, seed), set(range(g.n)) - set(seed))
     steps = [{"kind": "vertex", "vertex": v, "position": i} for v, i in out.steps]
     hit = _try_block_insert(g, out.extended, out.leftovers) if out.leftovers else None
     if hit is None:
@@ -147,9 +148,7 @@ def _explain_hc(g: Digraph) -> dict:
         start = search.find_cycle_of_length(g, m)
         if start is not None:
             break
-    path = make_path(g, start.vertices)
-    extra = set(range(g.n)) - set(start.vertices)
-    path, steps, todo = _insertion_replay(g, path, extra)
+    path, steps, todo = _insertion_replay(g, start.vertices)
     pv = path.vertices
     return {
         "method": "cycle-insertion",
@@ -164,9 +163,7 @@ def _explain_bypass(g: Digraph, hit) -> dict:
     """Replay from the chord: the two endpoints form the seed path and the
     interior vertices get inserted between them."""
     u, w = hit.order[0], hit.order[-1]
-    path = make_path(g, (u, w))
-    extra = set(range(g.n)) - {u, w}
-    path, steps, todo = _insertion_replay(g, path, extra)
+    path, steps, todo = _insertion_replay(g, (u, w))
     return {
         "method": "chord-insertion",
         "start_path": [u, w],

@@ -76,7 +76,7 @@ def insert_at(g: Digraph, p: Path, i: int, q: Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def lemma2_hypothesis(g: Digraph, p: Path, x: int, *, literal_ii: bool = False) -> str | None:
+def lemma2_hypothesis(g: Digraph, p: Path, x: int) -> str | None:
     """Strongest satisfied single-vertex insertion hypothesis: "i", "ii",
     "iii", or None.
 
@@ -85,8 +85,6 @@ def lemma2_hypothesis(g: Digraph, p: Path, x: int, *, literal_ii: bool = False) 
       (ii)  d(x, P) >= m + 1 and (arc x->P.first missing or arc
             P.last->x missing);
       (iii) d(x, P) >= m and both of those arcs missing.
-    `literal_ii` swaps (ii)'s second disjunct for "arc P.last->P.first
-    missing" (the uncorrected reading, kept for comparison runs).
     """
     verts = p.vertices
     mask = _disjoint(g, verts, (x,))
@@ -96,17 +94,14 @@ def lemma2_hypothesis(g: Digraph, p: Path, x: int, *, literal_ii: bool = False) 
     from_last_missing = not g.has_arc(verts[-1], x)
     if d >= m + 2:
         return "i"
-    second = (
-        not g.has_arc(verts[-1], verts[0]) if literal_ii else from_last_missing
-    )
-    if d >= m + 1 and (to_first_missing or second):
+    if d >= m + 1 and (to_first_missing or from_last_missing):
         return "ii"
     if d >= m and to_first_missing and from_last_missing:
         return "iii"
     return None
 
 
-def lemma4_hypothesis(g: Digraph, p: Path, q: Path, *, literal_terms: bool = False) -> bool:
+def lemma4_hypothesis(g: Digraph, p: Path, q: Path) -> bool:
     """Whole-path partner guarantee for q on p.
 
     Requires d_in(q.first, P) + d_out(q.last, P) >= |P| + [arc p.last ->
@@ -115,19 +110,13 @@ def lemma4_hypothesis(g: Digraph, p: Path, q: Path, *, literal_terms: bool = Fal
     insertion slot: an arc into q.first from the last path vertex has no
     slot after it, and an arc from q.last to the first path vertex has no
     slot before it; once those are paid for, |P| remaining contributions
-    force two at consecutive positions.  `literal_terms` swaps the
-    indicators for the arcs q.first -> p.first and p.last -> q.last, an
-    uncorrected reading that admits counterexamples (kept, like
-    lemma2_hypothesis's literal_ii, for comparison runs).
+    force two at consecutive positions.
     """
     pv, qv = p.vertices, q.vertices
     mask = _disjoint(g, pv, qv)
     din_first = (g.cols[qv[0]] & mask).bit_count()
     dout_last = (g.rows[qv[-1]] & mask).bit_count()
-    if literal_terms:
-        need = len(pv) + int(g.has_arc(qv[0], pv[0])) + int(g.has_arc(pv[-1], qv[-1]))
-    else:
-        need = len(pv) + int(g.has_arc(pv[-1], qv[0])) + int(g.has_arc(qv[-1], pv[0]))
+    need = len(pv) + int(g.has_arc(pv[-1], qv[0])) + int(g.has_arc(qv[-1], pv[0]))
     return din_first + dout_last >= need
 
 
@@ -193,45 +182,33 @@ def find_collection_of_partners(g: Digraph, p: Path, q: Path) -> PartnerCollecti
     return None
 
 
-def _ordered_cover_path(g: Digraph, pv, qset):
-    """Path from pv[0] to pv[-1] covering pv and qset, preserving pv's order.
+def _ordered_cover_path(g: Digraph, pv, qv):
+    """Lexicographically least path from pv[0] to pv[-1] that covers pv and
+    qv and keeps pv's order, as a vertex tuple, or None; pv has two
+    vertices or more.
 
-    Exhaustive DFS, candidates ascending by vertex id; the final host vertex
-    is only placed once everything else is on the path.
+    Exhaustive DFS over one candidate mask per step, lowest bit first: the
+    insert vertices still off the path, plus the next host vertex, the
+    last one only once every insert vertex is on the path.
     """
-    rows = g.rows
-    last = pv[-1]
-    qmask = vertex_mask(g.n, qset)
+    rows, last = g.rows, len(pv) - 1
 
-    out: list[int] = [pv[0]]
-
-    def rec(cur, pidx, remq):
-        # pidx: how many host vertices are already placed.
-        if pidx == len(pv) and not remq:
-            return True
-        nxt_host = pv[pidx] if pidx < len(pv) else None
-        cand = rows[cur] & remq
-        merged = []
+    def rec(cur, h, left):
+        # h: index in pv of the next host vertex; left: inserts still off.
+        if h > last:
+            return (cur,)
+        nxt = 1 << pv[h] if h < last or not left else 0
+        cand = rows[cur] & (left | nxt)
         while cand:
             b = cand & -cand
             cand ^= b
-            merged.append(b.bit_length() - 1)
-        if nxt_host is not None and g.has_arc(cur, nxt_host):
-            if nxt_host != last or remq == 0:
-                merged.append(nxt_host)
-                merged.sort()
-        for w in merged:
-            out.append(w)
-            if w == nxt_host:
-                if rec(w, pidx + 1, remq):
-                    return True
-            else:
-                if rec(w, pidx, remq & ~(1 << w)):
-                    return True
-            out.pop()
-        return False
+            w = b.bit_length() - 1
+            tail = rec(w, h + 1, left) if b == nxt else rec(w, h, left ^ b)
+            if tail is not None:
+                return (cur, *tail)
+        return None
 
-    return tuple(out) if rec(pv[0], 1, qmask) else None
+    return rec(pv[0], 1, vertex_mask(g.n, qv))
 
 
 def _splice_collection(g: Digraph, p: Path, q: Path, coll: PartnerCollection) -> Path:

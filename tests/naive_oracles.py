@@ -296,6 +296,22 @@ def naive_collection(g, pv, qv):
     return None
 
 
+def naive_ordered_cover(g, pv, qv):
+    """The first ordering of the vertices of pv and qv, in permutations
+    order, that starts at pv[0], ends at pv[-1], keeps pv's order and is a
+    path of g; None if there is none."""
+    arcs = arc_set(g)
+    for order in permutations(sorted({*pv, *qv})):
+        if (
+            order[0] == pv[0]
+            and order[-1] == pv[-1]
+            and tuple(v for v in order if v in pv) == tuple(pv)
+            and all((a, b) in arcs for a, b in zip(order, order[1:]))
+        ):
+            return order
+    return None
+
+
 def reference_filter(fid):
     """Raw predicate of a scan filter id, with min_out:<t> and min_in:<t>
     as plain min-degree checks instead of decoder floors, and thm13 by

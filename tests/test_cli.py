@@ -4,16 +4,18 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from hambypass import cli, insertion, iso
 from hambypass.cli import main
-from hambypass.verify import CLAIMS
-from hambypass.digraph import format_digraph, parse_digraph
+from hambypass.verify import CLAIMS, digraph_from_mask
+from hambypass.digraph import format_digraph, make_path, parse_digraph
 from hambypass import families as fam
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -248,6 +250,61 @@ def test_find_explain_searches_partners_once_per_block_step(monkeypatch, p, stru
     assert block_steps
     assert len({(path, q) for path, q, _ in searches}) == len(searches)
     assert sum(found for _, _, found in searches) == len(block_steps)
+
+
+def _explain_corpus():
+    """Every digraph with n <= 4, then 1,200 seeded draws at n = 5..8, every
+    other one dense (the union of two uniform draws)."""
+    for n in (1, 2, 3, 4):
+        for mask in range(1 << n * (n - 1)):
+            yield digraph_from_mask(n, mask)
+    rng = random.Random(36)
+    for n in (5, 6, 7, 8):
+        bits = n * (n - 1)
+        for i in range(300):
+            mask = rng.getrandbits(bits)
+            yield digraph_from_mask(n, mask | rng.getrandbits(bits) if i % 2 else mask)
+
+
+def test_find_explain_steps_replay_through_the_public_api():
+    """Each --explain step is the move the insertion API makes on the path
+    so far: a vertex step at find_partner_for_vertex's position, a path step
+    at find_collection_of_partners' partners. The replay arrives at the
+    reported path, and `complete` holds exactly when that path covers every
+    vertex and, for hc, closes with an arc."""
+    seen = Counter()
+    for g in _explain_corpus():
+        for structure, seed in (("hc", "start_cycle"), ("bypass", "start_path")):
+            _, find, _, replay = cli._STRUCTURES[structure]
+            hit = find(g)
+            if hit is None:
+                continue
+            doc = replay(g, hit)
+            path = make_path(g, doc[seed])
+            for step in doc["steps"]:
+                seen[step["kind"]] += 1
+                if step["kind"] == "vertex":
+                    x = step["vertex"]
+                    assert step["position"] == insertion.find_partner_for_vertex(g, path, x)
+                    path = insertion.insert_at(g, path, step["position"], make_path(g, (x,)))
+                else:
+                    q = make_path(g, step["vertices"])
+                    col = insertion.find_collection_of_partners(g, path, q)
+                    assert step["partners"] == list(col.partners)
+                    path = insertion.multi_insert(g, path, q)
+            pv = path.vertices
+            assert list(pv) == doc["path"], (g.arcs(), structure)
+            closed = structure == "bypass" or g.has_arc(pv[-1], pv[0])
+            assert doc["complete"] == (len(pv) == g.n and closed), (g.arcs(), structure)
+            seen[structure, doc["complete"]] += 1
+    assert seen == {
+        "vertex": 11_468,
+        "path": 1_341,
+        ("hc", True): 1_338,
+        ("hc", False): 837,
+        ("bypass", True): 3_289,
+        ("bypass", False): 109,
+    }
 
 
 # --------------------------------------------------------------------------

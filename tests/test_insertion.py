@@ -1,12 +1,18 @@
 """Partners, insertions, multi-insertion, maximal extension, lemma checkers."""
 
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given
 
 from conftest import digraphs, seeded_corpus
-from naive_oracles import naive_collection, naive_lemma7_clauses, naive_paths
+from naive_oracles import (
+    naive_collection,
+    naive_lemma7_clauses,
+    naive_ordered_cover,
+    naive_paths,
+)
 
 from hambypass.digraph import Cycle, Path, PathError, make_cycle, make_path, new_digraph
 from hambypass import families as fam
@@ -184,14 +190,18 @@ def test_lemma2_cases():
 
 
 def test_lemma2_literal_reading_is_unsound():
-    """The verbatim second disjunct of case (ii) mentions the path's own
-    endpoints, so it can fire with no partner available; the corrected
-    reading never does (swept in the acceptance suite)."""
+    """The verbatim second disjunct of case (ii), "arc P.last->P.first
+    missing", mentions the path's own endpoints, so it can fire with no
+    partner available; the corrected reading never does (swept in the
+    acceptance suite)."""
     g = new_digraph(3, [(0, 1), (0, 2), (1, 0), (2, 1)])
-    p = make_path(g, (0, 2))
-    assert ins.lemma2_hypothesis(g, p, 1, literal_ii=True) == "ii"
-    assert ins.lemma2_hypothesis(g, p, 1) is None
-    assert ins.find_partner_for_vertex(g, p, 1) is None
+    p, x = make_path(g, (0, 2)), 1
+    first, last, m = p.vertices[0], p.vertices[-1], len(p.vertices)
+    d = sum(g.has_arc(x, v) + g.has_arc(v, x) for v in p.vertices)
+    literal_ii = d >= m + 1 and (not g.has_arc(x, first) or not g.has_arc(last, first))
+    assert d < m + 2 and literal_ii  # the literal reading accepts, by case (ii)
+    assert ins.lemma2_hypothesis(g, p, x) is None
+    assert ins.find_partner_for_vertex(g, p, x) is None
 
 
 def test_lemma2_case_implies_partner_seeded():
@@ -232,14 +242,18 @@ def test_partner_for_path_example():
 
 
 def test_lemma4_literal_terms_are_unsound():
-    """Frozen witness: with the uncorrected indicator arcs the hypothesis
-    accepts an instance that has no whole-path partner; the default
-    reading rejects it."""
+    """Frozen witness: with the uncorrected indicator arcs q.first->p.first
+    and p.last->q.last the hypothesis accepts an instance that has no
+    whole-path partner; the library's reading rejects it."""
     g = new_digraph(
         5, [(0, 1), (0, 3), (1, 4), (2, 0), (2, 4), (3, 0), (3, 4), (4, 0)]
     )
     p, q = make_path(g, (3, 0)), make_path(g, (1, 4))
-    assert ins.lemma4_hypothesis(g, p, q, literal_terms=True)
+    pv, qv = p.vertices, q.vertices
+    din_first = sum(g.has_arc(v, qv[0]) for v in pv)
+    dout_last = sum(g.has_arc(qv[-1], v) for v in pv)
+    need = len(pv) + g.has_arc(qv[0], pv[0]) + g.has_arc(pv[-1], qv[-1])
+    assert din_first + dout_last >= need  # the literal reading accepts
     assert not ins.lemma4_hypothesis(g, p, q)
     assert ins.find_partner_for_path(g, p, q) is None
 
@@ -337,6 +351,19 @@ def test_collection_and_multi_insert_refuse_a_non_path(t5, host, insert, message
     for call in (ins.find_collection_of_partners, ins.multi_insert):
         with pytest.raises(PathError, match=message):
             call(t5, Path(host), Path(insert))
+
+
+def test_ordered_cover_path_is_the_least_naive_cover():
+    """multi_insert's fallback search returns the lexicographically least
+    path of the host and insert vertices that keeps the host's ends and
+    order, and None exactly when there is no such path."""
+    pairs = found = 0
+    for g, pv, qv in takewhile(lambda pair: pair[0].n <= 4, _collection_pairs()):
+        got = ins._ordered_cover_path(g, pv, qv)
+        assert got == naive_ordered_cover(g, pv, qv), (g.arcs(), pv, qv)
+        pairs += 1
+        found += got is not None
+    assert (pairs, found) == (98_496, 31_536)
 
 
 def test_multi_insert_simple():
@@ -483,7 +510,7 @@ def test_lemma7_rejects_vertex_outside_the_digraph(t5, y):
         ins.lemma7_consequences(t5, make_cycle(t5, (0, 1, 2, 3)), y)
 
 
-def test_lemma7_raw_matches_naive_clauses(pre_hamiltonian_cycles):
+def test_lemma7_consequences_and_kernels_match_naive_clauses(pre_hamiltonian_cycles):
     """lemma7_consequences, and whether each search kernel finds its move,
     clause by clause against the naive reading."""
     seen = set()

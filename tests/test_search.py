@@ -1,10 +1,13 @@
 """Exact structure oracles: cycles, bypasses, spanning patterns."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 
-from conftest import digraphs, seeded_corpus
+from conftest import classes, digraphs, seeded_corpus
 from naive_oracles import (
+    naive_cycles,
     naive_embeds,
     naive_good_cycle_exists,
     naive_has_bypass,
@@ -15,9 +18,19 @@ from naive_oracles import (
     naive_lemma7_clauses,
 )
 
-from hambypass.digraph import converse, induced_subdigraph, make_cycle, make_path, new_digraph
+from hambypass.digraph import (
+    Cycle,
+    Digraph,
+    converse,
+    induced_subdigraph,
+    make_cycle,
+    make_path,
+    new_digraph,
+)
 from hambypass import families as fam
+from hambypass import iso
 from hambypass import search as srch
+from hambypass.verify import CLAIMS
 
 
 # --------------------------------------------------------------------------
@@ -190,6 +203,73 @@ def test_cycle_bypass_exactly_where_a_lemma7_clause_breaks(pre_hamiltonian_cycle
             at_bound += g.n - 1 in (2 * g.out_degree(y), 2 * g.in_degree(y))
     assert 0 < found < len(pre_hamiltonian_cycles)
     assert at_bound  # the bound is tight
+
+
+# --------------------------------------------------------------------------
+# the paper's route: an (n-1)-cycle, then a bypass read off it
+# --------------------------------------------------------------------------
+
+def _family(g):
+    """The named family g belongs to, up to labels, or None."""
+    if iso.is_isomorphic_to_t5(g):
+        return "T5"
+    if iso.is_balanced_complete_bipartite(g):
+        return "K*_{n/2,n/2}"
+    if iso.is_glued_cliques(g):
+        return "d1"
+    return "d0" if iso.d0_inner_kind(g) else None
+
+
+# (claim, n): the number of classes in each bin -- the first (n-1)-cycle
+# gives a read-off, a later one does, none does, there is no (n-1)-cycle --
+# then (bin, family, has a bypass) for each class of the last two bins.
+ROUTE_CENSUS = {
+    ("thm12", 4): ((35, 0, 0, 1), {(3, "K*_{n/2,n/2}", True): 1}),
+    ("thm12", 5): ((923, 8, 1, 0), {(2, "T5", False): 1}),
+    ("thm8", 4): (
+        (51, 2, 1, 4),
+        {(2, "d1", False): 1, (3, "K*_{n/2,n/2}", True): 1, (3, None, True): 3},
+    ),
+    ("thm8", 5): (
+        (2111, 73, 5, 18),
+        # the bypass-free d1 without an (n-1)-cycle is 032a63e: K*_3 and K*_3
+        # sharing a vertex
+        {
+            (2, "d0", False): 3,
+            (2, "d1", False): 1,
+            (2, "T5", False): 1,
+            (3, "d1", False): 1,
+            (3, None, True): 17,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("claim, n", list(ROUTE_CENSUS))
+def test_paper_route_census(claim, n):
+    """Bin every class the claim's filters pass by where the paper's route
+    reads its bypass: [9] gives an (n-1)-cycle unless D is K*_{n/2,n/2},
+    and Lemma 7's moves at that cycle give a bypass unless D is T5. Each
+    cycle, read-off and bypass is checked against the naive oracles."""
+    full, total = (1 << n) - 1, n * (n - 1) // 2
+    sizes, tail = [0, 0, 0, 0], Counter()
+    for _, _, rows, cols, *_ in classes(n, CLAIMS[claim].filters):
+        g = Digraph._from_rows(n, rows)
+        cycles = list(srch._cycles_raw(rows, cols, full, n - 1))
+        assert cycles == [c for c in naive_cycles(g, n - 1) if c[0] == min(c)]
+        reads = []
+        for c in cycles:
+            y = total - sum(c)
+            order = srch._cycle_bypass_raw(rows, cols, c, y)
+            windows_ok, _, reversals_ok = naive_lemma7_clauses(g, Cycle(c), y)
+            assert (order is None) == (windows_ok and reversals_ok), (g.arcs(), c)
+            assert order is None or srch.validate_bypass(g, srch.BypassWitness(order))
+            reads.append(order is not None)
+        where = 0 if reads[:1] == [True] else 1 if any(reads) else 2 if reads else 3
+        sizes[where] += 1
+        if where >= 2:
+            tail[where, _family(g), naive_has_bypass(g)] += 1
+    assert (tuple(sizes), tail) == ROUTE_CENSUS[claim, n]
 
 
 # --------------------------------------------------------------------------
