@@ -149,13 +149,12 @@ def _explain_hc(g: Digraph) -> dict:
         if start is not None:
             break
     path, steps, todo = _insertion_replay(g, start.vertices)
-    pv = path.vertices
     return {
         "method": "cycle-insertion",
         "start_cycle": list(start.vertices),
         "steps": steps,
-        "path": list(pv),
-        "complete": not todo and g.has_arc(pv[-1], pv[0]),
+        "path": list(path.vertices),
+        "complete": not todo,  # insertion keeps the seed cycle's ends, so the path closes
     }
 
 

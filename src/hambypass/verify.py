@@ -32,14 +32,15 @@ hands its certificate to the children that keep its arcs, and one that
 holds a certificate is cleared without the evaluator. With no filter,
 where every digraph passes, the walk pushes no child whose subtree all
 keeps the certificate. These scans run on one process whatever the
-worker count and print no progress lines. run_claim dedupes the flagged
-class representatives directly; enumerate_digraphs expands each flagged
-class, or with a visitor each passing class, to all of its labelings in
-ascending mask order. Sampled scans split their seeded draws into
-fixed-size chunks, chunk i scanned by process i % workers: the caller or a
-forked child. Chunk boundaries never depend on the worker count and
-results are absorbed in chunk order, so reports are bit-identical whatever
-the parallelism.
+worker count and print no progress lines. Sampled scans split their
+seeded draws into fixed-size chunks, chunk i scanned by process i %
+workers: the caller or a forked child. Chunk boundaries never depend on
+the worker count and results are absorbed in chunk order, so reports are
+bit-identical whatever the parallelism. Either engine hands each flagged
+mask (on a visitor scan, each survivor) to a sink as it reaches it
+(_scan). run_claim keeps the class representatives; enumerate_digraphs
+expands each to its labelings, ascending within the class, so exhaustive
+masks come class by class in walk order, one class's held at a time.
 """
 
 from __future__ import annotations
@@ -497,47 +498,47 @@ def enumerate_digraphs(
 ) -> ScanResult:
     """Run the scan. With a visitor, every filter survivor's mask is passed
     to it and no evaluator may be set; otherwise survivors feed the task's
-    evaluator and flagged masks come back in the result. Masks come in
-    ascending order on an exhaustive scan, in draw order on a sampled one.
+    evaluator and flagged masks come back in the result. Masks come in draw
+    order on a sampled scan, class by class in walk order on an exhaustive
+    one, ascending within each class but not overall.
 
-    An exhaustive scan runs on the class walk (_scan_classes) and
-    expands each flagged class, or with a visitor each passing class, to
-    all of its labelings: one process whatever `workers` says, no progress
-    lines, and a visitor's masks are all held before the first is visited.
-    A sampled scan is _scan_sampled, split over the caller and forked
-    children, with a progress line on stderr every 2^20 digraphs.
+    An exhaustive scan runs on the class walk (_scan_classes) and expands
+    each class to its labelings as it arrives: one process whatever
+    `workers` says, no progress lines, and one class's labelings (at most
+    n!) held at a time beyond the flagged tuple. A sampled scan is
+    _scan_sampled, split over the caller and forked children, with a
+    progress line on stderr every 2^20 digraphs.
     """
     if visitor is not None and task.evaluator is not None:
         raise ValueError("visitor and evaluator are mutually exclusive")
+    flagged: list[int] = []
+    sink = flagged.append if visitor is None else visitor
+    if task.mode == "exhaustive":  # the walk hands over one orbit-least mask per class
+        sink = partial(_labelings, task.n, sink)
+    scanned, passed = _scan(task, sink, workers, visitor is not None)
+    return ScanResult(scanned, passed, tuple(flagged))
+
+
+def _scan(task: EnumerationTask, sink, workers: int | None, visitor: bool = False):
+    """(scanned, passed_filters) of `task` on the engine its mode picks;
+    each mask the plan's flag picks goes to `sink` as the engine reaches
+    it. A bad HAMBYPASS_THREADS fails either engine."""
+    nworkers = _worker_count(workers)
     if task.mode == "sample":
-        return _scan_sampled(task, visitor, workers)
-    _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
-    res = _scan_classes(task, visitor is not None)
-    masks = sorted(m for rep in res.flagged for m in _labelings(task.n, rep))
-    if visitor is None:
-        return ScanResult(res.scanned, res.passed_filters, tuple(masks))
-    for mask in masks:
-        visitor(mask)
-    return ScanResult(res.scanned, res.passed_filters)
+        return _scan_sampled(task, sink, nworkers, visitor)
+    return _scan_classes(task, sink, visitor)
 
 
-def _scan_sampled(
-    task: EnumerationTask,
-    visitor: Callable[[int], None] | None = None,
-    workers: int | None = None,
-) -> ScanResult:
-    """enumerate_digraphs on a sampled task: process i % `workers` scans
-    chunk i. Process 0 is the caller; each other is a forked child that
-    pickles its chunks' results, or its exception, down a pipe. Results are
-    absorbed in chunk order, and no child outlives the scan."""
+def _scan_sampled(task: EnumerationTask, sink, workers: int, visitor: bool):
+    """_scan on a sampled task: process i % `workers` scans chunk i.
+    Process 0 is the caller; each other is a forked child that pickles its
+    chunks' results, or its exception, down a pipe. Results are absorbed,
+    hits sent to `sink`, in chunk order, and no child outlives the scan."""
     nchunks = (task.sample_count + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
-    nworkers = min(_worker_count(workers), nchunks)
+    nworkers = min(workers, nchunks)
     scanned = 0
     passed = 0
-    flagged: list[int] = []
-
-    emit = flagged.append if visitor is None else visitor
-    floors, filters, flag = _plan(task, visitor is not None)
+    floors, filters, flag = _plan(task, visitor)
     ctx = task, floors, _decoder(task.n), [f for f, _ in filters], flag
     procs = [None]  # (pid, pipe) of child k at index k
     if nworkers > 1:
@@ -568,7 +569,7 @@ def _scan_sampled(
             scanned += cscanned
             passed += cpassed
             for mask in hits:
-                emit(mask)
+                sink(mask)
             if scanned // _PROGRESS_STEP != before // _PROGRESS_STEP:
                 print(f"scanned {scanned}", file=sys.stderr, flush=True)
     except BaseException:
@@ -579,7 +580,7 @@ def _scan_sampled(
         for pid, pipe in procs[1:]:
             pipe.close()
             os.waitpid(pid, 0)
-    return ScanResult(scanned, passed, tuple(flagged))
+    return scanned, passed
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +644,11 @@ def _relabelings(n: int):
     return tuple(out)
 
 
-def _labelings(n: int, mask: int) -> set[int]:
-    """The arc masks of every relabeling of the digraph `mask`, itself
-    included: n!/|Aut| masks. The rows are packed inline as mask_of packs
-    them; a helper call per relabeling doubles the cost of the expansion."""
+def _labelings(n: int, sink, mask: int) -> None:
+    """Hand `sink`, ascending, the arc masks of every relabeling of the
+    digraph `mask`, itself included: n!/|Aut| masks. The rows are packed
+    inline as mask_of packs them; a helper call per relabeling doubles
+    the cost of the expansion."""
     rows = _decoder(n)(mask)[0]
     width = n - 1
     out = {mask}
@@ -656,7 +658,8 @@ def _labelings(n: int, mask: int) -> set[int]:
             r = image[rows[v]]
             m |= (((r >> (w + 1)) << w) | (r & ((1 << w) - 1))) << (w * width)
         out.add(m)
-    return out
+    for m in sorted(out):
+        sink(m)
 
 
 def _orbit_least(n: int, rows: list[int]) -> int:
@@ -698,14 +701,14 @@ def _dedupe(n: int, flagged: Iterable[int]) -> tuple[ExceptionRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
-    """The exhaustive scan of a task: one walk over the orbit-least mask of
+def _scan_classes(task: EnumerationTask, sink, visitor: bool = False):
+    """_scan on an exhaustive task: one walk over the orbit-least mask of
     every isomorphism class that meets the plan's degree floors and passes
     its filters closed upward. The others, which ignore labels as every
     filter does, are checked on each walked class. Each class that passes
     counts n!/|Aut| passed digraphs, |Aut| from _orbit_least, and the
-    plan's flag runs once on it and flags the class's least mask; on a
-    visitor scan every passing class is flagged.
+    plan's flag runs once on it and hands the class's least mask to `sink`
+    if it flags; on a visitor scan every passing class is flagged.
 
     Read's orderly generation, run downward from K*_n: the parent of an
     orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again
@@ -730,7 +733,6 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
     arcs = [(u, v) for u in range(n) for v in range(n) if v != u]  # in mask bit order
     labelings = factorial(n)
     passed = 0
-    flagged = []
     stack = [((1 << mask_bits(n)) - 1, None)] if max(floors) < n else []
     while stack:
         mask, keep = stack.pop()
@@ -749,7 +751,7 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
                 passed += labelings // aut
                 if flag is not None and keep is None:
                     if (hit := flag(n, rows, cols, dout, din)) is True:
-                        flagged.append(mask)
+                        sink(mask)
                     elif hit is not False:  # a certificate, or None
                         keep = hit
             for i in range((~mask & (mask + 1)).bit_length() - 1):
@@ -760,7 +762,7 @@ def _scan_classes(task: EnumerationTask, visitor: bool = False) -> ScanResult:
                     elif keep & ((1 << i) - 1) or task.filters:
                         stack.append((mask ^ 1 << i, keep))
     scanned = 1 << mask_bits(n)
-    return ScanResult(scanned, passed if task.filters else scanned, tuple(flagged))
+    return scanned, passed if task.filters else scanned
 
 
 # ---------------------------------------------------------------------------
@@ -858,14 +860,11 @@ def run_claim(
     task = EnumerationTask(n, mode, filters, sample or 0, seed, model, claim.evaluator)
     if n < claim.min_n:
         raise ValueError(f"{name} needs n >= {claim.min_n}")
-    workers = _worker_count(workers)  # a bad HAMBYPASS_THREADS fails on either path
 
     t0 = time.monotonic()
-    if task.mode == "exhaustive":
-        result = _scan_classes(task)
-    else:
-        result = _scan_sampled(task, workers=workers)
-    exceptions = _dedupe(n, result.flagged)
+    flagged: list[int] = []
+    scanned, passed = _scan(task, flagged.append, workers)
+    exceptions = _dedupe(n, flagged)
     allowed = claim.allowed
     if claim.report_only or param in claim.params[1:]:
         verdict = "report-only"
@@ -878,8 +877,8 @@ def run_claim(
         n=n,
         mode=task.mode_label,
         seed=task.seed,
-        scanned=result.scanned,
-        passed_filters=result.passed_filters,
+        scanned=scanned,
+        passed_filters=passed,
         exceptions=exceptions,
         verdict=verdict,
         elapsed_ms=int((time.monotonic() - t0) * 1000),

@@ -97,8 +97,9 @@ def classes(n: int, filters: tuple[str, ...] = ()) -> list[tuple]:
     task = EnumerationTask(min(n, EXHAUSTIVE_MAX_N), filters=filters)
     object.__setattr__(task, "n", n)
     decode = _decoder(n)
-    out = []
-    for mask in _scan_classes(task, True).flagged:
+    reps, out = [], []
+    _scan_classes(task, reps.append, True)
+    for mask in reps:
         rows, cols, dout, din = decode(mask)
         out.append((mask, _orbit_least(n, rows), rows, cols, dout, din))
     return out

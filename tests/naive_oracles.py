@@ -336,8 +336,9 @@ def reference_evaluator(eid):
 
 
 def reference_scan(task, visitor=None):
-    """enumerate_digraphs(task, visitor) mask by mask on one process: every
-    mask ascending on an exhaustive task, the engine's seeded draws in
+    """enumerate_digraphs(task, visitor) mask by mask on one process, up to
+    the order of an exhaustive scan: every mask ascending on an exhaustive
+    task (not class by class as the engine goes), the engine's seeded draws in
     order on a sampled one, each decoded by the floor-free decoder and run
     through every filter and the evaluator. One pass gives both: a visitor
     gets every survivor, and the evaluator's flagged masks come back too.

@@ -6,14 +6,20 @@ self-checks of the generator against known class counts and brute force
 
 import json
 import random
+import tracemalloc
 from dataclasses import replace
-from itertools import permutations
+from itertools import count, permutations
 from math import factorial
 
 import pytest
 
 from conftest import classes
-from naive_oracles import naive_automorphism_count, reference_filter, reference_scan
+from naive_oracles import (
+    naive_automorphism_count,
+    reference_evaluator,
+    reference_filter,
+    reference_scan,
+)
 from test_dedupe import _condition_ids, _relabel
 
 from hambypass import conditions, verify
@@ -129,6 +135,10 @@ def _refuse(*args, **kwargs):
     raise AssertionError("wrong scan path")
 
 
+def _ignore(mask):
+    pass
+
+
 def test_exhaustive_claims_always_run_on_the_generator(monkeypatch):
     """No exhaustive claim reaches the chunk scan, closed or not; no
     sampled scan reaches the generator."""
@@ -170,9 +180,9 @@ def test_exhaustive_scans_without_a_visitor_run_on_the_generator(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_exhaustive_visitor_scans_run_on_the_generator(monkeypatch, workers):
-    """A visitor gets every survivor of an exhaustive scan, in ascending
-    mask order, from the generator's passing classes: the reference scan's
-    masks, and no chunk is scanned."""
+    """A visitor gets every survivor of an exhaustive scan, class by class,
+    from the generator's passing classes: the reference scan's masks, and
+    no chunk is scanned."""
     monkeypatch.setattr(verify, "_scan_chunk", _refuse)
     for task in (
         EnumerationTask(4, filters=("a_k:0", "strong")),
@@ -182,7 +192,7 @@ def test_exhaustive_visitor_scans_run_on_the_generator(monkeypatch, workers):
         seen, expected = [], []
         res = enumerate_digraphs(task, visitor=seen.append, workers=workers)
         assert res == reference_scan(task, expected.append)
-        assert seen == expected == sorted(seen) and seen
+        assert sorted(seen) == expected and seen
 
 
 def test_filters_not_closed_never_prune(monkeypatch):
@@ -192,7 +202,7 @@ def test_filters_not_closed_never_prune(monkeypatch):
     scan counts, more than a thm13-pruned tree would."""
     task = EnumerationTask(4, filters=("thm13",))
     labeled = reference_scan(task).passed_filters
-    assert verify._scan_classes(task).passed_filters == labeled
+    assert verify._scan_classes(task, _ignore)[1] == labeled
     real = verify._plan
 
     def all_closed(task, visitor=False):
@@ -201,7 +211,7 @@ def test_filters_not_closed_never_prune(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(verify, "_plan", all_closed)
-        assert verify._scan_classes(task).passed_filters < labeled
+        assert verify._scan_classes(task, _ignore)[1] < labeled
 
 
 def test_generated_claims_still_check_the_worker_count(monkeypatch):
@@ -217,6 +227,15 @@ def test_generated_claims_still_check_the_worker_count(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+def _reference_classes(task, sink, visitor):
+    """reference_scan in the place of _scan_classes: its flagged masks, all
+    labelings of each flagged class in ascending order, go to `sink`."""
+    res = reference_scan(task)
+    for mask in res.flagged:
+        sink(mask)
+    return res.scanned, res.passed_filters
+
+
 def _report(monkeypatch, name, n, param, labeled):
     """run_claim's JSON report without elapsed time (or the error it
     raises) at any order; `labeled` swaps the reference scan in for the
@@ -224,7 +243,7 @@ def _report(monkeypatch, name, n, param, labeled):
     with monkeypatch.context() as m:
         m.setitem(CLAIMS, name, replace(CLAIMS[name], min_n=1))
         if labeled:
-            m.setattr(verify, "_scan_classes", reference_scan)
+            m.setattr(verify, "_scan_classes", _reference_classes)
         try:
             report = run_claim(name, n, param, workers=2)
         except ValueError as exc:  # the same error must come out of both paths
@@ -273,22 +292,61 @@ def _evaluators(n):
     return [None, *named, *(f"no_dnk:{k}" for k in range(2, n + 1) if n >= 3)]
 
 
+def _sorted(res):
+    return replace(res, flagged=tuple(sorted(res.flagged)))
+
+
 @pytest.mark.parametrize("filters", [(), ("strong",), ("a_k:0", "strong"), ("thm13",)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generated_scan_matches_labeled_engine(n, filters):
-    """enumerate_digraphs expands every flagged class to all its labelings,
-    so its whole result, flagged masks in ascending order included, is the
-    mask-by-mask reference scan's."""
+    """enumerate_digraphs expands every class to all its labelings as the
+    walk reaches it. Sorted, its whole result and its visitor stream are
+    the mask-by-mask reference scan's. In order, both are the masks of the
+    filter-free visitor stream that pass the filters and, for the flagged
+    ones, the evaluator: the order in which a replay of that stream flags."""
+    stream, seen, expected = [], [], []
+    enumerate_digraphs(EnumerationTask(n), visitor=stream.append, workers=1)
+    decode = verify._decoder(n)
+    checks = [reference_filter(fid) for fid in filters]
+    passing = [m for m in stream if all(f(n, *decode(m)) for f in checks)]
+    task = EnumerationTask(n, filters=filters)
+    res = enumerate_digraphs(task, visitor=seen.append, workers=1)
+    assert res == reference_scan(task, expected.append)
+    assert (seen, sorted(seen)) == (passing, expected)
     for evaluator in _evaluators(n):
         task = EnumerationTask(n, filters=filters, evaluator=evaluator)
-        assert enumerate_digraphs(task, workers=1) == reference_scan(task), evaluator
+        res = enumerate_digraphs(task, workers=1)
+        assert _sorted(res) == reference_scan(task), evaluator
+        if evaluator is not None:
+            flags = reference_evaluator(evaluator)
+            assert res.flagged == tuple(m for m in passing if flags(n, *decode(m)) is True)
 
 
 def test_generated_n5_scan_matches_labeled_engine():
     task = EnumerationTask(5, filters=("degree_sum:-5", "strong"), evaluator="no_bypass")
     result = enumerate_digraphs(task, workers=1)
-    assert (len(verify._scan_classes(task).flagged), len(result.flagged)) == (413, 42475)
-    assert result == reference_scan(task)
+    reps = []
+    verify._scan_classes(task, reps.append)
+    assert (len(reps), len(result.flagged)) == (413, 42475)
+    assert _sorted(result) == reference_scan(task)
+
+
+def test_exhaustive_visitor_scan_holds_one_class_at_a_time():
+    """A visitor scan expands each class to its labelings as the walk
+    reaches it, so its tracemalloc peak does not grow with the survivors:
+    holding and sorting all 97,524 labelled survivors of the thm12 filters
+    at n = 5 before the first visit peaked at 4.3 MB."""
+    visits = count()
+    tracemalloc.start()
+    try:
+        enumerate_digraphs(
+            EnumerationTask(5, filters=("a_k:0", "strong")), lambda mask: next(visits), 1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert next(visits) == 97_524
+    assert peak < 500_000, peak
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +374,7 @@ def test_generator_counts_the_strong_digraphs(n, count, labelled):
     sizes = [factorial(n) // aut for _, aut, *_ in classes(n, ("strong",))]
     assert len(sizes) == count
     assert sum(sizes) == labelled
-    assert verify._scan_classes(EnumerationTask(n, filters=("strong",))).passed_filters == labelled
+    assert verify._scan_classes(EnumerationTask(n, filters=("strong",)), _ignore)[1] == labelled
 
 
 def _least_relabeling_rows(g):

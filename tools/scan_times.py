@@ -16,9 +16,12 @@ untimed, sweep counts its walk: the sweep's calls, the classes visited
 answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
-Human-readable lines go to stdout, and the last line is one JSON object:
-{"metrics": {"<case>.wall_s": seconds, "<sweep>.<count>": count},
-"reports": {"<case>": sha256}}, where a repeated case's seconds are
+Every run also records the tracemalloc peak of an exhaustive visitor
+scan at n = 5 with the strong filter (565,080 visits), the memory bound
+of an exhaustive scan. Human-readable lines go to stdout, and the last
+line is one JSON object: {"metrics": {"<case>.wall_s": seconds,
+"<sweep>.<count>": count, "strong_n5_visitor.peak_mb": MB}, "reports":
+{"<case>": sha256}}, where a repeated case's seconds are
 {"value": median, "runs": [each repeat]} and the digest covers the
 report's JSON without elapsed_ms. This is the format tools/pairs.py reads.
 """
@@ -31,6 +34,8 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
+from itertools import count
 
 from hambypass import verify
 
@@ -46,6 +51,7 @@ CLAIMS_N6 = {f"{c}_n6_exhaustive": (c, 6, {}) for c in ("thm6", "thm8", "thm9", 
 CLAIMS_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
 CLAIMS_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
 SWEEP_N6 = "lemma7_sweep_n6_exhaustive"
+PEAK = "strong_n5_visitor"
 # case: (passed_filters, exception canonical hexes, verdict), or for the
 # sweep (scanned, passed_filters, flagged masks): each scan's answer on one
 # process, which every tree must reproduce
@@ -99,6 +105,19 @@ def walk_counts(n: int) -> dict:
     return counts
 
 
+def visitor_peak_mb(n: int) -> float:
+    """tracemalloc peak, in MB, of an exhaustive visitor scan of every
+    strong digraph of order n on one process."""
+    visits = count()
+    tracemalloc.start()
+    try:
+        task = verify.EnumerationTask(n, filters=("strong",))
+        verify.enumerate_digraphs(task, visitor=lambda mask: next(visits), workers=1)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -127,6 +146,8 @@ def main() -> None:
     for case, (claim, n, kw) in TIMED.items():
         run(claim, n, kw)
         repeated(case, run, claim, n, kw)
+    metrics[f"{PEAK}.peak_mb"] = peak = visitor_peak_mb(5)
+    print(f"{PEAK}: tracemalloc peak {peak:.3f} MB", flush=True)
     if args.n6:
         for case, (claim, n, kw) in CLAIMS_N6.items():
             repeated(case, run, claim, n, kw)
