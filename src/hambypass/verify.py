@@ -36,11 +36,11 @@ worker count and print no progress lines. Sampled scans split their
 seeded draws into fixed-size chunks, chunk i scanned by process i %
 workers: the caller or a forked child. Chunk boundaries never depend on
 the worker count and results are absorbed in chunk order, so reports are
-bit-identical whatever the parallelism. Either engine hands each flagged
-mask (on a visitor scan, each survivor) to a sink as it reaches it
-(_scan). run_claim keeps the class representatives; enumerate_digraphs
-expands each to its labelings, ascending within the class, so exhaustive
-masks come class by class in walk order, one class's held at a time.
+bit-identical whatever the parallelism. Either engine reports to a sink,
+as it reaches them, the masks the evaluator flags, or on a visitor scan
+with no evaluator every survivor (_scan). run_claim keeps the class
+representatives; enumerate_digraphs expands each to its labelings,
+ascending, which go to its visitor if it has one, else into `flagged`.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def _plan(task: EnumerationTask, visitor: bool = False):
     min_in + 1 vertices or more, its complement min_out + 1, so larger
     floors force strong. The other filters are (raw predicate, closed
     upward) pairs in task order. The flag picks the survivors a scan
-    reports: all on a visitor scan, else those the evaluator flags, or none
-    if it is None."""
+    reports: those the evaluator flags; with no evaluator, all on a visitor
+    scan and none (flag None) on any other."""
     n = task.n
     one = int("strong" in task.filters and n >= 2)
     floors = {"min_out": one, "min_in": one}
@@ -261,7 +261,7 @@ def _plan(task: EnumerationTask, visitor: bool = False):
         if k is not None:
             families.bypass_pattern(n, k)  # raises DigraphError on a bad n or k
             flag = partial(flag, k)
-    if visitor:
+    elif visitor:
         flag = lambda n, rows, cols, dout, din: True
     return (floors["min_out"], floors["min_in"]), filters, flag
 
@@ -496,11 +496,12 @@ def enumerate_digraphs(
     visitor: Callable[[int], None] | None = None,
     workers: int | None = None,
 ) -> ScanResult:
-    """Run the scan. With a visitor, every filter survivor's mask is passed
-    to it and no evaluator may be set; otherwise survivors feed the task's
-    evaluator and flagged masks come back in the result. Masks come in draw
-    order on a sampled scan, class by class in walk order on an exhaustive
-    one, ascending within each class but not overall.
+    """Run the scan. It reports the masks the task's evaluator flags, or
+    every filter survivor on a visitor scan with no evaluator. Reported
+    masks go to the visitor if there is one, else into the result's
+    `flagged`, which a visitor scan leaves empty. They come in draw order
+    on a sampled scan, class by class in walk order on an exhaustive one,
+    ascending within each class but not overall.
 
     An exhaustive scan runs on the class walk (_scan_classes) and expands
     each class to its labelings as it arrives: one process whatever
@@ -509,8 +510,6 @@ def enumerate_digraphs(
     _scan_sampled, split over the caller and forked children, with a
     progress line on stderr every 2^20 digraphs.
     """
-    if visitor is not None and task.evaluator is not None:
-        raise ValueError("visitor and evaluator are mutually exclusive")
     flagged: list[int] = []
     sink = flagged.append if visitor is None else visitor
     if task.mode == "exhaustive":  # the walk hands over one orbit-least mask per class
@@ -708,7 +707,7 @@ def _scan_classes(task: EnumerationTask, sink, visitor: bool = False):
     filter does, are checked on each walked class. Each class that passes
     counts n!/|Aut| passed digraphs, |Aut| from _orbit_least, and the
     plan's flag runs once on it and hands the class's least mask to `sink`
-    if it flags; on a visitor scan every passing class is flagged.
+    if it flags; on a visitor scan with no evaluator every passing class is.
 
     Read's orderly generation, run downward from K*_n: the parent of an
     orbit-least mask m != K*_n is m | (lowest zero bit of m), which is again

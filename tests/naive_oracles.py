@@ -10,6 +10,7 @@ resolves their ids by itself, so that it checks how the scan engines plan,
 route, prune, floor and relabel, not the predicates themselves.
 """
 
+from dataclasses import replace
 from functools import cache, partial
 from itertools import combinations, permutations, product
 
@@ -340,9 +341,10 @@ def reference_scan(task, visitor=None):
     the order of an exhaustive scan: every mask ascending on an exhaustive
     task (not class by class as the engine goes), the engine's seeded draws in
     order on a sampled one, each decoded by the floor-free decoder and run
-    through every filter and the evaluator. One pass gives both: a visitor
-    gets every survivor, and the evaluator's flagged masks come back too.
-    Without a visitor the result is kept per task, as tasks are frozen."""
+    through every filter and the evaluator. It reports the masks the
+    evaluator flags, or every survivor on a visitor scan with no evaluator:
+    to the visitor if there is one, else into flagged. Without a visitor
+    the result is kept per task, as tasks are frozen."""
     if visitor is None:
         return _memo_reference_scan(task)
     if task.mode == "exhaustive":
@@ -353,17 +355,18 @@ def reference_scan(task, visitor=None):
     decode = verify._decoder(task.n)
     filters = [reference_filter(fid) for fid in task.filters]
     evaluator = task.evaluator and reference_evaluator(task.evaluator)
-    passed, flagged = 0, []
+    passed = 0
     for mask in masks:
         args = (task.n, *decode(mask))
         if all(f(*args) for f in filters):
             passed += 1
-            visitor(mask)
-            if evaluator and evaluator(*args) is True:
-                flagged.append(mask)
-    return verify.ScanResult(len(masks), passed, tuple(flagged))
+            if not evaluator or evaluator(*args) is True:
+                visitor(mask)
+    return verify.ScanResult(len(masks), passed)
 
 
 @cache
 def _memo_reference_scan(task):
-    return reference_scan(task, lambda mask: None)
+    flagged = []
+    res = reference_scan(task, flagged.append)
+    return replace(res, flagged=tuple(flagged) if task.evaluator else ())

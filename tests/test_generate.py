@@ -331,21 +331,37 @@ def test_generated_n5_scan_matches_labeled_engine():
     assert _sorted(result) == reference_scan(task)
 
 
+def _streamed_peak(task):
+    """(visits, flagged, tracemalloc peak in bytes) of a visitor scan of
+    `task` on one process."""
+    visits = count()
+    tracemalloc.start()
+    try:
+        res = enumerate_digraphs(task, lambda mask: next(visits), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return next(visits), res.flagged, peak
+
+
 def test_exhaustive_visitor_scan_holds_one_class_at_a_time():
     """A visitor scan expands each class to its labelings as the walk
     reaches it, so its tracemalloc peak does not grow with the survivors:
     holding and sorting all 97,524 labelled survivors of the thm12 filters
     at n = 5 before the first visit peaked at 4.3 MB."""
-    visits = count()
-    tracemalloc.start()
-    try:
-        enumerate_digraphs(
-            EnumerationTask(5, filters=("a_k:0", "strong")), lambda mask: next(visits), 1
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert next(visits) == 97_524
+    visits, _, peak = _streamed_peak(EnumerationTask(5, filters=("a_k:0", "strong")))
+    assert visits == 97_524
+    assert peak < 500_000, peak
+
+
+def test_exhaustive_flag_stream_holds_one_class_at_a_time():
+    """A visitor with an evaluator gets each flagged class's labelings as
+    the walk reaches it, so the scan holds no flagged tuple: returning all
+    142,230 strong digraphs of order 5 that lack a Hamiltonian cycle in one
+    tuple peaked at 6.9 MB."""
+    task = EnumerationTask(5, filters=("strong",), evaluator="no_hc")
+    visits, flagged, peak = _streamed_peak(task)
+    assert (visits, flagged) == (142_230, ())
     assert peak < 500_000, peak
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from naive_oracles import (
     naive_lemma7_clauses,
     reference_scan,
 )
+from test_dedupe import _condition_ids
 
 from hambypass.digraph import Digraph, OrderError, is_strong, make_cycle, new_digraph
 from hambypass import families as fam
@@ -519,9 +521,48 @@ def test_task_exhaustive_and_sampling_at_n6():
     assert dense.mode_label == "sample:dense:5"
 
 
-def test_visitor_and_evaluator_are_exclusive():
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        enumerate_digraphs(EnumerationTask(n=2, evaluator="no_hc"), visitor=lambda m: None)
+def _assert_streams_its_flags(task, workers):
+    """A visitor with an evaluator gets exactly the flagged tuple of the
+    same scan without one, in order, with the same counts, and the visitor
+    scan's own flagged tuple is empty. Returns the flagged masks."""
+    res = enumerate_digraphs(task, workers=workers)
+    seen = []
+    streamed = enumerate_digraphs(task, visitor=seen.append, workers=workers)
+    assert streamed == replace(res, flagged=())
+    assert tuple(seen) == res.flagged
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_visitor_with_an_evaluator_streams_the_flags_of_every_claim(n):
+    """Every claim row's filters and evaluator, each parameter of thm16 and
+    explore on every condition id, as exhaustive tasks; an evaluator that
+    does not exist at order n (no_dnk:3 below n = 3) is skipped."""
+    tasks = []
+    for name, claim in CLAIMS.items():
+        params = _condition_ids() if name == "explore" else claim.params or (None,)
+        for param in params:
+            filters = tuple(fid.format(param) for fid in claim.filters)
+            try:
+                tasks.append(EnumerationTask(n, filters=filters, evaluator=claim.evaluator))
+            except ValueError:
+                assert n < 3 and claim.evaluator == "no_dnk:3"
+    flagged = [_assert_streams_its_flags(task, 1) for task in tasks]
+    assert any(flagged) or n < 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "task",
+    [
+        EnumerationTask(5, "sample", ("strong",), 3 * SAMPLE_CHUNK, 1, evaluator="no_hc"),
+        EnumerationTask(4, "sample", sample_count=5 * SAMPLE_CHUNK, seed=2, evaluator="no_prehc"),
+        EnumerationTask(6, "sample", ("min_out:2",), 5 * SAMPLE_CHUNK, 3, evaluator="no_bypass"),
+        EnumerationTask(5, "sample", ("thm13",), 3 * SAMPLE_CHUNK, 4, "dense", "no_hc"),
+    ],
+)
+def test_visitor_with_an_evaluator_streams_the_flags_of_a_sampled_scan(task, workers):
+    assert _assert_streams_its_flags(task, workers)
 
 
 # --------------------------------------------------------------------------

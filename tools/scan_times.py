@@ -16,11 +16,12 @@ untimed, sweep counts its walk: the sweep's calls, the classes visited
 answer is checked against FROZEN_N6 (a claim's passed_filters,
 exception classes and verdict; the sweep's scanned, passed_filters and
 flagged masks); on any difference the script says which and exits 1.
-Every run also records the tracemalloc peak of an exhaustive visitor
-scan at n = 5 with the strong filter (565,080 visits), the memory bound
-of an exhaustive scan. Human-readable lines go to stdout, and the last
-line is one JSON object: {"metrics": {"<case>.wall_s": seconds,
-"<sweep>.<count>": count, "strong_n5_visitor.peak_mb": MB}, "reports":
+Every run also records the tracemalloc peaks of two exhaustive visitor
+scans at n = 5, the memory bound of an exhaustive scan: every survivor of
+the strong filter (565,080 visits), and the no_hc evaluator's flags with
+no filter (625,726 visits). Human-readable lines go to stdout, and the
+last line is one JSON object: {"metrics": {"<case>.wall_s": seconds,
+"<sweep>.<count>": count, "<peak>.peak_mb": MB}, "reports":
 {"<case>": sha256}}, where a repeated case's seconds are
 {"value": median, "runs": [each repeat]} and the digest covers the
 report's JSON without elapsed_ms. This is the format tools/pairs.py reads.
@@ -51,7 +52,11 @@ CLAIMS_N6 = {f"{c}_n6_exhaustive": (c, 6, {}) for c in ("thm6", "thm8", "thm9", 
 CLAIMS_N6["thm16_n6_exhaustive"] = ("thm16", 6, dict(param=3))
 CLAIMS_N6["thm16_in2_n6_exhaustive"] = ("thm16", 6, dict(param=2))  # the in-degree 2 probe
 SWEEP_N6 = "lemma7_sweep_n6_exhaustive"
-PEAK = "strong_n5_visitor"
+# peak: the n = 5 exhaustive task its visitor scan streams
+PEAKS = {
+    "strong_n5_visitor": dict(filters=("strong",)),
+    "no_hc_n5_flagged_stream": dict(evaluator="no_hc"),
+}
 # case: (passed_filters, exception canonical hexes, verdict), or for the
 # sweep (scanned, passed_filters, flagged masks): each scan's answer on one
 # process, which every tree must reproduce
@@ -105,13 +110,11 @@ def walk_counts(n: int) -> dict:
     return counts
 
 
-def visitor_peak_mb(n: int) -> float:
-    """tracemalloc peak, in MB, of an exhaustive visitor scan of every
-    strong digraph of order n on one process."""
+def visitor_peak_mb(task: verify.EnumerationTask) -> float:
+    """tracemalloc peak, in MB, of a visitor scan of `task` on one process."""
     visits = count()
     tracemalloc.start()
     try:
-        task = verify.EnumerationTask(n, filters=("strong",))
         verify.enumerate_digraphs(task, visitor=lambda mask: next(visits), workers=1)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
@@ -146,8 +149,9 @@ def main() -> None:
     for case, (claim, n, kw) in TIMED.items():
         run(claim, n, kw)
         repeated(case, run, claim, n, kw)
-    metrics[f"{PEAK}.peak_mb"] = peak = visitor_peak_mb(5)
-    print(f"{PEAK}: tracemalloc peak {peak:.3f} MB", flush=True)
+    for case, kw in PEAKS.items():
+        metrics[f"{case}.peak_mb"] = peak = visitor_peak_mb(verify.EnumerationTask(5, **kw))
+        print(f"{case}: tracemalloc peak {peak:.3f} MB", flush=True)
     if args.n6:
         for case, (claim, n, kw) in CLAIMS_N6.items():
             repeated(case, run, claim, n, kw)
